@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Sequence
 
 from .fincat import (
@@ -164,12 +165,13 @@ def product(c: FinCat, d: FinCat, name: str | None = None) -> FinCat:
     comp = {}
     for f1 in c.mors:
         for g1 in d.mors:
-            for f2 in c.mors:
-                for g2 in d.mors:
-                    if c.tgt[f1] == c.src[f2] and d.tgt[g1] == d.src[g2]:
-                        if c.is_identity(f1) and d.is_identity(g1) or c.is_identity(f2) and d.is_identity(g2):
-                            continue
-                        comp[(mor(f2, g2), mor(f1, g1))] = mor(c.comp[(f2, f1)], d.comp[(g2, g1)])
+            if c.is_identity(f1) and d.is_identity(g1):
+                continue
+            for f2 in c.out(c.tgt[f1]):
+                for g2 in d.out(d.tgt[g1]):
+                    if c.is_identity(f2) and d.is_identity(g2):
+                        continue
+                    comp[(mor(f2, g2), mor(f1, g1))] = mor(c.comp[(f2, f1)], d.comp[(g2, g1)])
     return make_category(name or f"product({c.name},{d.name})", objects, arrows, comp)
 
 
@@ -372,5 +374,4 @@ def build_category(spec: str, args: list, named: dict[str, FinCat], name: str) -
         c = coslice_category(cat(args[0]), args[1])
     else:
         raise ValueError(f"unknown category builder {spec!r}")
-    return FinCat(name, c.objects, c.mors, c.src, c.tgt, c.identity, c.comp,
-                  c.hom_table, c.factorizations)
+    return dataclasses.replace(c, name=name)

@@ -123,14 +123,14 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _search_outcome(result, found_text: str, none_text: str) -> Outcome:
+def _search_outcome(result, limit: int, found_text: str, none_text: str) -> Outcome:
     if result.status == FOUND:
         return Outcome("pass", witnesses=[result.witness.describe()], text=found_text,
-                       budget_used=result.nodes)
+                       budget_used=result.nodes, budget_limit=limit)
     if result.status == NONE:
         return Outcome("fail", counterexamples=[none_text], text=none_text,
-                       budget_used=result.nodes)
-    return Outcome("budget", text="budget exceeded", budget_used=result.nodes)
+                       budget_used=result.nodes, budget_limit=limit)
+    return Outcome("budget", text="budget exceeded", budget_used=result.nodes, budget_limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +176,11 @@ def _cmd_iso(args) -> Outcome:
     c = _need(ws, "category", args.first)
     d = _need(ws, "category", args.second)
     rng = random.Random(args.seed) if args.seed is not None else None
-    result = iso_search(c, d, budget=_budget(args), rng=rng)
+    limit = _budget(args)
+    result = iso_search(c, d, budget=limit, rng=rng)
     return _search_outcome(
         result,
+        limit,
         f"{args.first} and {args.second} are isomorphic",
         f"no isomorphism between {args.first} and {args.second} (search exhausted)",
     )
@@ -281,7 +283,10 @@ def _cmd_pullback(args) -> Outcome:
     ws = _load(args)
     h = _need(ws, "functor", args.h)
     q = _opfib_of(ws, args, args.functor, args.cleavage)
-    pb = pullback_opfib(h, q)
+    try:
+        pb = pullback_opfib(h, q)
+    except ValueError as err:  # h does not land in the base of q
+        raise CommandError(str(err))
     prefix = f"pb_{args.h}_{args.functor}"
     total_name = ws_add_category(ws, f"{prefix}_total", pb.opfib.total)
     pn = ws_add_functor(ws, f"{prefix}_proj", pb.opfib.p, total_name,

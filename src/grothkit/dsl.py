@@ -588,14 +588,15 @@ class _Parser:
         at_mor: dict[str, FunctorData] = {}
         at_ob_refs: dict[str, str] = {}
         at_mor_refs: dict[str, str] = {}
+        base_objects, base_mors = set(base.objects), set(base.mors)
         for key, ref in entries.items():
-            if key in set(base.objects):
+            if key in base_objects:
                 v = self._lookup("category", ref, line, 1)
                 if v is None:
                     return
                 at_ob[key] = v
                 at_ob_refs[key] = ref
-            elif key in set(base.mors):
+            elif key in base_mors:
                 v = self._lookup("functor", ref, line, 1)
                 if v is None:
                     return

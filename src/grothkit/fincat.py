@@ -46,12 +46,17 @@ class FinCat:
     comp: Mapping[tuple[str, str], str]
     # derived lookups, filled by validate_category
     hom_table: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
+    out_table: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     factorizations: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
     # -- basic queries ------------------------------------------------------
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self.hom_table.get((x, y), ())
+
+    def out(self, x: str) -> tuple[str, ...]:
+        """Morphisms with source x, in listing order."""
+        return self.out_table.get(x, ())
 
     def id_of(self, x: str) -> str:
         return self.identity[x]
@@ -67,11 +72,14 @@ class FinCat:
         return tuple(m for m in self.mors if not self.is_identity(m))
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
-        """All (g, f) with tgt(f) = src(g)."""
+        """All (g, f) with tgt(f) = src(g), f-major in listing order.
+
+        Walks the outgoing-morphism index, so the cost is proportional to
+        the number of composable pairs, not to the square of |mors|.
+        """
         for f in self.mors:
-            for g in self.mors:
-                if self.src[g] == self.tgt[f]:
-                    yield g, f
+            for g in self.out_table[self.tgt[f]]:
+                yield g, f
 
     def inverse(self, m: str) -> str | None:
         """Two-sided inverse of m, or None."""
@@ -97,8 +105,19 @@ class FinCat:
         )
 
     def tables_equal(self, other: "FinCat") -> bool:
-        """Table equality after sorting identifiers (names of entities aside)."""
-        return self.canonical_key() == other.canonical_key()
+        """Table equality up to listing order (names of entities aside).
+
+        Agrees with comparing canonical_key()s, since identifiers are unique
+        after validation, but compares the tables in place instead of sorting
+        copies; the keys of src are the morphisms.
+        """
+        return (
+            set(self.objects) == set(other.objects)
+            and self.src == other.src
+            and self.tgt == other.tgt
+            and self.identity == other.identity
+            and self.comp == other.comp
+        )
 
     def __repr__(self) -> str:
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.mors)} morphisms)"
@@ -115,6 +134,9 @@ def validate_category(
 
     `arrows` lists (morphism, src, tgt) triples.  Each law class is checked
     exhaustively and the report names a concrete witness per violation.
+    The composition and associativity laws walk an index of outgoing
+    morphisms, so the cost is proportional to the number of composable
+    pairs and triples, not to |mors|² and |mors|³.
     """
     rep = Report(f"validate category {name}")
     obj_set = set(objects)
@@ -149,47 +171,55 @@ def validate_category(
     if not rep.passed:
         raise ValidationError(rep)
 
+    comp = dict(comp)
+    out: dict[str, list[str]] = {x: [] for x in objects}
+    for m in mors:
+        out[src[m]].append(m)
+
+    # then[f][g] = g∘f for every g composable after f, in listing order;
+    # failures are (f-position, g-position, law, message), sorted so the
+    # report reads in the order of a scan over all pairs, f-major and g-minor
+    then: dict[str, dict[str, str]] = {}
+    failures: list[tuple[int, int, str, str]] = []
+    pos = {m: i for i, m in enumerate(mors)}
     for f in mors:
-        for g in mors:
-            key = (g, f)
-            if src[g] == tgt[f]:
-                if key not in comp:
-                    rep.fail("composition-total", f"missing composite {g}∘{f}")
-                else:
-                    h = comp[key]
-                    if src[h] != src[f] or tgt[h] != tgt[g]:
-                        rep.fail(
-                            "composition-boundary",
-                            f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, "
-                            f"expected {src[f]} -> {tgt[g]}",
-                        )
-            elif key in comp:
-                rep.fail("composition-domain", f"entry for non-composable pair ({g},{f})")
+        row = then[f] = {}
+        for g in out[tgt[f]]:
+            h = comp.get((g, f))
+            if h is None:
+                failures.append((pos[f], pos[g], "composition-total", f"missing composite {g}∘{f}"))
+                continue
+            row[g] = h
+            if src[h] != src[f] or tgt[h] != tgt[g]:
+                failures.append((
+                    pos[f], pos[g], "composition-boundary",
+                    f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, expected {src[f]} -> {tgt[g]}",
+                ))
+    for g, f in comp:
+        if src[g] != tgt[f]:
+            failures.append((pos[f], pos[g], "composition-domain", f"entry for non-composable pair ({g},{f})"))
+    for _, _, law, message in sorted(failures):
+        rep.fail(law, message)
     if not rep.passed:
         raise ValidationError(rep)
 
     for f in mors:
-        left = comp[(identity[tgt[f]], f)]
+        left = then[f][identity[tgt[f]]]
         if left != f:
             rep.fail("identity-law", f"{identity[tgt[f]]}∘{f} = {left}, expected {f}")
-        right = comp[(f, identity[src[f]])]
+        right = then[identity[src[f]]][f]
         if right != f:
             rep.fail("identity-law", f"{f}∘{identity[src[f]]} = {right}, expected {f}")
 
     for f in mors:
-        for g in mors:
-            if src[g] != tgt[f]:
-                continue
-            gf = comp[(g, f)]
-            for h in mors:
-                if src[h] != tgt[g]:
-                    continue
-                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
-                    rep.fail(
-                        "associativity",
-                        f"({h}∘{g})∘{f} = {comp[(comp[(h, g)], f)]} but "
-                        f"{h}∘({g}∘{f}) = {comp[(h, gf)]}",
-                    )
+        then_f = then[f]
+        for g, gf in then_f.items():
+            then_gf = then[gf]
+            for h, hg in then[g].items():
+                h_gf = then_gf[h]
+                hg_f = then_f[hg]
+                if h_gf != hg_f:
+                    rep.fail("associativity", f"({h}∘{g})∘{f} = {hg_f} but {h}∘({g}∘{f}) = {h_gf}")
     if not rep.passed:
         raise ValidationError(rep)
 
@@ -203,11 +233,12 @@ def validate_category(
         name=name,
         objects=tuple(objects),
         mors=mors,
-        src=dict(src),
-        tgt=dict(tgt),
+        src=src,
+        tgt=tgt,
         identity=dict(identity),
-        comp=dict(comp),
+        comp=comp,
         hom_table={k: tuple(v) for k, v in hom.items()},
+        out_table={x: tuple(v) for x, v in out.items()},
         factorizations={m: tuple(v) for m, v in fact.items()},
     )
 
@@ -282,15 +313,17 @@ def validate_functor(
     name: str = "functor",
 ) -> FunctorData:
     rep = Report(f"validate functor {name}")
+    cod_objects = set(cod.objects)
     for x in dom.objects:
         if x not in ob_map:
             rep.fail("object-map-total", f"no image for object {x}")
-        elif ob_map[x] not in set(cod.objects):
+        elif ob_map[x] not in cod_objects:
             rep.fail("dangling-identifier", f"object image {ob_map[x]} not in codomain")
+    cod_mors = set(cod.mors)
     for m in dom.mors:
         if m not in mor_map:
             rep.fail("morphism-map-total", f"no image for morphism {m}")
-        elif mor_map[m] not in set(cod.mors):
+        elif mor_map[m] not in cod_mors:
             rep.fail("dangling-identifier", f"morphism image {mor_map[m]} not in codomain")
     if not rep.passed:
         raise ValidationError(rep)
@@ -379,12 +412,13 @@ def validate_nat_trans(
 
     cat = dom.dom
     target = dom.cod
+    target_mors = set(target.mors)
     for x in cat.objects:
         if x not in components:
             rep.fail("components-total", f"no component at {x}")
             continue
         m = components[x]
-        if m not in set(target.mors):
+        if m not in target_mors:
             rep.fail("dangling-identifier", f"component at {x} is undeclared morphism {m}")
         elif target.src[m] != dom.ob_map[x] or target.tgt[m] != cod.ob_map[x]:
             rep.fail(

@@ -79,35 +79,34 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
         raise ValueError("object name collision in Grothendieck total")
 
     mor_of: dict[tuple[str, str, str], str] = {}
+    # the non-identity total morphisms (f, alpha, X, name) in mor_of order,
+    # and the same grouped by source (C, X)
+    non_ids: list[tuple[str, str, str, str]] = []
+    starting_at: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
     arrows = []
     for f in base.mors:
         c, dd = base.src[f], base.tgt[f]
         push = d.at_mor[f]
         fib_d = d.at_ob[dd]
         for x in d.at_ob[c].objects:
-            for alpha in fib_d.mors:
-                if fib_d.src[alpha] != push.ob_map[x]:
-                    continue
+            for alpha in fib_d.out(push.ob_map[x]):
                 src_obj = obj_of[(c, x)]
                 lbl = _mor_label(base, fib_d, f, alpha, x, src_obj)
                 mor_of[(f, alpha, x)] = lbl
                 if not (base.is_identity(f) and fib_d.is_identity(alpha)):
                     arrows.append((lbl, src_obj, obj_of[(dd, fib_d.tgt[alpha])]))
+                    non_ids.append((f, alpha, x, lbl))
+                    starting_at.setdefault((c, x), []).append((f, alpha, lbl))
     mor_pair = {v: k for k, v in mor_of.items()}
     if len(mor_pair) != len(mor_of):
         raise ValueError("morphism name collision in Grothendieck total")
 
+    # identity composites are synthesized by make_category, so only pairs of
+    # non-identity morphisms whose boundaries meet get an entry
     comp: dict[tuple[str, str], str] = {}
-    for (f, alpha, x), m1 in mor_of.items():
-        c, dd = base.src[f], base.tgt[f]
-        x1 = d.at_ob[dd].tgt[alpha]
-        for (g, beta, x1b), m2 in mor_of.items():
-            if base.src[g] != dd or x1b != x1:
-                continue
-            if (base.is_identity(f) and d.at_ob[c].is_identity(alpha)) or (
-                base.is_identity(g) and d.at_ob[base.tgt[g]].is_identity(beta)
-            ):
-                continue
+    for f, alpha, x, m1 in non_ids:
+        dd = base.tgt[f]
+        for g, beta, m2 in starting_at.get((dd, d.at_ob[dd].tgt[alpha]), ()):
             gf = base.comp[(g, f)]
             pushed = d.at_mor[g].mor_map[alpha]
             composite = d.at_ob[base.tgt[g]].comp[(beta, pushed)]
@@ -123,9 +122,7 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
     )
     lifts = {}
     for v, (c, x) in ob_pair.items():
-        for f in base.mors:
-            if base.src[f] != c:
-                continue
+        for f in base.out(c):
             pushed = d.at_mor[f].ob_map[x]
             lifts[(v, f)] = mor_of[(f, d.at_ob[base.tgt[f]].identity[pushed], x)]
     return GrothTotal(d, total, projection, lifts, ob_pair, mor_pair, obj_of, mor_of)

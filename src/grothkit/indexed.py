@@ -88,6 +88,7 @@ def _validate_fibration_lifts(t: FunctorData, lifts: Mapping[tuple[str, str], st
     """Shape check for a fibration-flavored cleavage: lifts land ON the object,
     over morphisms INTO its image."""
     total, base = t.dom, t.cod
+    total_objects, total_mors, base_mors = set(total.objects), set(total.mors), set(base.mors)
     for e in total.objects:
         for f in base.mors:
             if base.tgt[f] != t.ob_map[e]:
@@ -95,14 +96,14 @@ def _validate_fibration_lifts(t: FunctorData, lifts: Mapping[tuple[str, str], st
             if (e, f) not in lifts:
                 return f"no lift of {f} at {e}"
             m = lifts[(e, f)]
-            if m not in set(total.mors):
+            if m not in total_mors:
                 return f"lift of {f} at {e} is undeclared morphism {m}"
             if total.tgt[m] != e:
                 return f"lift of {f} at {e} ends at {total.tgt[m]}"
             if t.mor_map[m] != f:
                 return f"lift of {f} at {e} lies over {t.mor_map[m]}"
     for (e, f) in lifts:
-        if e not in set(total.objects) or f not in set(base.mors) or base.tgt[f] != t.ob_map[e]:
+        if e not in total_objects or f not in base_mors or base.tgt[f] != t.ob_map[e]:
             return f"entry ({e},{f}) does not describe a morphism into the image of {e}"
     return None
 

@@ -90,13 +90,14 @@ def iter_iso_tables(
     if sorted(len(ms) for ms in c.hom_table.values()) != sorted(len(ms) for ms in d.hom_table.values()):
         return
 
+    d_profile = {u: _profile(d, u) for u in d.objects}
     cand: dict[str, list[str]] = {}
     for x in c.objects:
         px = _profile(c, x)
         cand[x] = [
             u
             for u in d.objects
-            if _profile(d, u) == px and (ob_allowed is None or ob_allowed(x, u))
+            if d_profile[u] == px and (ob_allowed is None or ob_allowed(x, u))
         ]
         if not cand[x]:
             return

@@ -58,22 +58,21 @@ def cleaved_opfib(p: FunctorData, lifts: Mapping[tuple[str, str], str]) -> Cleav
     """Validate a cleavage table for p: totality plus boundary conditions."""
     rep = Report(f"validate cleavage for {p.name}")
     total, base = p.dom, p.cod
+    total_objects, total_mors, base_mors = set(total.objects), set(total.mors), set(base.mors)
     for e in total.objects:
-        for f in base.mors:
-            if base.src[f] != p.ob_map[e]:
-                continue
+        for f in base.out(p.ob_map[e]):
             if (e, f) not in lifts:
                 rep.fail("cleavage-total", f"no lift of {f} at {e}")
                 continue
             m = lifts[(e, f)]
-            if m not in set(total.mors):
+            if m not in total_mors:
                 rep.fail("dangling-identifier", f"lift of {f} at {e} is undeclared morphism {m}")
             elif total.src[m] != e:
                 rep.fail("lift-source", f"lift of {f} at {e} starts at {total.src[m]}")
             elif p.mor_map[m] != f:
                 rep.fail("lift-over", f"lift of {f} at {e} lies over {p.mor_map[m]}")
     for (e, f) in lifts:
-        if e not in set(total.objects) or f not in set(base.mors):
+        if e not in total_objects or f not in base_mors:
             rep.fail("dangling-identifier", f"lift entry ({e},{f}) names unknown data")
         elif base.src[f] != p.ob_map[e]:
             rep.fail("lift-rooted", f"entry ({e},{f}) but {f} does not start at p({e})")
@@ -88,9 +87,7 @@ def _cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | None:
     e_obj = total.src[lift_mor]
     fe = total.tgt[lift_mor]
     c = base.tgt[f]
-    for e in total.mors:
-        if total.src[e] != e_obj:
-            continue
+    for e in total.out(e_obj):
         e_prime = total.tgt[e]
         for w in base.hom(c, p.ob_map[e_prime]):
             if base.comp[(w, f)] != p.mor_map[e]:
@@ -114,10 +111,9 @@ def find_cartesian_lifts(p: FunctorData, e: str, f: str) -> list[str]:
     if base.src[f] != p.ob_map[e]:
         raise ValueError(f"{f} does not start at p({e}) = {p.ob_map[e]}")
     out = []
-    for m in p.dom.mors:
-        if p.dom.src[m] == e and p.mor_map[m] == f:
-            if _cartesian_failure(p, m, f) is None:
-                out.append(m)
+    for m in p.dom.out(e):
+        if p.mor_map[m] == f and _cartesian_failure(p, m, f) is None:
+            out.append(m)
     return out
 
 
@@ -145,13 +141,9 @@ def check_split_opfib(q: CleavedOpfib) -> Report:
 
     comp_fail = None
     for e in total.objects:
-        for f in base.mors:
-            if base.src[f] != p.ob_map[e]:
-                continue
+        for f in base.out(p.ob_map[e]):
             mf = cleav.lift(e, f)
-            for g in base.mors:
-                if base.src[g] != base.tgt[f]:
-                    continue
+            for g in base.out(base.tgt[f]):
                 mg = cleav.lift(total.tgt[mf], g)
                 direct = cleav.lift(e, base.comp[(g, f)])
                 if total.comp[(mg, mf)] != direct:
@@ -176,10 +168,8 @@ def check_discrete_opfib(p: FunctorData) -> Report:
     total, base = p.dom, p.cod
     fail = None
     for e in total.objects:
-        for f in base.mors:
-            if base.src[f] != p.ob_map[e]:
-                continue
-            lifts = [m for m in total.mors if total.src[m] == e and p.mor_map[m] == f]
+        for f in base.out(p.ob_map[e]):
+            lifts = [m for m in total.out(e) if p.mor_map[m] == f]
             if len(lifts) != 1:
                 fail = f"object {e}, morphism {f}: {len(lifts)} lifts {lifts}"
                 break
@@ -319,12 +309,10 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     obj_of = {pe: pair_id(*pe) for pe in pairs}
     ob_pair = {v: k for k, v in obj_of.items()}
 
-    mor_pairs = [
-        (u, m)
-        for u in base_d.mors
-        for m in total.mors
-        if h.mor_map[u] == q.p.mor_map[m]
-    ]
+    lying_over: dict[str, list[str]] = {}
+    for m in total.mors:
+        lying_over.setdefault(q.p.mor_map[m], []).append(m)
+    mor_pairs = [(u, m) for u in base_d.mors for m in lying_over.get(h.mor_map[u], ())]
 
     def mor_name(u: str, m: str) -> str:
         if base_d.is_identity(u) and total.is_identity(m):
@@ -333,22 +321,22 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
 
     mor_of = {um: mor_name(*um) for um in mor_pairs}
     mor_pair = {v: k for k, v in mor_of.items()}
+    non_ids = [(u, m) for (u, m) in mor_pairs if not (base_d.is_identity(u) and total.is_identity(m))]
     arrows = [
         (mor_of[(u, m)], obj_of[(base_d.src[u], total.src[m])], obj_of[(base_d.tgt[u], total.tgt[m])])
-        for (u, m) in mor_pairs
-        if not (base_d.is_identity(u) and total.is_identity(m))
+        for (u, m) in non_ids
     ]
+    # non-identity pairs by source, in mor_pairs order; identity composites
+    # are synthesized by make_category
+    starting_at: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for u, m in non_ids:
+        starting_at.setdefault((base_d.src[u], total.src[m]), []).append((u, m))
     comp = {}
-    for (u1, m1) in mor_pairs:
-        for (u2, m2) in mor_pairs:
-            if base_d.tgt[u1] == base_d.src[u2] and total.tgt[m1] == total.src[m2]:
-                if base_d.is_identity(u1) and total.is_identity(m1):
-                    continue
-                if base_d.is_identity(u2) and total.is_identity(m2):
-                    continue
-                comp[(mor_of[(u2, m2)], mor_of[(u1, m1)])] = mor_of[
-                    (base_d.comp[(u2, u1)], total.comp[(m2, m1)])
-                ]
+    for (u1, m1) in non_ids:
+        for (u2, m2) in starting_at.get((base_d.tgt[u1], total.tgt[m1]), ()):
+            comp[(mor_of[(u2, m2)], mor_of[(u1, m1)])] = mor_of[
+                (base_d.comp[(u2, u1)], total.comp[(m2, m1)])
+            ]
     pb_total = make_category(label, [obj_of[pe] for pe in pairs], arrows, comp)
 
     proj = validate_functor(

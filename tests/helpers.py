@@ -47,6 +47,80 @@ def associativity_witnesses(cat: FinCat) -> list[tuple[str, str, str]]:
     return bad
 
 
+def reference_category_violations(objects, arrows, identity, comp) -> list[tuple[str, str]]:
+    """(law, message) pairs that validate_category must report, by a scan over all pairs.
+
+    This is the all-pairs formulation of the category laws: every (f, g) in
+    mors x mors and every candidate h, stopping at the same stages as the
+    validator.  An empty list means the tables form a category.
+    """
+    out: list[tuple[str, str]] = []
+    obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        out.append(("object-names-unique", "duplicate object identifier"))
+    mors = tuple(a[0] for a in arrows)
+    if len(set(mors)) != len(mors):
+        out.append(("morphism-names-unique", "duplicate morphism identifier"))
+    src = {m: s for m, s, _ in arrows}
+    tgt = {m: t for m, _, t in arrows}
+    for m, s, t in arrows:
+        if s not in obj_set or t not in obj_set:
+            out.append(("dangling-identifier", f"morphism {m}: {src[m]} -> {tgt[m]} uses undeclared object"))
+    for x in objects:
+        if x not in identity:
+            out.append(("identity-total", f"no identity declared for object {x}"))
+        elif identity[x] not in src:
+            out.append(("dangling-identifier", f"identity of {x} is undeclared morphism {identity[x]}"))
+    if out:
+        return out
+
+    for x in objects:
+        i = identity[x]
+        if src[i] != x or tgt[i] != x:
+            out.append(("identity-endo", f"identity {i} of {x} has boundary {src[i]} -> {tgt[i]}"))
+    for (g, f), h in comp.items():
+        if g not in src or f not in src or h not in src:
+            out.append(("dangling-identifier", f"compose entry ({g},{f}) = {h} uses undeclared morphism"))
+    if out:
+        return out
+
+    for f in mors:
+        for g in mors:
+            if src[g] == tgt[f]:
+                if (g, f) not in comp:
+                    out.append(("composition-total", f"missing composite {g}∘{f}"))
+                else:
+                    h = comp[(g, f)]
+                    if src[h] != src[f] or tgt[h] != tgt[g]:
+                        out.append(("composition-boundary", f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, "
+                                                            f"expected {src[f]} -> {tgt[g]}"))
+            elif (g, f) in comp:
+                out.append(("composition-domain", f"entry for non-composable pair ({g},{f})"))
+    if out:
+        return out
+
+    for f in mors:
+        i, j = identity[tgt[f]], identity[src[f]]
+        if comp[(i, f)] != f:
+            out.append(("identity-law", f"{i}∘{f} = {comp[(i, f)]}, expected {f}"))
+        if comp[(f, j)] != f:
+            out.append(("identity-law", f"{f}∘{j} = {comp[(f, j)]}, expected {f}"))
+    for f in mors:
+        for g in mors:
+            for h in mors:
+                if src[g] != tgt[f] or src[h] != tgt[g]:
+                    continue
+                left, right = comp[(comp[(h, g)], f)], comp[(h, comp[(g, f)])]
+                if left != right:
+                    out.append(("associativity", f"({h}∘{g})∘{f} = {left} but {h}∘({g}∘{f}) = {right}"))
+    return out
+
+
+def brute_composable_pairs(cat: FinCat) -> list[tuple[str, str]]:
+    """Every (g, f) with tgt(f) = src(g), f-major over mors x mors."""
+    return [(g, f) for f in cat.mors for g in cat.mors if cat.src[g] == cat.tgt[f]]
+
+
 def semidirect_table(n: int, invert: bool = True):
     """Cayley table of Z/n x| Z/2, the action inverting when `invert`."""
     els = [(h, s) for h in range(n) for s in range(2)]

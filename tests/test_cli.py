@@ -69,6 +69,12 @@ class TestExitCodes:
         rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), "roundtrip", "phi"])
         assert rc == 3
 
+    def test_pullback_off_base_exits_2(self, exdir, capsys):
+        # idT goes T -> T, but p lands in A
+        rc = run_command(["pullback", "-i", path(exdir, "mutated_cleavage.cat"), "idT", "p", "canonical"])
+        assert rc == 2
+        assert "does not land in the base" in capsys.readouterr().out
+
 
 class TestPipelines:
     def test_groth_delta1_output_is_iso_to_base(self, exdir, tmp_path, capsys):
@@ -155,6 +161,12 @@ class TestJsonReports:
         assert payload["verdict"] == "fail"
         assert payload["counterexamples"]
         assert set(payload["budget"]) == {"used", "limit"}
+
+    def test_iso_budget_limit_reported(self, exdir, capsys):
+        rc = run_command(["iso", "-i", path(exdir, "semidirect.cat"), "BZ2", "BZ3", "--budget", "50", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert payload["budget"]["limit"] == 50
 
     def test_pass_verdict(self, exdir, capsys):
         rc = run_command([
