@@ -200,7 +200,16 @@ class TestTwoCellAction:
         pbb = pullback_diagram_opfib(beta, phi)
         xi = two_cell_action(delta, phi, pba, pbb)
         assert check_diagram_opfib_mor(xi).passed
-        # independent route: the classical transport from the opfib module
+        # the lift of the 2-cell moves each point over a to the point over b
+        assert list(xi.components["*"].ob_map.items()) == [
+            ("(*,(a,w0))", "(*,(b,w0))"),
+            ("(*,(a,w1))", "(*,(b,w1))"),
+        ]
+        assert list(xi.components["*"].mor_map.items()) == [
+            ("id_(*,(a,w0))", "id_(*,(b,w0))"),
+            ("id_(*,(a,w1))", "id_(*,(b,w1))"),
+        ]
+        # the classical transport from the opfib module
         classical = cell_transport(
             delta.components["*"],
             phi.component_opfib("*"),
