@@ -13,6 +13,7 @@ from .fincat import (
     identity_functor,
     make_category,
     pair_id,
+    pair_mor_id,
     validate_diagram,
     validate_functor,
 )
@@ -150,28 +151,17 @@ def cyclic_table(n: int, prefix: str = "r") -> tuple[list[str], dict[tuple[str, 
 
 def product(c: FinCat, d: FinCat, name: str | None = None) -> FinCat:
     objects = [pair_id(x, y) for x in c.objects for y in d.objects]
-
-    def mor(f: str, g: str) -> str:
-        if c.is_identity(f) and d.is_identity(g):
-            return id_name(pair_id(c.src[f], d.src[g]))
-        return pair_id(f, g)
-
-    arrows = [
-        (mor(f, g), pair_id(c.src[f], d.src[g]), pair_id(c.tgt[f], d.tgt[g]))
-        for f in c.mors
-        for g in d.mors
-        if not (c.is_identity(f) and d.is_identity(g))
-    ]
+    mor = {(f, g): pair_mor_id(c, d, f, g) for f in c.mors for g in d.mors}
+    ids = {(c.identity[x], d.identity[y]) for x in c.objects for y in d.objects}
+    non_ids = [fg for fg in mor if fg not in ids]
+    arrows = [(mor[(f, g)], pair_id(c.src[f], d.src[g]), pair_id(c.tgt[f], d.tgt[g])) for f, g in non_ids]
     comp = {}
-    for f1 in c.mors:
-        for g1 in d.mors:
-            if c.is_identity(f1) and d.is_identity(g1):
-                continue
-            for f2 in c.out(c.tgt[f1]):
-                for g2 in d.out(d.tgt[g1]):
-                    if c.is_identity(f2) and d.is_identity(g2):
-                        continue
-                    comp[(mor(f2, g2), mor(f1, g1))] = mor(c.comp[(f2, f1)], d.comp[(g2, g1)])
+    for f1, g1 in non_ids:
+        n1 = mor[(f1, g1)]
+        for f2 in c.out(c.tgt[f1]):
+            for g2 in d.out(d.tgt[g1]):
+                if (f2, g2) not in ids:
+                    comp[(mor[(f2, g2)], n1)] = mor[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
     return make_category(name or f"product({c.name},{d.name})", objects, arrows, comp)
 
 
@@ -183,7 +173,7 @@ def product_projections(c: FinCat, d: FinCat) -> tuple[FinCat, FunctorData, Func
     snd_mor: dict[str, str] = {}
     for f in c.mors:
         for g in d.mors:
-            n = id_name(pair_id(c.src[f], d.src[g])) if c.is_identity(f) and d.is_identity(g) else pair_id(f, g)
+            n = pair_mor_id(c, d, f, g)
             fst_mor[n] = f
             snd_mor[n] = g
     fst = validate_functor(p, c, fst_ob, fst_mor, name=f"fst[{p.name}]")

@@ -50,7 +50,7 @@ from .opfib import (
     fibres,
     pullback_opfib,
 )
-from .report import Report, ValidationError
+from .report import Report, UsageError, ValidationError
 
 EXIT_PASS = 0
 EXIT_REFUTED = 1
@@ -86,12 +86,6 @@ def _outcome_from_report(rep: Report) -> Outcome:
     )
 
 
-class CommandError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _load(args) -> Workspace:
     paths = args.input or []
     if not paths:
@@ -101,7 +95,7 @@ def _load(args) -> Workspace:
 
 def _need(ws: Workspace, kind: str, name: str):
     if not ws.has(kind, name):
-        raise CommandError(f"no {kind} named {name!r} in the workspace")
+        raise UsageError(f"no {kind} named {name!r} in the workspace")
     return ws.get(kind, name)
 
 
@@ -119,7 +113,7 @@ def _budget(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise CommandError(f"GROTHKIT_BUDGET must be an integer, got {env!r}")
+            raise UsageError(f"GROTHKIT_BUDGET must be an integer, got {env!r}")
     return DEFAULT_BUDGET
 
 
@@ -222,7 +216,7 @@ def _cmd_factorize(args) -> Outcome:
     d = _need(ws, "diagram", args.diagram)
     gt = groth(d)
     if args.morphism not in set(gt.total.mors):
-        raise CommandError(f"{args.morphism!r} is not a morphism of the total category")
+        raise UsageError(f"{args.morphism!r} is not a morphism of the total category")
     cart, vert = factorize(gt, args.morphism)
     witnesses = [f"cartesian {cart} = {gt.pretty_mor(cart)}", f"vertical {vert} = {gt.pretty_mor(vert)}"]
     return Outcome(
@@ -283,10 +277,7 @@ def _cmd_pullback(args) -> Outcome:
     ws = _load(args)
     h = _need(ws, "functor", args.h)
     q = _opfib_of(ws, args, args.functor, args.cleavage)
-    try:
-        pb = pullback_opfib(h, q)
-    except ValueError as err:  # h does not land in the base of q
-        raise CommandError(str(err))
+    pb = pullback_opfib(h, q)
     prefix = f"pb_{args.h}_{args.functor}"
     total_name = ws_add_category(ws, f"{prefix}_total", pb.opfib.total)
     pn = ws_add_functor(ws, f"{prefix}_proj", pb.opfib.p, total_name,
@@ -303,7 +294,7 @@ def _indexed_entity(ws: Workspace, name: str):
         return "opfib", ws.get("opfib", name)
     if ws.has("diagram", name):
         return "diagram", ws.get("diagram", name)
-    raise CommandError(f"no opfib or diagram named {name!r} in the workspace")
+    raise UsageError(f"no opfib or diagram named {name!r} in the workspace")
 
 
 def _cmd_indexed(args) -> Outcome:
@@ -333,8 +324,8 @@ def _cmd_indexed(args) -> Outcome:
         else:
             f = _need(ws, "diagram", args.second) if args.second else None
             if f is None:
-                raise CommandError("roundtrip on a diagram needs the underlying diagram: "
-                                   "indexed roundtrip Z F")
+                raise UsageError("roundtrip on a diagram needs the underlying diagram: "
+                                 "indexed roundtrip Z F")
             rep = indexed_roundtrip_diagram(value, f, budget=_budget(args))
         return _outcome_from_report(rep)
     if sub == "discrete":
@@ -344,8 +335,8 @@ def _cmd_indexed(args) -> Outcome:
         else:
             f = _need(ws, "diagram", args.second) if args.second else None
             if f is None:
-                raise CommandError("discrete check on a diagram needs the underlying diagram: "
-                                   "indexed discrete Z F")
+                raise UsageError("discrete check on a diagram needs the underlying diagram: "
+                                 "indexed discrete Z F")
             rep = discrete_check_diagram(value, f)
         return _outcome_from_report(rep)
     if sub == "pseudonat":
@@ -369,7 +360,7 @@ def _cmd_indexed(args) -> Outcome:
         out = Outcome("pass", text=text)
         out.output = print_workspace(ws)
         return out
-    raise CommandError(f"unknown indexed subcommand {sub!r}")
+    raise UsageError(f"unknown indexed subcommand {sub!r}")
 
 
 def _cmd_examples(args) -> Outcome:
@@ -513,11 +504,10 @@ def run_command(argv: list[str]) -> int:
 
     try:
         outcome: Outcome = args.handler(args)
-    except CommandError as err:
+    except UsageError as err:
         outcome = Outcome("error", counterexamples=[str(err)], text=str(err))
-        outcome_exit = err.exit_code
         _emit(args, outcome, as_json)
-        return outcome_exit
+        return outcome.exit_code
     except WorkspaceParseError as err:
         kind = "fail" if err.only_semantic() else "error"
         outcome = Outcome(kind, counterexamples=[d.describe() for d in err.diagnostics],

@@ -26,6 +26,16 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def pair_mor_id(c: FinCat, d: FinCat, f: str, g: str) -> str:
+    """Name of the morphism (f, g) of a product or pullback of c and d.
+
+    A pair of identities is the identity of the pair of their objects.
+    """
+    if c.is_identity(f) and d.is_identity(g):
+        return id_name(pair_id(c.src[f], d.src[g]))
+    return pair_id(f, g)
+
+
 # ---------------------------------------------------------------------------
 # FinCat
 
@@ -290,8 +300,7 @@ class FunctorData:
         return (
             self.dom.tables_equal(other.dom)
             and self.cod.tables_equal(other.cod)
-            and dict(self.ob_map) == dict(other.ob_map)
-            and dict(self.mor_map) == dict(other.mor_map)
+            and first_disagreement(self, other) is None
         )
 
     def is_identity_functor(self) -> bool:
@@ -349,6 +358,31 @@ def validate_functor(
     if not rep.passed:
         raise ValidationError(rep)
     return FunctorData(name, dom, cod, dict(ob_map), dict(mor_map))
+
+
+def first_disagreement(f: FunctorData, g: FunctorData) -> tuple[str, str] | None:
+    """Where two parallel functors first differ, in the listing order of f's domain:
+    ("object", x) or ("morphism", m); None when they agree."""
+    if f.ob_map == g.ob_map and f.mor_map == g.mor_map:
+        return None
+    for x in f.dom.objects:
+        if f.ob_map[x] != g.ob_map[x]:
+            return "object", x
+    for m in f.dom.mors:
+        if f.mor_map[m] != g.mor_map[m]:
+            return "morphism", m
+    return None
+
+
+def inverse_functor(f: FunctorData, name: str) -> FunctorData:
+    """The validated inverse tables of a functor that is bijective on objects and morphisms."""
+    return validate_functor(
+        f.cod,
+        f.dom,
+        {v: k for k, v in f.ob_map.items()},
+        {v: k for k, v in f.mor_map.items()},
+        name=name,
+    )
 
 
 def identity_functor(c: FinCat) -> FunctorData:
@@ -478,11 +512,7 @@ class CatDiagram:
             return False
         if not all(self.at_ob[x].tables_equal(other.at_ob[x]) for x in self.base.objects):
             return False
-        return all(
-            dict(self.at_mor[f].ob_map) == dict(other.at_mor[f].ob_map)
-            and dict(self.at_mor[f].mor_map) == dict(other.at_mor[f].mor_map)
-            for f in self.base.mors
-        )
+        return all(first_disagreement(self.at_mor[f], other.at_mor[f]) is None for f in self.base.mors)
 
     def __repr__(self) -> str:
         return f"CatDiagram({self.name!r} on {self.base.name})"
@@ -517,7 +547,7 @@ def validate_diagram(
     for g, f in base.composable_pairs():
         both = compose_functors(at_mor[g], at_mor[f])
         direct = at_mor[base.comp[(g, f)]]
-        if dict(both.ob_map) != dict(direct.ob_map) or dict(both.mor_map) != dict(direct.mor_map):
+        if first_disagreement(both, direct) is not None:
             rep.fail("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
     if not rep.passed:
         raise ValidationError(rep)
@@ -568,7 +598,7 @@ def validate_diagram_mor(
         a, b = dom.base.src[h], dom.base.tgt[h]
         left = compose_functors(cod.at_mor[h], components[a])
         right = compose_functors(components[b], dom.at_mor[h])
-        if dict(left.ob_map) != dict(right.ob_map) or dict(left.mor_map) != dict(right.mor_map):
+        if first_disagreement(left, right) is not None:
             rep.fail("naturality", f"square at {h} does not commute strictly")
     if not rep.passed:
         raise ValidationError(rep)

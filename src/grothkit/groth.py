@@ -25,8 +25,10 @@ from .fincat import (
     IsoWitness,
     NatTransData,
     compose_functors,
+    first_disagreement,
     id_name,
     identity_functor,
+    inverse_functor,
     make_category,
     pair_id,
     reindex,
@@ -35,7 +37,7 @@ from .fincat import (
     verify_category_iso,
 )
 from .opfib import CleavedOpfib, PullbackOpfib, check_cleavage_preserving, cleaved_opfib, pullback_opfib
-from .report import Report, ValidationError
+from .report import Report, UsageError, ValidationError
 
 
 @dataclass(eq=False)
@@ -277,10 +279,7 @@ def cocone_factorize(sigma: LaxCocone, g: GrothTotal | None = None) -> FunctorDa
 
     inc = inc_cocone(sigma.diagram, gt)
     for c in base.objects:
-        through = compose_functors(s, inc.legs[c])
-        if dict(through.ob_map) != dict(sigma.legs[c].ob_map) or dict(through.mor_map) != dict(
-            sigma.legs[c].mor_map
-        ):
+        if first_disagreement(compose_functors(s, inc.legs[c]), sigma.legs[c]) is not None:
             raise ValueError(f"factorization does not restrict to the leg at {c}")
     for f in base.mors:
         for x, m in inc.cells[f].components.items():
@@ -304,8 +303,8 @@ class BaseChange:
 
 def base_change(h: FunctorData, d: CatDiagram) -> BaseChange:
     """Build and verify the canonical over-base iso between reindex-then-groth and groth-then-pullback."""
-    if h.cod is not d.base and not h.cod.tables_equal(d.base):
-        raise ValueError(f"{h.name} does not land in the base of {d.name}")
+    if not _same_cat(h.cod, d.base):
+        raise UsageError(f"{h.name} does not land in the base of {d.name}")
     gf = groth(d)
     gfh = groth(reindex(d, h))
     pb = pullback_opfib(h, gf.opfib())
@@ -317,20 +316,11 @@ def base_change(h: FunctorData, d: CatDiagram) -> BaseChange:
     for m, (u, alpha, x) in gfh.mor_pair.items():
         mor_map[m] = pb.mor_of[(u, gf.mor_of[(h.mor_map[u], alpha, x)])]
     fwd = validate_functor(gfh.total, pb.opfib.total, ob_map, mor_map, name="base_change")
-    bwd = validate_functor(
-        pb.opfib.total,
-        gfh.total,
-        {v: k for k, v in ob_map.items()},
-        {v: k for k, v in mor_map.items()},
-        name="base_change_inv",
-    )
+    bwd = inverse_functor(fwd, "base_change_inv")
     witness = verify_category_iso(fwd, bwd, flavor="over-base-iso")
 
     rep = Report("base change verification")
-    over = compose_functors(pb.opfib.p, fwd)
-    if dict(over.ob_map) != dict(gfh.projection.ob_map) or dict(over.mor_map) != dict(
-        gfh.projection.mor_map
-    ):
+    if first_disagreement(compose_functors(pb.opfib.p, fwd), gfh.projection) is not None:
         rep.fail("over-base", "comparison does not commute with the projections")
     ident = identity_functor(h.dom)
     sub = check_cleavage_preserving(fwd, ident, gfh.opfib(), pb.opfib)

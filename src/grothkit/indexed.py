@@ -26,6 +26,7 @@ from .fincat import (
     FunctorData,
     NatTransData,
     compose_functors,
+    first_disagreement,
     identity_functor,
     identity_nat_trans,
     validate_diagram,
@@ -47,6 +48,8 @@ from .opfib import (
     Cleavage,
     CleavedOpfib,
     PullbackOpfib,
+    _pushforward_mor,
+    cell_transport,
     check_cleavage_preserving,
     check_discrete_opfib,
     check_split_opfib,
@@ -54,7 +57,7 @@ from .opfib import (
     fibre_category,
     pullback_opfib,
 )
-from .report import Report, ValidationError
+from .report import Report, UsageError, ValidationError
 
 
 @dataclass(eq=False)
@@ -174,7 +177,7 @@ def identity_diagram_opfib(d: CatDiagram, name: str | None = None) -> DiagramOpf
 
 def _require_opfib_flavor(phi: DiagramOpfib) -> None:
     if phi.flavor != "opfibration":
-        raise ValueError(
+        raise UsageError(
             f"{phi.name} is {phi.flavor}-flavored; dualize it before using opfibration machinery"
         )
 
@@ -193,17 +196,8 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
         a, b = base.src[h], base.tgt[h]
         left = compose_functors(phi.components[b], phi.total.at_mor[h])
         right = compose_functors(phi.over.at_mor[h], phi.components[a])
-        bad = None
-        for x in phi.total.at_ob[a].objects:
-            if left.ob_map[x] != right.ob_map[x]:
-                bad = f"on object {x}"
-                break
-        if bad is None:
-            for m in phi.total.at_ob[a].mors:
-                if left.mor_map[m] != right.mor_map[m]:
-                    bad = f"on morphism {m}"
-                    break
-        rep.record(f"naturality@{h}", bad)
+        bad = first_disagreement(left, right)
+        rep.record(f"naturality@{h}", None if bad is None else f"on {bad[0]} {bad[1]}")
     if not rep.passed:
         return rep
 
@@ -252,18 +246,8 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
     phi, psi = xi.dom, xi.cod
     base = phi.base
     for a in base.objects:
-        through = compose_functors(psi.components[a], xi.components[a])
-        bad = None
-        for x in phi.total.at_ob[a].objects:
-            if through.ob_map[x] != phi.components[a].ob_map[x]:
-                bad = f"on object {x}"
-                break
-        if bad is None:
-            for m in phi.total.at_ob[a].mors:
-                if through.mor_map[m] != phi.components[a].mor_map[m]:
-                    bad = f"on morphism {m}"
-                    break
-        rep.record(f"triangle@{a}", bad)
+        bad = first_disagreement(phi.components[a], compose_functors(psi.components[a], xi.components[a]))
+        rep.record(f"triangle@{a}", None if bad is None else f"on {bad[0]} {bad[1]}")
     if not rep.passed:
         return rep
 
@@ -271,10 +255,8 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
         a, b = base.src[h], base.tgt[h]
         left = compose_functors(xi.components[b], phi.total.at_mor[h])
         right = compose_functors(psi.total.at_mor[h], xi.components[a])
-        bad = None
-        if dict(left.ob_map) != dict(right.ob_map) or dict(left.mor_map) != dict(right.mor_map):
-            bad = "square of totals does not commute"
-        rep.record(f"naturality@{h}", bad)
+        bad = first_disagreement(left, right)
+        rep.record(f"naturality@{h}", None if bad is None else "square of totals does not commute")
 
     for a in base.objects:
         sub = check_cleavage_preserving(
@@ -299,7 +281,7 @@ def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | Non
     """Pointwise pullback of an opfibration of diagrams along a diagram morphism."""
     _require_opfib_flavor(phi)
     if alpha.cod is not phi.over and not alpha.cod.tables_equal(phi.over):
-        raise ValueError(f"{alpha.name} does not land in the base diagram of {phi.name}")
+        raise UsageError(f"{alpha.name} does not land in the base diagram of {phi.name}")
     base = phi.base
     label = name or f"pb({alpha.name},{phi.name})"
     parts = {
@@ -414,39 +396,18 @@ def two_cell_action(
     cleavage of phi; on morphisms the image is the unique cartesian fill-in.
     """
     _require_opfib_flavor(phi)
-    alpha, beta = delta.dom, delta.cod
-    pba = pb_dom if pb_dom is not None else pullback_diagram_opfib(alpha, phi)
-    pbb = pb_cod if pb_cod is not None else pullback_diagram_opfib(beta, phi)
-    base = phi.base
-    comps: dict[str, FunctorData] = {}
-    for a in base.objects:
-        q = phi.component_opfib(a)
-        total = q.total
-        da = delta.components[a]
-        part_a, part_b = pba.pullback_parts[a], pbb.pullback_parts[a]
-        ob_map = {}
-        for v, (x, e) in part_a.ob_pair.items():
-            lifted = q.cleavage.lift(e, da.components[x])
-            ob_map[v] = part_b.obj_of[(x, total.tgt[lifted])]
-        mor_map = {}
-        for n, (u, m) in part_a.mor_pair.items():
-            x0, e0 = part_a.ob_pair[part_a.opfib.total.src[n]]
-            x1, e1 = part_a.ob_pair[part_a.opfib.total.tgt[n]]
-            l0 = q.cleavage.lift(e0, da.components[x0])
-            l1 = q.cleavage.lift(e1, da.components[x1])
-            target = total.comp[(l1, m)]
-            over = beta.components[a].mor_map[u]
-            fills = [
-                v
-                for v in total.hom(total.tgt[l0], total.tgt[l1])
-                if q.p.mor_map[v] == over and total.comp[(v, l0)] == target
-            ]
-            if len(fills) != 1:
-                raise ValueError(f"two-cell action at {a} on {n}: expected one fill-in, got {fills}")
-            mor_map[n] = part_b.mor_of[(u, fills[0])]
-        comps[a] = validate_functor(
-            part_a.opfib.total, part_b.opfib.total, ob_map, mor_map, name=f"delta*@{a}"
+    pba = pb_dom if pb_dom is not None else pullback_diagram_opfib(delta.dom, phi)
+    pbb = pb_cod if pb_cod is not None else pullback_diagram_opfib(delta.cod, phi)
+    comps = {
+        a: cell_transport(
+            delta.components[a],
+            phi.component_opfib(a),
+            pba.pullback_parts[a],
+            pbb.pullback_parts[a],
+            name=f"delta*@{a}",
         )
+        for a in phi.base.objects
+    }
     return DiagramOpfibMor(name or f"({delta.name})*", pba, pbb, comps)
 
 
@@ -482,28 +443,11 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
         v1 = g.obj_of[(b, phi.over.at_ob[b].tgt[alpha])]
         gh = phi.total.at_mor[h]
         qb = phi.component_opfib(b)
-        total_b = qb.total
         ob_map = {
-            e: total_b.tgt[qb.cleavage.lift(gh.ob_map[e], alpha)]
+            e: qb.total.tgt[qb.cleavage.lift(gh.ob_map[e], alpha)]
             for e in at_ob[v0].objects
         }
-        mor_map = {}
-        fib0 = at_ob[v0]
-        for e_mor in fib0.mors:
-            e0, e1 = fib0.src[e_mor], fib0.tgt[e_mor]
-            moved = gh.mor_map[e_mor]
-            l0 = qb.cleavage.lift(gh.ob_map[e0], alpha)
-            l1 = qb.cleavage.lift(gh.ob_map[e1], alpha)
-            target = total_b.comp[(l1, moved)]
-            idx = phi.over.at_ob[b].identity[phi.over.at_ob[b].tgt[alpha]]
-            fills = [
-                v
-                for v in total_b.hom(total_b.tgt[l0], total_b.tgt[l1])
-                if qb.p.mor_map[v] == idx and total_b.comp[(v, l0)] == target
-            ]
-            if len(fills) != 1:
-                raise ValueError(f"fibre action of {m} on {e_mor}: expected one fill-in, got {fills}")
-            mor_map[e_mor] = fills[0]
+        mor_map = {e_mor: _pushforward_mor(qb, alpha, gh.mor_map[e_mor]) for e_mor in at_ob[v0].mors}
         at_mor[m] = validate_functor(at_ob[v0], at_ob[v1], ob_map, mor_map, name=f"{label}({m})")
     return validate_diagram(g.total, at_ob, at_mor, name=label)
 
@@ -523,7 +467,7 @@ def indexed_groth(
     """
     g = gt if gt is not None else groth(f)
     if z.base is not g.total and not z.base.tables_equal(g.total):
-        raise ValueError(f"the base of {z.name} is not the total category of {f.name}")
+        raise UsageError(f"the base of {z.name} is not the total category of {f.name}")
     label = name or f"groth({z.name})"
     base = f.base
     inc = inc_cocone(f, g)
@@ -812,13 +756,6 @@ def pseudonat_check(alpha: DiagramMor, phi: DiagramOpfib, budget: int = DEFAULT_
 
 # ---------------------------------------------------------------------------
 # dualization
-
-
-def dualize_functor(t: FunctorData, name: str | None = None) -> FunctorData:
-    return validate_functor(
-        opposite(t.dom), opposite(t.cod), dict(t.ob_map), dict(t.mor_map),
-        name=name or f"op({t.name})",
-    )
 
 
 def dualize_diagram(d: CatDiagram, name: str | None = None) -> CatDiagram:

@@ -16,6 +16,7 @@ from .fincat import (
     FinCat,
     FunctorData,
     IsoWitness,
+    inverse_functor,
     validate_diagram_mor,
     validate_functor,
     validate_nat_trans,
@@ -173,14 +174,7 @@ def iter_iso_tables(
 
 def _wrap_category_witness(c: FinCat, d: FinCat, ob_map: dict, mor_map: dict, flavor: str) -> IsoWitness:
     fwd = validate_functor(c, d, ob_map, mor_map, name=f"iso[{c.name}->{d.name}]")
-    bwd = validate_functor(
-        d,
-        c,
-        {v: k for k, v in ob_map.items()},
-        {v: k for k, v in mor_map.items()},
-        name=f"iso[{d.name}->{c.name}]",
-    )
-    return verify_category_iso(fwd, bwd, flavor=flavor)
+    return verify_category_iso(fwd, inverse_functor(fwd, f"iso[{d.name}->{c.name}]"), flavor=flavor)
 
 
 def iso_search(
@@ -361,16 +355,7 @@ def diagram_iso_search(
         v: validate_functor(z1.at_ob[v], z2.at_ob[v], ob, mor, name=f"iso@{v}")
         for v, (ob, mor) in solution.items()
     }
-    bwd_comps = {
-        v: validate_functor(
-            z2.at_ob[v],
-            z1.at_ob[v],
-            {u: x for x, u in solution[v][0].items()},
-            {n: m for m, n in solution[v][1].items()},
-            name=f"osi@{v}",
-        )
-        for v in solution
-    }
+    bwd_comps = {v: inverse_functor(fwd_comps[v], f"osi@{v}") for v in solution}
     fwd = validate_diagram_mor(z1, z2, fwd_comps, name=f"diso[{z1.name}->{z2.name}]")
     bwd = validate_diagram_mor(z2, z1, bwd_comps, name=f"diso[{z2.name}->{z1.name}]")
     return SearchResult(FOUND, verify_diagram_iso(fwd, bwd), b.used)

@@ -16,14 +16,16 @@ from .fincat import (
     FinCat,
     FunctorData,
     NatTransData,
+    _same_cat,
     compose_functors,
-    id_name,
+    first_disagreement,
     make_category,
     pair_id,
+    pair_mor_id,
     validate_diagram,
     validate_functor,
 )
-from .report import Report, ValidationError
+from .report import Report, UsageError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,22 +83,38 @@ def cleaved_opfib(p: FunctorData, lifts: Mapping[tuple[str, str], str]) -> Cleav
     return CleavedOpfib(p, Cleavage(dict(lifts)))
 
 
+def _fill_ins(p: FunctorData, lift: str, over: str, target: str) -> list[str]:
+    """The morphisms v: tgt(lift) -> tgt(target) lying over `over` with v∘lift = target.
+
+    `lift` and `target` start at the same object.  A cartesian lift has
+    exactly one fill-in for every target and every `over` that commutes in
+    the base; every construction that moves a morphism along chosen lifts
+    solves this.
+    """
+    total = p.dom
+    return [
+        v
+        for v in total.hom(total.tgt[lift], total.tgt[target])
+        if p.mor_map[v] == over and total.comp[(v, lift)] == target
+    ]
+
+
+def _unique_fill_in(p: FunctorData, lift: str, over: str, target: str, what: str) -> str:
+    fills = _fill_ins(p, lift, over, target)
+    if len(fills) != 1:
+        raise ValueError(f"{what}: expected exactly one fill-in, got {fills}")
+    return fills[0]
+
+
 def _cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | None:
     """Full universal property: unique fill-in v for every commuting (e, w) pair."""
     total, base = p.dom, p.cod
-    e_obj = total.src[lift_mor]
-    fe = total.tgt[lift_mor]
     c = base.tgt[f]
-    for e in total.out(e_obj):
-        e_prime = total.tgt[e]
-        for w in base.hom(c, p.ob_map[e_prime]):
+    for e in total.out(total.src[lift_mor]):
+        for w in base.hom(c, p.ob_map[total.tgt[e]]):
             if base.comp[(w, f)] != p.mor_map[e]:
                 continue
-            fills = [
-                v
-                for v in total.hom(fe, e_prime)
-                if p.mor_map[v] == w and total.comp[(v, lift_mor)] == e
-            ]
+            fills = _fill_ins(p, lift_mor, w, e)
             if len(fills) != 1:
                 return (
                     f"lift {lift_mor} of {f}: {len(fills)} fill-ins for "
@@ -186,19 +204,18 @@ def check_cleavage_preserving(
     q2: CleavedOpfib,
 ) -> Report:
     """Square (h over k) between cleaved opfibrations: commutes and preserves chosen lifts."""
+    if not (_same_cat(h.dom, q1.total) and _same_cat(h.cod, q2.total)
+            and _same_cat(k.dom, q1.base) and _same_cat(k.cod, q2.base)):
+        raise UsageError(f"({h.name},{k.name}) is not a square from {q1.p.name} to {q2.p.name}")
     rep = Report(f"cleavage preservation for ({h.name},{k.name})")
     left = compose_functors(q2.p, h)
     right = compose_functors(k, q1.p)
     square_fail = None
-    for x in q1.total.objects:
-        if left.ob_map[x] != right.ob_map[x]:
-            square_fail = f"on object {x}: {left.ob_map[x]} != {right.ob_map[x]}"
-            break
-    if square_fail is None:
-        for m in q1.total.mors:
-            if left.mor_map[m] != right.mor_map[m]:
-                square_fail = f"on morphism {m}: {left.mor_map[m]} != {right.mor_map[m]}"
-                break
+    bad = first_disagreement(right, left)  # in the listing order of q1's total, right's domain
+    if bad is not None:
+        kind, x = bad
+        lhs, rhs = (left.ob_map, right.ob_map) if kind == "object" else (left.mor_map, right.mor_map)
+        square_fail = f"on {kind} {x}: {lhs[x]} != {rhs[x]}"
     rep.record("square-commutes", square_fail)
     if square_fail is not None:
         return rep
@@ -233,12 +250,11 @@ def fibre_category(p: FunctorData, x: str, name: str | None = None) -> FinCat:
     idx = base.identity[x]
     mors = [m for m in total.mors if p.mor_map[m] == idx and not total.is_identity(m)]
     arrows = [(m, total.src[m], total.tgt[m]) for m in mors]
-    comp = {
-        (g, f): total.comp[(g, f)]
-        for f in mors
-        for g in mors
-        if total.src[g] == total.tgt[f]
-    }
+    # the fibre's own outgoing-morphism index, in listing order
+    out: dict[str, list[str]] = {}
+    for m in mors:
+        out.setdefault(total.src[m], []).append(m)
+    comp = {(g, f): total.comp[(g, f)] for f in mors for g in out.get(total.tgt[f], ())}
     return make_category(name or f"fibre({p.name},{x})", objects, arrows, comp)
 
 
@@ -246,21 +262,10 @@ def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
     """Image of a fibre morphism under f_*, solved from the universal property."""
     p, cleav = q.p, q.cleavage
     total, base = p.dom, p.cod
-    e0, e1 = total.src[e_mor], total.tgt[e_mor]
-    lift0 = cleav.lift(e0, f)
-    lift1 = cleav.lift(e1, f)
-    target = total.comp[(lift1, e_mor)]
+    lift0 = cleav.lift(total.src[e_mor], f)
+    lift1 = cleav.lift(total.tgt[e_mor], f)
     idy = base.identity[base.tgt[f]]
-    fills = [
-        v
-        for v in total.hom(total.tgt[lift0], total.tgt[lift1])
-        if p.mor_map[v] == idy and total.comp[(v, lift0)] == target
-    ]
-    if len(fills) != 1:
-        raise ValueError(
-            f"pushforward of {e_mor} along {f}: expected exactly one fill-in, got {fills}"
-        )
-    return fills[0]
+    return _unique_fill_in(p, lift0, idy, total.comp[(lift1, e_mor)], f"pushforward of {e_mor} along {f}")
 
 
 def fibres(q: CleavedOpfib, name: str | None = None) -> CatDiagram:
@@ -299,8 +304,8 @@ class PullbackOpfib:
 
 def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> PullbackOpfib:
     """Pull back q: E -> C along h: D -> C; the cleavage transports componentwise."""
-    if h.cod is not q.base and not h.cod.tables_equal(q.base):
-        raise ValueError(f"{h.name} does not land in the base of {q.p.name}")
+    if not _same_cat(h.cod, q.base):
+        raise UsageError(f"{h.name} does not land in the base of {q.p.name}")
     _require_split(q)
     total, base_d = q.total, h.dom
     label = name or f"pb({h.name},{q.p.name})"
@@ -314,12 +319,7 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
         lying_over.setdefault(q.p.mor_map[m], []).append(m)
     mor_pairs = [(u, m) for u in base_d.mors for m in lying_over.get(h.mor_map[u], ())]
 
-    def mor_name(u: str, m: str) -> str:
-        if base_d.is_identity(u) and total.is_identity(m):
-            return id_name(pair_id(base_d.src[u], total.src[m]))
-        return pair_id(u, m)
-
-    mor_of = {um: mor_name(*um) for um in mor_pairs}
+    mor_of = {(u, m): pair_mor_id(base_d, total, u, m) for u, m in mor_pairs}
     mor_pair = {v: k for k, v in mor_of.items()}
     non_ids = [(u, m) for (u, m) in mor_pairs if not (base_d.is_identity(u) and total.is_identity(m))]
     arrows = [
@@ -382,8 +382,7 @@ def cell_transport(
     the delta component; on morphisms it is solved from cartesianity.
     """
     p, cleav = q.p, q.cleavage
-    total, base = p.dom, p.cod
-    h, k = delta.dom, delta.cod
+    total = p.dom
     ob_map = {}
     for v, (x, e) in pb_dom.ob_pair.items():
         lifted = cleav.lift(e, delta.components[x])
@@ -394,16 +393,8 @@ def cell_transport(
         x1, e1 = pb_dom.ob_pair[pb_dom.opfib.total.tgt[n]]
         l0 = cleav.lift(e0, delta.components[x0])
         l1 = cleav.lift(e1, delta.components[x1])
-        target = total.comp[(l1, m)]
-        over = k.mor_map[u]
-        fills = [
-            v
-            for v in total.hom(total.tgt[l0], total.tgt[l1])
-            if p.mor_map[v] == over and total.comp[(v, l0)] == target
-        ]
-        if len(fills) != 1:
-            raise ValueError(f"cell transport of {n}: expected one fill-in, got {fills}")
-        mor_map[n] = pb_cod.mor_of[(u, fills[0])]
+        fill = _unique_fill_in(p, l0, delta.cod.mor_map[u], total.comp[(l1, m)], f"cell transport of {n}")
+        mor_map[n] = pb_cod.mor_of[(u, fill)]
     return validate_functor(
         pb_dom.opfib.total,
         pb_cod.opfib.total,

@@ -97,3 +97,8 @@ class ValidationError(Exception):
     def __init__(self, report: Report):
         super().__init__(report.describe())
         self.report = report
+
+
+class UsageError(ValueError):
+    """Raised when arguments that are each valid do not fit together, e.g. a functor
+    that does not land in the base it is applied to.  The CLI exits 2 on it."""

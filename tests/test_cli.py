@@ -75,6 +75,40 @@ class TestExitCodes:
         assert rc == 2
         assert "does not land in the base" in capsys.readouterr().out
 
+    def test_base_change_off_base_exits_2(self, exdir, capsys):
+        # invert goes BZ3 -> BZ3, but F lives on BZ2
+        rc = run_command(["base-change", "-i", path(exdir, "semidirect.cat"), "invert", "F"])
+        assert rc == 2
+        assert capsys.readouterr().out == "invert does not land in the base of F\n"
+
+    def test_indexed_groth_off_total_exits_2(self, exdir, capsys):
+        # F lives on BZ2, not on the total category of F
+        rc = run_command(["indexed", "-i", path(exdir, "semidirect.cat"), "groth", "F", "F"])
+        assert rc == 2
+        assert capsys.readouterr().out == "the base of F is not the total category of F\n"
+
+    @pytest.mark.parametrize("sub", ["fibres", "check", "roundtrip", "discrete"])
+    def test_indexed_on_fibration_flavor_exits_2(self, exdir, tmp_path, capsys, sub):
+        dual = tmp_path / "dual.cat"
+        rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), "dualize", "phi", "-o", str(dual)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = run_command(["indexed", "-i", str(dual), sub, "phi_op", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 2 and payload["verdict"] == "error"
+        assert payload["counterexamples"] == [
+            "phi_op is fibration-flavored; dualize it before using opfibration machinery"
+        ]
+
+    def test_check_cleavage_off_square_exits_2(self, exdir, capsys):
+        # idA is not a functor between the totals of p and p
+        rc = run_command([
+            "check-cleavage", "-i", path(exdir, "mutated_cleavage.cat"),
+            "idA", "idA", "p", "canonical", "p", "canonical",
+        ])
+        assert rc == 2
+        assert "is not a square" in capsys.readouterr().out
+
 
 class TestPipelines:
     def test_groth_delta1_output_is_iso_to_base(self, exdir, tmp_path, capsys):
@@ -303,3 +337,90 @@ class TestRemainingPathways:
 
         back = dualize_opfib(dual)
         assert check_diagram_opfib(back).passed
+
+
+# ---------------------------------------------------------------------------
+# every subcommand over every shipped example: documented exit codes only
+
+SIGNATURES = [
+    ("iso", [["category", "category"]]),
+    ("groth", [["diagram"]]),
+    ("ungroth", [["functor", "cleavage"]]),
+    ("factorize", [["diagram", "morphism"]]),
+    ("cocone-factorize", [["cocone"]]),
+    ("base-change", [["functor", "diagram"]]),
+    ("check-opfib", [["functor", "cleavage"]]),
+    ("check-discrete", [["functor"]]),
+    ("check-cleavage", [["functor", "functor", "functor", "cleavage", "functor", "cleavage"]]),
+    ("pullback", [["functor", "functor", "cleavage"]]),
+    ("indexed groth", [["diagram", "diagram"]]),
+    ("indexed fibres", [["opfib"]]),
+    ("indexed roundtrip", [["opfib"], ["diagram", "diagram"]]),
+    ("indexed discrete", [["opfib"], ["diagram", "diagram"]]),
+    ("indexed pseudonat", [["dmor", "opfib"]]),
+    ("indexed check", [["opfib"]]),
+    ("indexed dualize", [["opfib"], ["diagram"]]),
+]
+COMBOS_PER_SIGNATURE = 2
+
+
+def _entity_names(ws, kind):
+    if kind != "morphism":
+        return ws.names(kind)
+    from grothkit.groth import groth
+
+    return [groth(ws.get("diagram", d)).total.mors[-1] for d in ws.names("diagram")]
+
+
+def _combos(ws, signature):
+    """Up to COMBOS_PER_SIGNATURE argument lists; list i fills slot j with name i + j of
+    the slot's kind, cyclically, so that slots of one kind get different names."""
+    pools = [_entity_names(ws, kind) for kind in signature]
+    if not all(pools):
+        return []
+    count = min(COMBOS_PER_SIGNATURE, max(len(p) for p in pools))
+    return [[p[(i + j) % len(p)] for j, p in enumerate(pools)] for i in range(count)]
+
+
+def _sweep_files(exdir, tmp_path):
+    from grothkit.dsl import WorkspaceParseError, parse_files
+
+    files = []
+    for name in sorted(shipped_examples()):
+        try:
+            ws = parse_files([path(exdir, name)])
+        except WorkspaceParseError:
+            continue
+        files.append((path(exdir, name), ws))
+    duals = []
+    for f, ws in files:
+        # the dual of an opfib is fibration-flavoured, which the indexed commands must refuse
+        names = ws.names("opfib") or ws.names("diagram")
+        if names:
+            out = str(tmp_path / f"dual_{len(duals)}.cat")
+            assert run_command(["indexed", "-i", f, "dualize", names[0], "-o", out]) == 0
+            duals.append((out, parse_files([out])))
+    return files + duals
+
+
+def test_sweep_never_raises(exdir, tmp_path, capsys):
+    files = _sweep_files(exdir, tmp_path)
+    runs = [["examples", "--list"]]
+    runs += [["validate", "-i", path(exdir, name)] for name in sorted(shipped_examples())]
+    runs += [["build", "-i", f, "--name", "P", "--spec", f"product({c}, {c})"]
+             for f, ws in files for c in ws.names("category")[:1]]
+    for command, signatures in SIGNATURES:
+        found = [
+            command.split() + ["-i", f] + args
+            for f, ws in files
+            for signature in signatures
+            for args in _combos(ws, signature)
+        ]
+        # where no shipped example has the entities, name missing ones
+        runs += found or [command.split() + ["-i", files[0][0]] + ["nosuch"] * len(signatures[0])]
+    for i, argv in enumerate(runs):
+        if argv[0] in ("iso", "indexed"):
+            argv = argv + ["--budget", "2000"]
+        rc = run_command(argv + ["--json"] * (i % 2))
+        capsys.readouterr()
+        assert rc in (0, 1, 2, 3), argv
