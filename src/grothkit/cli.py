@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 a check is refuted, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -172,11 +173,12 @@ def _cmd_iso(args) -> Outcome:
     rng = random.Random(args.seed) if args.seed is not None else None
     limit = _budget(args)
     result = iso_search(c, d, budget=limit, rng=rng)
+    how = "search exhausted" if result.refuted_by is None else f"refuted by {result.refuted_by}"
     return _search_outcome(
         result,
         limit,
         f"{args.first} and {args.second} are isomorphic",
-        f"no isomorphism between {args.first} and {args.second} (search exhausted)",
+        f"no isomorphism between {args.first} and {args.second} ({how})",
     )
 
 
@@ -382,7 +384,9 @@ def _cmd_examples(args) -> Outcome:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built once per process: parsing does not change it."""
     top = argparse.ArgumentParser(prog="grothkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

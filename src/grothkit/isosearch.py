@@ -1,13 +1,19 @@
 """Backtracking search for strict isomorphisms at category, functor and diagram level.
 
-Outcomes are tri-state: a verified witness, a proof of absence (the search
-space was exhausted), or a budget overrun.  Budgets count search nodes and
-are shared across the components of compound searches.
+Outcomes are tri-state: a verified witness, a proof of absence, or a budget
+overrun.  Before the first node, both categories are coloured by invariants
+that every isomorphism preserves (counts, hom-set sizes, then refined object
+and morphism classes); a class of different sizes on the two sides proves
+absence outright, and otherwise only candidates of equal colour are tried.
+This removes no isomorphism, so a search that runs dry is still a proof of
+absence.  Budgets count search nodes, not the colouring work, and are shared
+across the components of compound searches.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -40,6 +46,7 @@ class BudgetExceeded(Exception):
 class Budget:
     limit: int
     used: int = 0
+    refuted_by: str | None = None  # the invariant that refuted a pair before any node
 
     def tick(self) -> None:
         self.used += 1
@@ -52,17 +59,103 @@ class SearchResult:
     status: str  # FOUND | NONE | BUDGET
     witness: IsoWitness | None
     nodes: int
+    refuted_by: str | None = None  # set when an invariant, not the search, proved NONE
 
     @property
     def found(self) -> bool:
         return self.status == FOUND
 
 
-def _profile(c: FinCat, x: str):
-    endo = len(c.hom(x, x))
-    outs = sorted(len(c.hom(x, y)) for y in c.objects if y != x)
-    ins = sorted(len(c.hom(y, x)) for y in c.objects if y != x)
-    return endo, tuple(outs), tuple(ins)
+def _power_cycle(c: FinCat, m: str) -> tuple[int, int]:
+    """(index, period) of the powers m, m∘m, m∘m∘m, … of an endomorphism m."""
+    seen: dict[str, int] = {}
+    p = m
+    while p not in seen:
+        seen[p] = len(seen)
+        p = c.comp[(m, p)]
+    return seen[p], len(seen) - seen[p]
+
+
+def _into(c: FinCat) -> dict[str, list[str]]:
+    """For every object x, the morphisms with target x, in listing order."""
+    into: dict[str, list[str]] = {x: [] for x in c.objects}
+    for m in c.mors:
+        into[c.tgt[m]].append(m)
+    return into
+
+
+def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
+    """Colour the objects and morphisms of c and d on one shared palette.
+
+    Returns (refuted_by, colours).  `refuted_by` names the first invariant
+    that tells c and d apart, or is None; then `colours` is
+    ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
+    map to palette indices that every isomorphism c -> d preserves.
+
+    Object colours start from |hom(x,x)| and are refined, in rounds, by the
+    multiset of (colour y, |hom(x,y)|, |hom(y,x)|) over the objects y with a
+    morphism either way, until the number of classes stops growing.  A
+    morphism's colour is whether it is an identity, the colours of its ends,
+    its number of factorizations and, for an endomorphism, the index and
+    period of its powers.  A class of different sizes on the two sides
+    refutes the pair.
+    """
+    if len(c.objects) != len(d.objects):
+        return "object count", None
+    if len(c.mors) != len(d.mors):
+        return "morphism count", None
+    if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
+        return "hom-set sizes", None
+
+    sides = (c, d)
+    # per object, (y, |hom(x,y)|, |hom(y,x)|) for the y with a morphism either way
+    links = []
+    for cat in sides:
+        near: dict[str, dict[str, list[int]]] = {x: {} for x in cat.objects}
+        for (x, y), ms in cat.hom_table.items():
+            near[x].setdefault(y, [0, 0])[0] = len(ms)
+            near[y].setdefault(x, [0, 0])[1] = len(ms)
+        links.append({x: [(y, out, into) for y, (out, into) in ys.items()] for x, ys in near.items()})
+
+    obs = [{x: len(cat.hom(x, x)) for x in cat.objects} for cat in sides]
+    classes = len(set(obs[0].values()) | set(obs[1].values()))
+    while True:
+        palette: dict = {}
+        obs = [
+            {
+                x: palette.setdefault(
+                    (col[x], tuple(sorted((col[y], out, into) for y, out, into in link[x]))), len(palette)
+                )
+                for x in col
+            }
+            for col, link in zip(obs, links)
+        ]
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    if Counter(obs[0].values()) != Counter(obs[1].values()):
+        return "object classes", None
+
+    palette = {}
+    mors = [
+        {
+            m: palette.setdefault(
+                (
+                    cat.is_identity(m),
+                    col[cat.src[m]],
+                    col[cat.tgt[m]],
+                    len(cat.factorizations[m]),
+                    _power_cycle(cat, m) if cat.src[m] == cat.tgt[m] else None,
+                ),
+                len(palette),
+            )
+            for m in cat.mors
+        }
+        for cat, col in zip(sides, obs)
+    ]
+    if Counter(mors[0].values()) != Counter(mors[1].values()):
+        return "morphism classes", None
+    return None, ((obs[0], mors[0]), (obs[1], mors[1]))
 
 
 def _order(items: list, rng: random.Random | None) -> list:
@@ -83,28 +176,28 @@ def iter_iso_tables(
     """Yield every (ob_map, mor_map) pair describing a strict iso c -> d.
 
     The enumeration is exhaustive, so running the generator dry proves there
-    is no isomorphism satisfying the filters.  Raises BudgetExceeded when the
-    node budget runs out.
+    is no isomorphism satisfying the filters; when an invariant of `_refine`
+    proves it before the first node, `budget.refuted_by` names the invariant.
+    Raises BudgetExceeded when the node budget runs out.
     """
-    if len(c.objects) != len(d.objects) or len(c.mors) != len(d.mors):
+    refuted_by, colours = _refine(c, d)
+    if refuted_by is not None:
+        budget.refuted_by = refuted_by
         return
-    if sorted(len(ms) for ms in c.hom_table.values()) != sorted(len(ms) for ms in d.hom_table.values()):
-        return
-
-    d_profile = {u: _profile(d, u) for u in d.objects}
+    (ob_c, mor_c), (ob_d, mor_d) = colours
     cand: dict[str, list[str]] = {}
     for x in c.objects:
-        px = _profile(c, x)
         cand[x] = [
             u
             for u in d.objects
-            if d_profile[u] == px and (ob_allowed is None or ob_allowed(x, u))
+            if ob_d[u] == ob_c[x] and (ob_allowed is None or ob_allowed(x, u))
         ]
         if not cand[x]:
             return
     order = sorted(c.objects, key=lambda x: len(cand[x]))
 
     non_ids = list(c.non_identity_mors())
+    into = _into(c)
 
     def assign_mors(ob_map: dict[str, str]) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
         mor_map: dict[str, str] = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
@@ -115,16 +208,24 @@ def iter_iso_tables(
             return
 
         def consistent(m: str) -> bool:
-            # check every composition constraint whose three participants are now assigned
-            for other in mor_map:
-                for g, f in ((m, other), (other, m)):
-                    if c.src[g] == c.tgt[f]:
-                        h = c.comp[(g, f)]
-                        if h in mor_map and d.comp[(mor_map[g], mor_map[f])] != mor_map[h]:
-                            return False
+            # check every composition constraint whose three participants are now
+            # assigned and one of which is m: g∘m, m∘f and the factorizations of m
+            n = mor_map[m]
+            for g in c.out(c.tgt[m]):
+                ng = mor_map.get(g)
+                if ng is not None:
+                    h = mor_map.get(c.comp[(g, m)])
+                    if h is not None and d.comp[(ng, n)] != h:
+                        return False
+            for f in into[c.src[m]]:
+                nf = mor_map.get(f)
+                if nf is not None:
+                    h = mor_map.get(c.comp[(m, f)])
+                    if h is not None and d.comp[(n, nf)] != h:
+                        return False
             for g, f in c.factorizations[m]:
                 if g in mor_map and f in mor_map:
-                    if d.comp[(mor_map[g], mor_map[f])] != mor_map[m]:
+                    if d.comp[(mor_map[g], mor_map[f])] != n:
                         return False
             return True
 
@@ -133,10 +234,11 @@ def iter_iso_tables(
                 yield dict(ob_map), dict(mor_map)
                 return
             m = non_ids[i]
-            targets = d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]])
-            for n in _order(list(targets), rng):
+            colour = mor_c[m]
+            targets = [n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == colour]
+            for n in _order(targets, rng):
                 budget.tick()
-                if n in used or d.is_identity(n):
+                if n in used:
                     continue
                 if mor_allowed is not None and not mor_allowed(m, n):
                     continue
@@ -190,7 +292,7 @@ def iso_search(
             return SearchResult(FOUND, _wrap_category_witness(c, d, ob_map, mor_map, "category-iso"), b.used)
     except BudgetExceeded:
         return SearchResult(BUDGET, None, b.used)
-    return SearchResult(NONE, None, b.used)
+    return SearchResult(NONE, None, b.used, b.refuted_by)
 
 
 def nat_iso_search(
@@ -212,11 +314,13 @@ def nat_iso_search(
         if not cand[x]:
             return SearchResult(NONE, None, b.used)
     order = sorted(cat.objects, key=lambda x: len(cand[x]))
+    into = _into(cat)
 
     def natural_so_far(comp: dict[str, str], x: str) -> bool:
-        for m in cat.mors:
+        # the squares of the morphisms out of and into x with both ends assigned
+        for m in (*cat.out(x), *into[x]):
             a, z = cat.src[m], cat.tgt[m]
-            if a in comp and z in comp and (a == x or z == x):
+            if a in comp and z in comp:
                 if target.comp[(comp[z], f.mor_map[m])] != target.comp[(g.mor_map[m], comp[a])]:
                     return False
         return True
@@ -276,7 +380,7 @@ def over_base_iso_search(
             return SearchResult(FOUND, witness, b.used)
     except BudgetExceeded:
         return SearchResult(BUDGET, None, b.used)
-    return SearchResult(NONE, None, b.used)
+    return SearchResult(NONE, None, b.used, b.refuted_by)
 
 
 def diagram_iso_search(
@@ -312,15 +416,17 @@ def diagram_iso_search(
                 if component_filter is None or component_filter(v, ob, mor)
             ]
             if not options:
-                return SearchResult(NONE, None, b.used)
+                return SearchResult(NONE, None, b.used, b.refuted_by)
             candidates[v] = options
 
         order = sorted(base.objects, key=lambda v: len(candidates[v]))
+        into = _into(base)
 
         def squares_ok(assigned: dict[str, tuple[dict, dict]], v: str) -> bool:
-            for h in base.mors:
+            # the squares of the base morphisms out of and into v with both ends assigned
+            for h in (*base.out(v), *into[v]):
                 a, z = base.src[h], base.tgt[h]
-                if a not in assigned or z not in assigned or (a != v and z != v):
+                if a not in assigned or z not in assigned:
                     continue
                 t1, t2 = z1.at_mor[h], z2.at_mor[h]
                 ob_a, mor_a = assigned[a]

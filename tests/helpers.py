@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from grothkit.fincat import CatDiagram, FinCat, FunctorData
+from grothkit.fincat import CatDiagram, FinCat, FunctorData, validate_category
 
 
 def group_axiom_failures(elements, table, unit) -> list[str]:
@@ -134,6 +134,23 @@ def semidirect_table(n: int, invert: bool = True):
     return [names[e] for e in els], table, names[(0, 0)]
 
 
+def quaternion_table():
+    """Cayley table of the quaternion group Q8 on the names p1 pi pj pk m1 mi mj mk."""
+    units = {("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+             ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+             ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j")}
+    for u in "1ijk":
+        units[("1", u)] = units[(u, "1")] = (1, u)
+    els = [(s, u) for s in (1, -1) for u in "1ijk"]
+    names = {e: ("p" if e[0] == 1 else "m") + e[1] for e in els}
+    table = {}
+    for s1, u1 in els:
+        for s2, u2 in els:
+            s, u = units[(u1, u2)]
+            table[(names[(s1, u1)], names[(s2, u2)])] = names[(s1 * s2 * s, u)]
+    return [names[e] for e in els], table, names[(1, "1")]
+
+
 def center_size(cat: FinCat) -> int:
     """Number of endomorphisms of a one-object category commuting with everything."""
     (obj,) = cat.objects
@@ -190,3 +207,40 @@ def cross_morphism_count(t: FunctorData) -> int:
 
 def functors_table_equal(a: FunctorData, b: FunctorData) -> bool:
     return dict(a.ob_map) == dict(b.ob_map) and dict(a.mor_map) == dict(b.mor_map)
+
+
+def relabelled(c: FinCat, ob_order, mor_order, name: str = "relabelled"):
+    """A copy of c under new names, listed in the given orders of c's entities.
+
+    Object ob_order[i] becomes o<i> and morphism mor_order[i] becomes m<i>.
+    Returns (copy, object renaming, morphism renaming).
+    """
+    ob = {x: f"o{i}" for i, x in enumerate(ob_order)}
+    mor = {m: f"m{i}" for i, m in enumerate(mor_order)}
+    arrows = [(mor[m], ob[c.src[m]], ob[c.tgt[m]]) for m in mor_order]
+    identity = {ob[x]: mor[c.identity[x]] for x in ob_order}
+    comp = {(mor[g], mor[f]): mor[h] for (g, f), h in c.comp.items()}
+    return validate_category([ob[x] for x in ob_order], arrows, identity, comp, name=name), ob, mor
+
+
+def brute_isos(c: FinCat, d: FinCat, ob_allowed=None, mor_allowed=None) -> set:
+    """Every strict iso c -> d passing the filters, as frozen (ob_map, mor_map) tables.
+
+    A strict iso is a functor bijective on objects and on morphisms, so this
+    keeps the bijective tables of all_functor_tables; when the counts differ
+    no bijection exists at all.
+    """
+    if len(c.objects) != len(d.objects) or len(c.mors) != len(d.mors):
+        return set()
+    return {
+        freeze_tables(ob_map, mor_map)
+        for ob_map, mor_map in all_functor_tables(c, d)
+        if len(set(ob_map.values())) == len(c.objects)
+        and len(set(mor_map.values())) == len(c.mors)
+        and (ob_allowed is None or all(ob_allowed(x, u) for x, u in ob_map.items()))
+        and (mor_allowed is None or all(mor_allowed(m, n) for m, n in mor_map.items()))
+    }
+
+
+def freeze_tables(ob_map, mor_map):
+    return tuple(sorted(ob_map.items())), tuple(sorted(mor_map.items()))

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grothkit
 from grothkit.cli import run_command
 from grothkit.dsl import parse_workspace
 from grothkit.examples import shipped_examples
+from grothkit.isosearch import DEFAULT_BUDGET
+
+from helpers import quaternion_table
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,75 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "is not a square" in capsys.readouterr().out
+
+
+def _delooping_decl(name, elems, table):
+    """A workspace line declaring the delooping of a group; the unit is listed first."""
+    products = " ".join(f"{a}.{b}={table[(a, b)]}" for a in elems[1:] for b in elems[1:])
+    return f"category {name} = delooping({' '.join(elems)} : {products})\n"
+
+
+def _cyclic_decl(name, n):
+    elems = [f"r{i}" for i in range(n)]
+    return _delooping_decl(name, elems, {(f"r{i}", f"r{j}"): f"r{(i + j) % n}" for i in range(n) for j in range(n)})
+
+
+@pytest.fixture(scope="module")
+def groups(tmp_path_factory):
+    elems, table, unit = quaternion_table()
+    elems = [unit] + [e for e in elems if e != unit]
+    src = tmp_path_factory.mktemp("groups") / "groups.cat"
+    src.write_text(
+        "".join(_cyclic_decl(f"Z{n}", n) for n in (2, 4, 8)) + _delooping_decl("Q8", elems, table)
+        + "category Z4xZ2 = product(Z4, Z2)\ncategory Z4xZ4 = product(Z4, Z4)\n"
+        + "category Q8xZ2 = product(Q8, Z2)\n"
+    )
+    return str(src)
+
+
+class TestRefutation:
+    @pytest.mark.parametrize("first, second, how", [
+        ("Z8", "Z4xZ2", "refuted by morphism classes"),
+        ("Z8", "Z4", "refuted by morphism count"),
+        ("Z4xZ4", "Q8xZ2", "search exhausted"),  # same element orders, so the search runs
+    ])
+    def test_iso_says_how_absence_was_proved(self, groups, capsys, first, second, how):
+        rc = run_command(["iso", "-i", groups, first, second])
+        assert rc == 1
+        assert capsys.readouterr().out == f"no isomorphism between {first} and {second} ({how})\n"
+
+    def test_iso_refutation_json(self, groups, capsys):
+        rc = run_command(["iso", "-i", groups, "Z8", "Z4xZ2", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert payload["counterexamples"] == ["no isomorphism between Z8 and Z4xZ2 (refuted by morphism classes)"]
+        assert payload["budget"] == {"used": 0, "limit": DEFAULT_BUDGET}
+
+
+def _fresh_process(argv, cwd):
+    """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(grothkit.__file__))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", "from grothkit.cli import main; main()", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_calls(exdir, monkeypatch, capsys):
+    """One process running several commands answers each as a fresh process does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["iso", "-i", path(exdir, "semidirect.cat"), "BZ2"],  # missing argument: usage error
+        ["iso", "-i", path(exdir, "semidirect.cat"), "BZ3", "BZ3"],
+        ["iso", "--help"],
+    ]
+    in_process = []
+    for argv in calls:
+        rc = run_command(argv)
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    assert [rc for rc, _, _ in in_process] == [2, 0, 0]
+    assert in_process == [_fresh_process(argv, str(exdir)) for argv in calls]
 
 
 class TestPipelines:

@@ -1,18 +1,40 @@
+import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from grothkit import build
-from grothkit.fincat import compose_functors, id_name, identity_functor, validate_functor
+from grothkit.fincat import (
+    compose_functors,
+    id_name,
+    identity_functor,
+    make_category,
+    validate_diagram,
+    validate_functor,
+)
 from grothkit.isosearch import (
     BUDGET,
     FOUND,
     NONE,
+    Budget,
+    _refine,
     diagram_iso_search,
+    iter_iso_tables,
     iso_search,
     nat_iso_search,
     over_base_iso_search,
 )
+from grothkit.report import ValidationError
 
-from helpers import center_size, semidirect_table
+from helpers import (
+    all_functor_tables,
+    brute_isos,
+    center_size,
+    freeze_tables,
+    quaternion_table,
+    relabelled,
+    semidirect_table,
+)
 
 
 def bz(n):
@@ -23,6 +45,9 @@ def bz(n):
 def bs3():
     elems, table, unit = semidirect_table(3)
     return build.delooping(elems, table, name="BS3")
+
+
+NODES_Z12_RELABELLED = 21
 
 
 class TestIsoSearch:
@@ -41,9 +66,47 @@ class TestIsoSearch:
         z6, s3 = bz(6), bs3()
         # oracle: the centers have different sizes, so no iso can exist
         assert center_size(z6) == 6 and center_size(s3) == 1
+        # the cheap invariants agree, so only the refined classes tell them apart
+        assert len(z6.objects) == len(s3.objects) and len(z6.mors) == len(s3.mors)
+        hom_sizes = lambda c: sorted(len(ms) for ms in c.hom_table.values())
+        assert hom_sizes(z6) == hom_sizes(s3)
         res = iso_search(z6, s3)
         assert res.status == NONE
-        assert res.nodes > 0  # same counts, so the search had to run
+        assert res.refuted_by == "morphism classes"
+
+    def test_same_classes_search_runs(self):
+        z4 = bz(4)
+        elems, table, _ = quaternion_table()
+        c = build.product(z4, z4)
+        d = build.product(build.delooping(elems, table, name="Q8"), bz(2))
+        # oracle: one is abelian and the other is not
+        assert center_size(c) == 16 and center_size(d) == 4
+        # every element order occurs equally often on both sides, so the classes agree
+        assert _refine(c, d)[0] is None
+        res = iso_search(c, d)
+        assert res.status == NONE
+        assert (res.nodes, res.refuted_by) == (1777, None)
+
+    def test_z16_vs_z8_x_z2_refuted_at_root(self):
+        res = iso_search(bz(16), build.product(bz(8), bz(2)))
+        assert res.status == NONE
+        assert (res.nodes, res.refuted_by) == (0, "morphism classes")
+
+    def test_semidirect_z16_vs_z32_refuted_at_root(self):
+        elems, table, _ = semidirect_table(16)
+        res = iso_search(build.delooping(elems, table, name="Z16xZ2"), bz(32))
+        assert res.status == NONE
+        assert (res.nodes, res.refuted_by) == (0, "morphism classes")
+
+    def test_z12_vs_relabelled_node_count(self):
+        z12 = bz(12)
+        mors = list(z12.mors)
+        random.Random(12).shuffle(mors)
+        copy, _, _ = relabelled(z12, z12.objects, mors)
+        res = iso_search(z12, copy)
+        assert res.status == FOUND
+        assert res.refuted_by is None
+        assert res.nodes == NODES_Z12_RELABELLED  # node counts repeat exactly
 
     def test_budget_exceeded_is_distinct(self):
         z6 = bz(6)
@@ -122,3 +185,159 @@ class TestStructuredSearches:
         d2 = build.constant_diagram(base, build.walking_arrow())
         res = diagram_iso_search(d1, d2)
         assert res.status == NONE
+
+
+# ---------------------------------------------------------------------------
+# the search against brute force
+
+
+def _fork(f_first: bool):
+    """f: a -> b, then g1, g2: b -> c with distinct composites h1, h2: a -> c.
+
+    Swapping h1 and h2 and fixing the rest respects every colour, and it
+    breaks only g1∘f = h1.  With f listed first that constraint is last
+    checked when g1 is assigned, with f listed last when f is.
+    """
+    gs = [("g1", "b", "c"), ("g2", "b", "c"), ("h1", "a", "c"), ("h2", "a", "c")]
+    f = [("f", "a", "b")]
+    return make_category(
+        "fork", ["a", "b", "c"], f + gs if f_first else gs + f, {("g1", "f"): "h1", ("g2", "f"): "h2"}
+    )
+
+
+def _stock():
+    wa, wi, d2 = build.walking_arrow(), build.walking_iso(), build.discrete(2)
+    small = [build.terminal(), wa, wi, d2, build.discrete(3), build.chain(3), build.commuting_square_poset(),
+             _fork(True), _fork(False)]
+    products = [build.product(a, b) for a, b in itertools.product([wa, wi, d2], repeat=2)]
+    groups = [bz(n) for n in range(2, 7)] + [bs3()]
+    return small + products + groups
+
+
+STOCK = _stock()
+FACTORS = [build.walking_arrow(), build.walking_iso(), build.discrete(2)]
+
+
+def _searched(c, d, ob_allowed=None, mor_allowed=None):
+    found = [freeze_tables(ob, mor) for ob, mor in iter_iso_tables(c, d, Budget(10**9), ob_allowed, mor_allowed)]
+    assert len(found) == len(set(found))
+    return set(found)
+
+
+def _over(p1, p2):
+    """Over-base filters: images under the two projections must agree."""
+    return (lambda x, u: p1.ob_map[x] == p2.ob_map[u]), (lambda m, n: p1.mor_map[m] == p2.mor_map[n])
+
+
+class TestAgainstBruteForce:
+    def test_all_stock_pairs(self):
+        for c, d in itertools.product(STOCK, repeat=2):
+            assert _searched(c, d) == brute_isos(c, d), (c.name, d.name)
+
+    def test_products_over_a_factor(self):
+        for a, b1, b2 in itertools.product(FACTORS, repeat=3):
+            p1, fst1, _ = build.product_projections(a, b1)
+            p2, fst2, _ = build.product_projections(a, b2)
+            filters = _over(fst1, fst2)
+            assert _searched(p1, p2, *filters) == brute_isos(p1, p2, *filters), (a.name, b1.name, b2.name)
+            p3, _, snd3 = build.product_projections(b2, a)
+            filters = _over(fst1, snd3)
+            assert _searched(p1, p3, *filters) == brute_isos(p1, p3, *filters), (a.name, b1.name, b2.name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_copies(self, data):
+        c = data.draw(st.sampled_from(STOCK))
+        copy, ob, mor = relabelled(
+            c, data.draw(st.permutations(c.objects)), data.draw(st.permutations(c.mors))
+        )
+        assert _searched(c, copy) == brute_isos(c, copy)
+        assert _searched(copy, c) == brute_isos(copy, c)
+        refuted_by, ((ob_c, mor_c), (ob_d, mor_d)) = _refine(c, copy)
+        assert refuted_by is None
+        assert all(ob_c[x] == ob_d[ob[x]] for x in c.objects)
+        assert all(mor_c[m] == mor_d[mor[m]] for m in c.mors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_products_over_a_factor(self, data):
+        a, b = data.draw(st.sampled_from(FACTORS)), data.draw(st.sampled_from(FACTORS))
+        p, fst, _ = build.product_projections(a, b)
+        copy, ob, mor = relabelled(p, data.draw(st.permutations(p.objects)), data.draw(st.permutations(p.mors)))
+        ob_back = {u: x for x, u in ob.items()}
+        mor_back = {n: m for m, n in mor.items()}
+        ob_allowed = lambda x, u: fst.ob_map[x] == fst.ob_map[ob_back[u]]
+        mor_allowed = lambda m, n: fst.mor_map[m] == fst.mor_map[mor_back[n]]
+        assert _searched(p, copy, ob_allowed, mor_allowed) == brute_isos(p, copy, ob_allowed, mor_allowed)
+
+
+# The natural and diagram searches check, at each node, the morphisms into and
+# out of the newly assigned object.  On a chain the objects are assigned in
+# listing order, so every morphism points forward; on its opposite every one
+# points back, and the walking iso has both.
+SHAPES = [build.chain(3), build.opposite(build.chain(3)), build.walking_iso()]
+
+
+def _functors(c, d):
+    return [validate_functor(c, d, ob, mor) for ob, mor in all_functor_tables(c, d)]
+
+
+def _brute_nat_iso(f, g) -> bool:
+    cat, target = f.dom, f.cod
+    pools = [[m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
+             for x in cat.objects]
+    for choice in itertools.product(*pools):
+        comp = dict(zip(cat.objects, choice))
+        if all(
+            target.comp[(comp[cat.tgt[m]], f.mor_map[m])] == target.comp[(g.mor_map[m], comp[cat.src[m]])]
+            for m in cat.mors
+        ):
+            return True
+    return False
+
+
+def _diagrams(base, fibre):
+    """Every diagram on base whose fibres are all `fibre`."""
+    ends = _functors(fibre, fibre)
+    non_ids = base.non_identity_mors()
+    out = []
+    for choice in itertools.product(ends, repeat=len(non_ids)):
+        at_mor = dict(zip(non_ids, choice))
+        at_mor.update({base.identity[x]: identity_functor(fibre) for x in base.objects})
+        try:
+            out.append(validate_diagram(base, {x: fibre for x in base.objects}, at_mor))
+        except ValidationError:
+            pass
+    return out
+
+
+def _brute_diagram_iso(z1, z2) -> bool:
+    base = z1.base
+    pools = [[(dict(ob), dict(mor)) for ob, mor in brute_isos(z1.at_ob[v], z2.at_ob[v])] for v in base.objects]
+    for choice in itertools.product(*pools):
+        comps = dict(zip(base.objects, choice))
+        if all(
+            all(comps[base.tgt[h]][0][z1.at_mor[h].ob_map[x]] == z2.at_mor[h].ob_map[comps[base.src[h]][0][x]]
+                for x in z1.at_ob[base.src[h]].objects)
+            and all(comps[base.tgt[h]][1][z1.at_mor[h].mor_map[m]] == z2.at_mor[h].mor_map[comps[base.src[h]][1][m]]
+                    for m in z1.at_ob[base.src[h]].mors)
+            for h in base.mors
+        ):
+            return True
+    return False
+
+
+class TestIndexedLoopsAgainstBruteForce:
+    def test_nat_iso_search(self):
+        for shape in SHAPES:
+            functors = _functors(shape, bz(3))
+            for f, g in itertools.product(functors, repeat=2):
+                res = nat_iso_search(f, g)
+                assert res.status == (FOUND if _brute_nat_iso(f, g) else NONE), (shape.name, f.mor_map, g.mor_map)
+
+    def test_diagram_iso_search(self):
+        for shape in SHAPES:
+            diagrams = _diagrams(shape, build.discrete(2))
+            for z1, z2 in itertools.product(diagrams, repeat=2):
+                res = diagram_iso_search(z1, z2)
+                assert res.status == (FOUND if _brute_diagram_iso(z1, z2) else NONE), shape.name
