@@ -1,7 +1,8 @@
 """Command-line interface: every subcommand is a thin wrapper over one operation.
 
 Exit codes: 0 all checks pass, 1 a check is refuted, 2 usage or parse error,
-3 search budget exceeded.  `--json` switches the report to a stable schema:
+3 search budget exceeded (only `iso` searches).  `--json` switches the report
+to a stable schema:
 {command, inputs, verdict, witnesses[], counterexamples[], budget:{used,limit}}.
 """
 
@@ -82,8 +83,6 @@ def _outcome_from_report(rep: Report) -> Outcome:
         witnesses=list(rep.witnesses),
         counterexamples=rep.counterexamples(),
         text=rep.describe(),
-        budget_used=rep.budget_used,
-        budget_limit=rep.budget_limit,
     )
 
 
@@ -107,7 +106,7 @@ def _opfib_of(ws: Workspace, args, p_name: str, cl_name: str) -> CleavedOpfib:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("GROTHKIT_BUDGET")
     if env is not None:
@@ -322,13 +321,13 @@ def _cmd_indexed(args) -> Outcome:
     if sub == "roundtrip":
         kind, value = _indexed_entity(ws, args.first)
         if kind == "opfib":
-            rep = indexed_roundtrip_opfib(value, budget=_budget(args))
+            rep = indexed_roundtrip_opfib(value)
         else:
             f = _need(ws, "diagram", args.second) if args.second else None
             if f is None:
                 raise UsageError("roundtrip on a diagram needs the underlying diagram: "
                                  "indexed roundtrip Z F")
-            rep = indexed_roundtrip_diagram(value, f, budget=_budget(args))
+            rep = indexed_roundtrip_diagram(value, f)
         return _outcome_from_report(rep)
     if sub == "discrete":
         kind, value = _indexed_entity(ws, args.first)
@@ -344,7 +343,7 @@ def _cmd_indexed(args) -> Outcome:
     if sub == "pseudonat":
         alpha = _need(ws, "dmor", args.first)
         phi = _need(ws, "opfib", args.second)
-        return _outcome_from_report(pseudonat_check(alpha, phi, budget=_budget(args)))
+        return _outcome_from_report(pseudonat_check(alpha, phi))
     if sub == "check":
         phi = _need(ws, "opfib", args.first)
         return _outcome_from_report(check_diagram_opfib(phi, discrete=args.discrete))
@@ -390,18 +389,13 @@ def _make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="grothkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False, budget=False, dot=False):
+    def common(p, output=False, dot=False):
         p.add_argument("-i", "--input", action="append", metavar="FILE",
                        help="workspace file (repeatable)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if output:
             p.add_argument("-o", "--output", metavar="FILE",
                            help="write the resulting workspace (or dot text) here")
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="search node budget (default: GROTHKIT_BUDGET or %d)" % DEFAULT_BUDGET)
-            p.add_argument("--seed", type=int, default=None,
-                           help="shuffle search candidate order deterministically")
         if dot:
             p.add_argument("--dot", dest="dot_flag", action="store_true",
                            help="emit a dot digraph of the principal output category")
@@ -419,7 +413,11 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("iso", help="search for an isomorphism of categories")
-    common(p, budget=True)
+    common(p)
+    p.add_argument("--budget", type=int, default=None,
+                   help="search node budget (default: GROTHKIT_BUDGET or %d)" % DEFAULT_BUDGET)
+    p.add_argument("--seed", type=int, default=None,
+                   help="shuffle search candidate order deterministically")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(handler=_cmd_iso)
@@ -481,7 +479,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pullback)
 
     p = sub.add_parser("indexed", help="indexed Grothendieck construction operations")
-    common(p, output=True, budget=True)
+    common(p, output=True)
     p.add_argument("indexed_command",
                    choices=["groth", "fibres", "roundtrip", "discrete", "pseudonat", "dualize", "check"])
     p.add_argument("first")

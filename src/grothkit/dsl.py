@@ -923,12 +923,6 @@ def ws_add_functor(ws: Workspace, name: str, t: FunctorData, dom_name: str, cod_
     return name
 
 
-def ws_add_nattrans(ws: Workspace, name: str, t: NatTransData, dom_name: str, cod_name: str) -> str:
-    if not ws.has("nattrans", name):
-        ws.add(Entity("nattrans", name, {"dom": dom_name, "cod": cod_name}, t))
-    return name
-
-
 def ws_add_cleavage(ws: Workspace, name: str, cleavage: Cleavage, functor_name: str) -> str:
     if not ws.has("cleavage", name):
         ws.add(Entity("cleavage", name, {"functor": functor_name}, cleavage))

@@ -679,3 +679,24 @@ def verify_diagram_iso(fwd: DiagramMor, bwd: DiagramMor) -> IsoWitness:
     if not rep.passed:
         raise ValidationError(rep)
     return IsoWitness(fwd, bwd, "diagram-iso")
+
+
+def diagram_iso_of_tables(
+    z1: CatDiagram,
+    z2: CatDiagram,
+    tables: Mapping[str, tuple[Mapping[str, str], Mapping[str, str]]],
+) -> IsoWitness:
+    """Verify per-object (ob_map, mor_map) tables as a strict natural isomorphism z1 -> z2.
+
+    Each component must be a functor with a validated inverse, both families
+    must be natural, and the composites must be identities; otherwise
+    ValidationError names the first law that fails.
+    """
+    fwd_comps = {
+        v: validate_functor(z1.at_ob[v], z2.at_ob[v], ob, mor, name=f"iso@{v}")
+        for v, (ob, mor) in tables.items()
+    }
+    bwd_comps = {v: inverse_functor(fwd, f"osi@{v}") for v, fwd in fwd_comps.items()}
+    fwd = validate_diagram_mor(z1, z2, fwd_comps, name=f"diso[{z1.name}->{z2.name}]")
+    bwd = validate_diagram_mor(z2, z1, bwd_comps, name=f"diso[{z2.name}->{z1.name}]")
+    return verify_diagram_iso(fwd, bwd)

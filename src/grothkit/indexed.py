@@ -7,14 +7,16 @@ chosen lifts.  `check_diagram_opfib` verifies that finite criterion.
 
 `indexed_fibres` turns such a φ into a Cat-valued diagram on the total
 category of F, sending (A, X) to the fibre of the A-component over X;
-`indexed_groth` goes back.  Round trips, the discrete restriction, and
-pseudonaturality in F are verified per instance by exhaustive search.
+`indexed_groth` goes back.  The discrete restriction is checked per
+instance; round trips and pseudonaturality in F are verified per instance by
+building the canonical comparison from the provenance tables the
+constructions keep and checking it is a strict isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 from .build import opposite
 from .fincat import (
@@ -24,8 +26,10 @@ from .fincat import (
     DiagramMor,
     FinCat,
     FunctorData,
+    IsoWitness,
     NatTransData,
     compose_functors,
+    diagram_iso_of_tables,
     first_disagreement,
     identity_functor,
     identity_nat_trans,
@@ -35,15 +39,6 @@ from .fincat import (
     validate_nat_trans,
 )
 from .groth import GrothTotal, groth, groth_map, inc_cocone
-from .isosearch import (
-    BUDGET,
-    DEFAULT_BUDGET,
-    FOUND,
-    Budget,
-    SearchResult,
-    diagram_iso_search,
-    iter_iso_tables,
-)
 from .opfib import (
     Cleavage,
     CleavedOpfib,
@@ -75,6 +70,7 @@ class DiagramOpfib:
     cleavages: Mapping[str, Cleavage]
     flavor: str = "opfibration"
     pullback_parts: Mapping[str, PullbackOpfib] | None = field(default=None, repr=False)
+    groth_parts: Mapping[str, GrothTotal] | None = field(default=None, repr=False)
 
     @property
     def base(self) -> FinCat:
@@ -509,6 +505,7 @@ def indexed_groth(
         total,
         {a: parts[a].projection for a in base.objects},
         {a: Cleavage(parts[a].lifts) for a in base.objects},
+        groth_parts=parts,
     )
 
 
@@ -575,55 +572,65 @@ def indexed_fibres_map(
 # round trips
 
 
-def _over_base_cleavage_candidates(
-    phi1: DiagramOpfib, phi2: DiagramOpfib, a: str, budget: Budget
-) -> Iterator[tuple[dict, dict]]:
-    """Isos G1(A) -> G2(A) over F(A) carrying the first cleavage to the second."""
-    p1, p2 = phi1.components[a], phi2.components[a]
-    c1, c2 = phi1.cleavages[a], phi2.cleavages[a]
-    ob_allowed = lambda x, u: p1.ob_map[x] == p2.ob_map[u]
-    mor_allowed = lambda m, n: p1.mor_map[m] == p2.mor_map[n]
-    for ob_map, mor_map in iter_iso_tables(
-        phi1.total.at_ob[a], phi2.total.at_ob[a], budget, ob_allowed, mor_allowed
-    ):
-        if all(
-            mor_map[m] == c2.lift(ob_map[e], f) for (e, f), m in c1.lifts.items()
-        ):
-            yield ob_map, mor_map
+def _record_comparison(rep: Report, name: str, verify: Callable[[], IsoWitness]) -> None:
+    """Record whether a canonical comparison verifies as an isomorphism, with its witness."""
+    try:
+        witness = verify()
+    except ValidationError as err:
+        bad = err.report.first_failure()
+        rep.fail(name, f"canonical comparison refused: {bad.name}: {bad.counterexample}")
+        return
+    rep.ok(name)
+    rep.witnesses.append(witness.describe())
 
 
-def diagram_opfib_iso_search(
-    phi1: DiagramOpfib,
-    phi2: DiagramOpfib,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchResult:
-    """Search for an isomorphism of opfibrations over F: componentwise over-base,
-    cleavage preserving, and natural across the base."""
-    _require_opfib_flavor(phi1)
-    _require_opfib_flavor(phi2)
-    result = diagram_iso_search(
-        phi1.total,
-        phi2.total,
-        budget=budget,
-        component_candidates=lambda a, b: _over_base_cleavage_candidates(phi1, phi2, a, b),
-    )
-    if result.status != FOUND:
-        return result
-    fwd: DiagramMor = result.witness.forward
-    for a in phi1.base.objects:
+def _opfib_comparison_tables(phi2: DiagramOpfib, phi: DiagramOpfib) -> dict[str, tuple[dict, dict]]:
+    """The comparison indexed_groth(indexed_fibres(phi)) -> phi at each index a:
+    (x, e) goes to e and (α, β, e) to β∘lift_a(e, α)."""
+    tables = {}
+    for a, part in phi2.groth_parts.items():
+        g_a, cleavage = phi.total.at_ob[a], phi.cleavages[a]
+        ob_map = {w: e for w, (_, e) in part.ob_pair.items()}
+        mor_map = {
+            n: g_a.comp[(beta, cleavage.lift(e, al))] for n, (al, beta, e) in part.mor_pair.items()
+        }
+        tables[a] = ob_map, mor_map
+    return tables
+
+
+def _second_coordinates(
+    z: CatDiagram, index: GrothTotal, parts: Mapping[str, GrothTotal | PullbackOpfib]
+) -> dict[str, tuple[dict, dict]]:
+    """At each v = (a, x) of the total of `index`, send the objects and morphisms
+    of z(v) to the second coordinates of their provenance pairs in parts[a]."""
+    return {
+        v: (
+            {w: parts[a].ob_pair[w][1] for w in z.at_ob[v].objects},
+            {n: parts[a].mor_pair[n][1] for n in z.at_ob[v].mors},
+        )
+        for v, (a, _) in index.ob_pair.items()
+    }
+
+
+def _verify_opfib_comparison(phi2: DiagramOpfib, phi: DiagramOpfib) -> IsoWitness:
+    """A diagram iso of totals whose components lie over F (the square of
+    check_cleavage_preserving) and carry chosen lifts to chosen lifts."""
+    witness = diagram_iso_of_tables(phi2.total, phi.total, _opfib_comparison_tables(phi2, phi))
+    for a in phi.base.objects:
         sub = check_cleavage_preserving(
-            fwd.components[a],
-            identity_functor(phi1.over.at_ob[a]),
-            phi1.component_opfib(a),
+            witness.forward.components[a],
+            identity_functor(phi.over.at_ob[a]),
             phi2.component_opfib(a),
+            phi.component_opfib(a),
         )
         if not sub.passed:
             raise ValidationError(sub)
-    return result
+    return witness
 
 
-def indexed_roundtrip_opfib(phi: DiagramOpfib, budget: int = DEFAULT_BUDGET) -> Report:
-    """Verify indexed_groth(indexed_fibres(phi)) is isomorphic to phi over F."""
+def indexed_roundtrip_opfib(phi: DiagramOpfib) -> Report:
+    """Verify indexed_groth(indexed_fibres(phi)) is isomorphic to phi over F,
+    by the canonical comparison."""
     rep = Report(f"indexed round trip (opfibration side) for {phi.name}")
     gt = groth(phi.over)
     z = indexed_fibres(phi, gt)
@@ -631,23 +638,13 @@ def indexed_roundtrip_opfib(phi: DiagramOpfib, budget: int = DEFAULT_BUDGET) -> 
     sub = check_diagram_opfib(phi2)
     fail = sub.first_failure()
     rep.record("reconstructed-passes-criterion", None if fail is None else f"{fail.name}: {fail.counterexample}")
-    result = diagram_opfib_iso_search(phi2, phi, budget=budget)
-    rep.budget_used = result.nodes
-    rep.budget_limit = budget
-    if result.status == BUDGET:
-        rep.budget_exceeded = True
-        return rep
-    rep.record(
-        "roundtrip-isomorphism",
-        None if result.found else "no over-base cleavage-preserving isomorphism exists",
-    )
-    if result.found:
-        rep.witnesses.append(result.witness.describe())
+    _record_comparison(rep, "roundtrip-isomorphism", lambda: _verify_opfib_comparison(phi2, phi))
     return rep
 
 
-def indexed_roundtrip_diagram(z: CatDiagram, f: CatDiagram, budget: int = DEFAULT_BUDGET) -> Report:
-    """Verify indexed_fibres(indexed_groth(Z)) is naturally isomorphic to Z."""
+def indexed_roundtrip_diagram(z: CatDiagram, f: CatDiagram) -> Report:
+    """Verify indexed_fibres(indexed_groth(Z)) is naturally isomorphic to Z,
+    by the canonical comparison."""
     rep = Report(f"indexed round trip (diagram side) for {z.name}")
     gt = groth(f)
     phi = indexed_groth(z, f, gt)
@@ -655,18 +652,11 @@ def indexed_roundtrip_diagram(z: CatDiagram, f: CatDiagram, budget: int = DEFAUL
     fail = sub.first_failure()
     rep.record("image-passes-criterion", None if fail is None else f"{fail.name}: {fail.counterexample}")
     z2 = indexed_fibres(phi, gt)
-    result = diagram_iso_search(z2, z, budget=budget)
-    rep.budget_used = result.nodes
-    rep.budget_limit = budget
-    if result.status == BUDGET:
-        rep.budget_exceeded = True
-        return rep
-    rep.record(
+    _record_comparison(
+        rep,
         "roundtrip-isomorphism",
-        None if result.found else "no strict natural isomorphism exists",
+        lambda: diagram_iso_of_tables(z2, z, _second_coordinates(z2, gt, phi.groth_parts)),
     )
-    if result.found:
-        rep.witnesses.append(result.witness.describe())
     return rep
 
 
@@ -722,12 +712,13 @@ def discrete_check_diagram(z: CatDiagram, f: CatDiagram) -> Report:
 # pseudonaturality in F
 
 
-def pseudonat_check(alpha: DiagramMor, phi: DiagramOpfib, budget: int = DEFAULT_BUDGET) -> Report:
+def pseudonat_check(alpha: DiagramMor, phi: DiagramOpfib) -> Report:
     """Compare the two paths around the pseudonaturality square of the equivalence.
 
     Taking fibres after pulling back along alpha must agree, up to strict
     natural isomorphism, with reindexing the fibre diagram along the functor
-    that alpha induces between the total categories.
+    that alpha induces between the total categories.  The canonical
+    comparison sends a pullback object (x', e) at (a, x') to e.
     """
     _require_opfib_flavor(phi)
     rep = Report(f"pseudonaturality check for ({alpha.name},{phi.name})")
@@ -739,18 +730,11 @@ def pseudonat_check(alpha: DiagramMor, phi: DiagramOpfib, budget: int = DEFAULT_
     path2 = reindex(
         indexed_fibres(phi, g), int_alpha, name=f"reindexed-fibres({phi.name})"
     )
-    result = diagram_iso_search(path1, path2, budget=budget)
-    rep.budget_used = result.nodes
-    rep.budget_limit = budget
-    if result.status == BUDGET:
-        rep.budget_exceeded = True
-        return rep
-    rep.record(
+    _record_comparison(
+        rep,
         "pseudonaturality-square",
-        None if result.found else "the two paths are not naturally isomorphic",
+        lambda: diagram_iso_of_tables(path1, path2, _second_coordinates(path1, g_dash, pulled.pullback_parts)),
     )
-    if result.found:
-        rep.witnesses.append(result.witness.describe())
     return rep
 
 

@@ -22,12 +22,11 @@ from .fincat import (
     FinCat,
     FunctorData,
     IsoWitness,
+    diagram_iso_of_tables,
     inverse_functor,
-    validate_diagram_mor,
     validate_functor,
     validate_nat_trans,
     verify_category_iso,
-    verify_diagram_iso,
     verify_natural_iso,
 )
 
@@ -295,12 +294,7 @@ def iso_search(
     return SearchResult(NONE, None, b.used, b.refuted_by)
 
 
-def nat_iso_search(
-    f: FunctorData,
-    g: FunctorData,
-    budget: int = DEFAULT_BUDGET,
-    rng: random.Random | None = None,
-) -> SearchResult:
+def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Search for an invertible natural transformation between parallel functors."""
     if f.dom is not g.dom and not f.dom.tables_equal(g.dom):
         raise ValueError("functors do not share a domain")
@@ -329,7 +323,7 @@ def nat_iso_search(
         if i == len(order):
             return dict(comp)
         x = order[i]
-        for m in _order(list(cand[x]), rng):
+        for m in cand[x]:
             b.tick()
             comp[x] = m
             if natural_so_far(comp, x):
@@ -357,46 +351,27 @@ def over_base_iso_search(
     total2: FinCat,
     proj2: FunctorData,
     budget: int = DEFAULT_BUDGET,
-    extra_check: Callable[[FunctorData, FunctorData], str | None] | None = None,
-    rng: random.Random | None = None,
 ) -> SearchResult:
-    """Search for a strict iso of total categories commuting with the projections.
-
-    `extra_check` may veto a candidate witness pair (e.g. to demand cleavage
-    preservation); vetoed candidates are skipped and the search continues.
-    """
+    """Search for a strict iso of total categories commuting with the projections."""
     if proj1.cod is not proj2.cod and not proj1.cod.tables_equal(proj2.cod):
         raise ValueError("projections do not share a base")
     b = Budget(budget)
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
     mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]
     try:
-        for ob_map, mor_map in iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed, rng=rng):
+        for ob_map, mor_map in iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed):
             witness = _wrap_category_witness(total1, total2, ob_map, mor_map, "over-base-iso")
-            if extra_check is not None:
-                veto = extra_check(witness.forward, witness.backward)
-                if veto is not None:
-                    continue
             return SearchResult(FOUND, witness, b.used)
     except BudgetExceeded:
         return SearchResult(BUDGET, None, b.used)
     return SearchResult(NONE, None, b.used, b.refuted_by)
 
 
-def diagram_iso_search(
-    z1: CatDiagram,
-    z2: CatDiagram,
-    budget: int = DEFAULT_BUDGET,
-    component_filter: Callable[[str, dict, dict], bool] | None = None,
-    component_candidates: Callable[[str, Budget], Iterator[tuple[dict, dict]]] | None = None,
-    rng: random.Random | None = None,
-) -> SearchResult:
+def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Search for a strict natural isomorphism of Cat-valued diagrams.
 
     Per base object this enumerates category isos between the fibres, then
     backtracks across the base checking every naturality square strictly.
-    `component_filter(v, ob_map, mor_map)` may restrict per-fibre candidates,
-    and `component_candidates` may replace their enumeration outright.
     """
     if z1.base is not z2.base and not z1.base.tables_equal(z2.base):
         raise ValueError("diagrams do not share a base")
@@ -406,15 +381,7 @@ def diagram_iso_search(
     try:
         candidates: dict[str, list[tuple[dict, dict]]] = {}
         for v in base.objects:
-            if component_candidates is not None:
-                stream = component_candidates(v, b)
-            else:
-                stream = iter_iso_tables(z1.at_ob[v], z2.at_ob[v], b, rng=rng)
-            options = [
-                (ob, mor)
-                for ob, mor in stream
-                if component_filter is None or component_filter(v, ob, mor)
-            ]
+            options = list(iter_iso_tables(z1.at_ob[v], z2.at_ob[v], b))
             if not options:
                 return SearchResult(NONE, None, b.used, b.refuted_by)
             candidates[v] = options
@@ -457,11 +424,4 @@ def diagram_iso_search(
 
     if solution is None:
         return SearchResult(NONE, None, b.used)
-    fwd_comps = {
-        v: validate_functor(z1.at_ob[v], z2.at_ob[v], ob, mor, name=f"iso@{v}")
-        for v, (ob, mor) in solution.items()
-    }
-    bwd_comps = {v: inverse_functor(fwd_comps[v], f"osi@{v}") for v in solution}
-    fwd = validate_diagram_mor(z1, z2, fwd_comps, name=f"diso[{z1.name}->{z2.name}]")
-    bwd = validate_diagram_mor(z2, z1, bwd_comps, name=f"diso[{z2.name}->{z1.name}]")
-    return SearchResult(FOUND, verify_diagram_iso(fwd, bwd), b.used)
+    return SearchResult(FOUND, diagram_iso_of_tables(z1, z2, solution), b.used)

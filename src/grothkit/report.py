@@ -21,14 +21,11 @@ class Check:
 
 @dataclass
 class Report:
-    """A bundle of checks about one subject, plus optional search bookkeeping."""
+    """A bundle of checks about one subject, and the witnesses that back its verdict."""
 
     title: str
     checks: list[Check] = field(default_factory=list)
     witnesses: list[str] = field(default_factory=list)
-    budget_used: int = 0
-    budget_limit: int | None = None
-    budget_exceeded: bool = False
 
     def ok(self, name: str) -> None:
         self.checks.append(Check(name, True))
@@ -43,21 +40,12 @@ class Report:
         else:
             self.fail(name, counterexample)
 
-    def absorb(self, sub: "Report", prefix: str = "") -> None:
-        for c in sub.checks:
-            self.checks.append(Check(prefix + c.name, c.passed, c.counterexample))
-        self.witnesses.extend(sub.witnesses)
-        self.budget_used += sub.budget_used
-        self.budget_exceeded = self.budget_exceeded or sub.budget_exceeded
-
     @property
     def passed(self) -> bool:
-        return not self.budget_exceeded and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     @property
     def verdict(self) -> str:
-        if self.budget_exceeded:
-            return "budget"
         return "pass" if self.passed else "fail"
 
     def counterexamples(self) -> list[str]:
@@ -73,22 +61,7 @@ class Report:
         lines = [f"{self.title}: {self.verdict}"]
         lines += ["  " + c.describe() for c in self.checks]
         lines += [f"  witness: {w}" for w in self.witnesses]
-        if self.budget_limit is not None:
-            lines.append(f"  budget: {self.budget_used}/{self.budget_limit}")
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "title": self.title,
-            "verdict": self.verdict,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "counterexample": c.counterexample}
-                for c in self.checks
-            ],
-            "witnesses": list(self.witnesses),
-            "counterexamples": self.counterexamples(),
-            "budget": {"used": self.budget_used, "limit": self.budget_limit},
-        }
 
 
 class ValidationError(Exception):

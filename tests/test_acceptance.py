@@ -20,8 +20,16 @@ from grothkit.indexed import (
     indexed_roundtrip_opfib,
     pseudonat_check,
 )
-from grothkit.isosearch import FOUND, diagram_iso_search, iso_search, over_base_iso_search
-from grothkit.opfib import fibres
+from grothkit.fincat import (
+    diagram_iso_of_tables,
+    identity_functor,
+    inverse_functor,
+    validate_functor,
+    verify_category_iso,
+)
+from grothkit.isosearch import FOUND, iso_search
+from grothkit.opfib import check_cleavage_preserving, fibres
+from grothkit.report import ValidationError
 
 from helpers import (
     cross_morphism_count,
@@ -46,33 +54,45 @@ def test_criterion_1_classical_equivalence():
         gt = groth(d)
         q = gt.opfib()
         z = fibres(q)
-        if diagram_iso_search(z, d).status != FOUND:
-            failures.append(f"fibres(groth({d.name})) !~ {d.name}")
+        try:
+            _verify_fibres_of_groth(gt, z)
+        except ValidationError as err:
+            failures.append(f"fibres(groth({d.name})) !~ {d.name}: {err.report.first_failure().describe()}")
             continue
         back = groth(z)
-        res = over_base_iso_search(
-            back.total,
-            back.projection,
-            gt.total,
-            gt.projection,
-            extra_check=_cleavage_check(back, gt),
-        )
-        if res.status != FOUND:
-            failures.append(f"groth(fibres({d.name})) !~ groth({d.name})")
+        sub = _verify_groth_of_fibres(back, gt)
+        if not sub.passed:
+            failures.append(f"groth(fibres({d.name})) !~ groth({d.name}): {sub.first_failure().describe()}")
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60
     _verdict(1, ok, f"{len(diagrams)} diagrams, both round trips strict, {elapsed:.1f}s"
                     + (f"; failures: {failures}" if failures else ""))
 
 
-def _cleavage_check(g1, g2):
-    def check(fwd, bwd):
-        for (e, f), m in g1.lifts.items():
-            if fwd.mor_map[m] != g2.lifts[(fwd.ob_map[e], f)]:
-                return f"cleavage not preserved at ({e},{f})"
-        return None
+def _verify_fibres_of_groth(gt, z):
+    """The canonical comparison fibres(groth F) -> F: w = (c, x) goes to x, (id, α) to α."""
+    tables = {
+        c: (
+            {w: gt.ob_pair[w][1] for w in z.at_ob[c].objects},
+            {n: gt.mor_pair[n][1] for n in z.at_ob[c].mors},
+        )
+        for c in z.base.objects
+    }
+    return diagram_iso_of_tables(z, gt.diagram, tables)
 
-    return check
+
+def _verify_groth_of_fibres(back, gt):
+    """The canonical comparison groth(fibres q) -> q: (c, v) goes to v and
+    (f, β, v) to β∘lift(v, f); an iso over the base that preserves chosen lifts."""
+    q = gt.opfib()
+    ob_map = {u: v for u, (_, v) in back.ob_pair.items()}
+    mor_map = {
+        n: gt.total.comp[(beta, q.cleavage.lift(v, f))] for n, (f, beta, v) in back.mor_pair.items()
+    }
+    fwd = validate_functor(back.total, gt.total, ob_map, mor_map, name="groth(fibres)->total")
+    verify_category_iso(fwd, inverse_functor(fwd, "total->groth(fibres)"), flavor="over-base-iso")
+    # the square of this check is the comparison with the projections
+    return check_cleavage_preserving(fwd, identity_functor(gt.diagram.base), back.opfib(), q)
 
 
 def test_criterion_2_indexed_equivalence():

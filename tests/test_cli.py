@@ -64,17 +64,20 @@ class TestExitCodes:
         bad.write_text("wibble X { }\n")
         assert run_command(["validate", "-i", str(bad)]) == 2
 
-    def test_budget_exceeded_exits_3(self, exdir, capsys):
-        rc = run_command([
-            "indexed", "-i", path(exdir, "identity_opfib.cat"), "roundtrip", "phi",
-            "--budget", "1",
-        ])
+    def test_budget_exceeded_exits_3(self, groups, capsys):
+        # the search runs dry only after 1,777 nodes
+        rc = run_command(["iso", "-i", groups, "Z4xZ4", "Q8xZ2", "--budget", "1"])
         assert rc == 3
 
-    def test_env_budget_respected(self, exdir, monkeypatch, capsys):
+    def test_env_budget_respected(self, groups, monkeypatch, capsys):
         monkeypatch.setenv("GROTHKIT_BUDGET", "1")
-        rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), "roundtrip", "phi"])
+        rc = run_command(["iso", "-i", groups, "Z4xZ4", "Q8xZ2"])
         assert rc == 3
+
+    @pytest.mark.parametrize("option", [["--budget", "5"], ["--seed", "3"]])
+    def test_indexed_takes_no_search_options(self, exdir, capsys, option):
+        rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), "roundtrip", "phi", *option])
+        assert rc == 2
 
     def test_pullback_off_base_exits_2(self, exdir, capsys):
         # idT goes T -> T, but p lands in A
@@ -284,6 +287,7 @@ class TestJsonReports:
         ])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0 and payload["verdict"] == "pass" and payload["witnesses"]
+        assert payload["budget"] == {"used": 0, "limit": None}  # no search was run
 
     def test_examples_list(self, capsys):
         rc = run_command(["examples", "--list"])
@@ -495,7 +499,7 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
         # where no shipped example has the entities, name missing ones
         runs += found or [command.split() + ["-i", files[0][0]] + ["nosuch"] * len(signatures[0])]
     for i, argv in enumerate(runs):
-        if argv[0] in ("iso", "indexed"):
+        if argv[0] == "iso":
             argv = argv + ["--budget", "2000"]
         rc = run_command(argv + ["--json"] * (i % 2))
         capsys.readouterr()

@@ -1,22 +1,25 @@
 import pytest
 
-from grothkit import build, examples
+from grothkit import build, examples, indexed, isosearch
 from grothkit.fincat import (
     compose_functors,
+    diagram_iso_of_tables,
+    first_disagreement,
     id_name,
     identity_diagram_mor,
     identity_functor,
+    inverse_functor,
+    reindex,
     validate_diagram_mor,
     validate_functor,
     validate_nat_trans,
 )
-from grothkit.groth import groth
+from grothkit.groth import groth, groth_map
 from grothkit.indexed import (
     DiagramOpfibMor,
     check_diagram_opfib,
     check_diagram_opfib_mor,
     diagram_opfib,
-    diagram_opfib_iso_search,
     discrete_check_diagram,
     discrete_check_opfib,
     dualize_diagram,
@@ -35,8 +38,8 @@ from grothkit.indexed import (
     validate_diagram_modification,
     vertical_compose_modifications,
 )
-from grothkit.isosearch import FOUND, iso_search, over_base_iso_search
-from grothkit.opfib import Cleavage, cell_transport, fibres, pullback_opfib
+from grothkit.isosearch import FOUND, diagram_iso_search, iso_search, over_base_iso_search
+from grothkit.opfib import Cleavage, cell_transport, check_cleavage_preserving, fibres, pullback_opfib
 from grothkit.report import ValidationError
 
 from helpers import functors_table_equal
@@ -129,8 +132,15 @@ class TestPullbackDiagramOpfib:
         phi, _, coll, _ = phi_collapse()
         pb = pullback_diagram_opfib(identity_diagram_mor(coll), phi)
         assert check_diagram_opfib(pb).passed
-        res = diagram_opfib_iso_search(pb, phi)
-        assert res.status == FOUND
+        # the second projections relabel: invertible, natural, over F and lift-preserving
+        comps = {a: pb.pullback_parts[a].to_total for a in phi.base.objects}
+        for a, t in comps.items():
+            inverse_functor(t, f"inv@{a}")
+            sub = check_cleavage_preserving(
+                t, identity_functor(coll.at_ob[a]), pb.component_opfib(a), phi.component_opfib(a)
+            )
+            assert sub.passed, sub.describe()
+        validate_diagram_mor(pb.total, phi.total, comps)
 
     def test_component_object_counts(self):
         phi, _, coll, _ = phi_collapse()
@@ -360,11 +370,6 @@ class TestRoundtrips:
             rep = indexed_roundtrip_diagram(z, f)
             assert rep.passed, f"{z.name}: {rep.describe()}"
 
-    def test_budget_exceeded_is_distinct(self):
-        phi = examples.corpus_opfibs()[5]  # the sign opfibration, biggest instance
-        rep = indexed_roundtrip_opfib(phi, budget=2)
-        assert rep.verdict == "budget"
-
     def test_functoriality_of_fibres(self):
         phi, zc, coll, gtc = phi_collapse()
         xi = DiagramOpfibMor(
@@ -491,6 +496,30 @@ class TestDualize:
             assert iso_search(total, target).status == FOUND, a
 
 
+def _collapse_zetas():
+    """zeta1: z0 => z1 and zeta2: z1 => z2, constant diagrams (discrete(2), walking
+    arrow, terminal) on the total of the collapse arrow, with that arrow and its total."""
+    coll = build.arrow_diagram(examples.collapse_functor(), name="collapse_arrow")
+    gtc = groth(coll)
+    z0 = build.constant_diagram(gtc.total, build.discrete(2, prefix="w"), name="z0")
+    z1 = build.constant_diagram(gtc.total, build.walking_arrow(), name="z1")
+    z2 = build.constant_diagram(gtc.total, build.terminal(), name="z2")
+    incl = validate_functor(
+        z0.at_ob[gtc.total.objects[0]], z1.at_ob[gtc.total.objects[0]],
+        {"w0": "a", "w1": "b"},
+        {id_name("w0"): id_name("a"), id_name("w1"): id_name("b")}, name="incl",
+    )
+    crush = validate_functor(
+        z1.at_ob[gtc.total.objects[0]], z2.at_ob[gtc.total.objects[0]],
+        {"a": "*", "b": "*"},
+        {id_name("a"): id_name("*"), id_name("b"): id_name("*"), "f": id_name("*")},
+        name="crush",
+    )
+    zeta1 = validate_diagram_mor(z0, z1, {v: incl for v in gtc.total.objects}, name="zeta1")
+    zeta2 = validate_diagram_mor(z1, z2, {v: crush for v in gtc.total.objects}, name="zeta2")
+    return coll, gtc, zeta1, zeta2
+
+
 class TestEquivalenceFunctoriality:
     def _compose_opfib_mors(self, xi2, xi1):
         return DiagramOpfibMor(
@@ -504,24 +533,8 @@ class TestEquivalenceFunctoriality:
         )
 
     def test_indexed_maps_preserve_identities_and_composites(self):
-        coll = build.arrow_diagram(examples.collapse_functor(), name="collapse_arrow")
-        gtc = groth(coll)
-        z0 = build.constant_diagram(gtc.total, build.discrete(2, prefix="w"), name="z0")
-        z1 = build.constant_diagram(gtc.total, build.walking_arrow(), name="z1")
-        z2 = build.constant_diagram(gtc.total, build.terminal(), name="z2")
-        incl = validate_functor(
-            z0.at_ob[gtc.total.objects[0]], z1.at_ob[gtc.total.objects[0]],
-            {"w0": "a", "w1": "b"},
-            {id_name("w0"): id_name("a"), id_name("w1"): id_name("b")}, name="incl",
-        )
-        crush = validate_functor(
-            z1.at_ob[gtc.total.objects[0]], z2.at_ob[gtc.total.objects[0]],
-            {"a": "*", "b": "*"},
-            {id_name("a"): id_name("*"), id_name("b"): id_name("*"), "f": id_name("*")},
-            name="crush",
-        )
-        zeta1 = validate_diagram_mor(z0, z1, {v: incl for v in gtc.total.objects}, name="zeta1")
-        zeta2 = validate_diagram_mor(z1, z2, {v: crush for v in gtc.total.objects}, name="zeta2")
+        coll, gtc, zeta1, zeta2 = _collapse_zetas()
+        z0, z1, z2 = zeta1.dom, zeta1.cod, zeta2.cod
         phi0 = indexed_groth(z0, coll, gtc, name="phi0")
         phi1 = indexed_groth(z1, coll, gtc, name="phi1")
         phi2 = indexed_groth(z2, coll, gtc, name="phi2")
@@ -554,3 +567,124 @@ class TestEquivalenceFunctoriality:
                 back_both.components[v],
                 compose_functors(back2.components[v], back1.components[v]),
             )
+
+
+# ---------------------------------------------------------------------------
+# the canonical comparisons behind the round trips and pseudonaturality
+
+
+def _probe(k):
+    """F constant at discrete(2) on chain(3); Z constant at discrete(k) on its total.
+    The fibres' automorphism groups grow as k!, which a search pays for."""
+    f = build.constant_diagram(build.chain(3), build.discrete(2), name="F")
+    gt = groth(f)
+    z = build.constant_diagram(gt.total, build.discrete(k, prefix="w"), name=f"Z{k}")
+    return z, f, gt
+
+
+def _opfib_comparison(phi, gt):
+    """phi2 = indexed_groth(indexed_fibres(phi)) and the verified comparison phi2 -> phi."""
+    phi2 = indexed_groth(indexed_fibres(phi, gt), phi.over, gt)
+    return phi2, indexed._verify_opfib_comparison(phi2, phi).forward
+
+
+def _diagram_comparison(z, f, gt):
+    """The verified comparison indexed_fibres(indexed_groth(z)) -> z."""
+    phi = indexed_groth(z, f, gt)
+    z2 = indexed_fibres(phi, gt)
+    return diagram_iso_of_tables(z2, z, indexed._second_coordinates(z2, gt, phi.groth_parts)).forward
+
+
+def _swap_two_objects(builder):
+    """Wrap a comparison-table builder so that one component swaps the images of two objects."""
+
+    def tampered(*args):
+        tables = builder(*args)
+        for ob_map, _ in tables.values():
+            if len(ob_map) >= 2:
+                x, y = list(ob_map)[:2]
+                ob_map[x], ob_map[y] = ob_map[y], ob_map[x]
+                return tables
+        raise AssertionError("no component with two objects to swap")
+
+    return tampered
+
+
+class TestCanonicalComparisons:
+    @pytest.mark.parametrize("side, k", [("opfib", 5), ("opfib", 7), ("diagram", 7)])
+    def test_probe_family_passes_without_search(self, monkeypatch, side, k):
+        def no_search(self):
+            raise AssertionError("a round trip visited a search node")
+
+        monkeypatch.setattr(isosearch.Budget, "tick", no_search)
+        z, f, gt = _probe(k)
+        if side == "opfib":
+            rep = indexed_roundtrip_opfib(indexed_groth(z, f, gt, name=f"phi{k}"))
+        else:
+            rep = indexed_roundtrip_diagram(z, f)
+        assert rep.passed, rep.describe()
+        assert len(rep.witnesses) == 1
+
+    @pytest.mark.parametrize("which", ["opfib", "diagram", "pseudonat"])
+    def test_tampered_comparison_is_refused(self, monkeypatch, which):
+        builder = "_opfib_comparison_tables" if which == "opfib" else "_second_coordinates"
+        monkeypatch.setattr(indexed, builder, _swap_two_objects(getattr(indexed, builder)))
+        if which == "opfib":
+            rep = indexed_roundtrip_opfib(examples.corpus_opfibs()[2])
+        elif which == "diagram":
+            rep = indexed_roundtrip_diagram(*examples.corpus_z_instances()[1])
+        else:
+            rep = pseudonat_check(*examples.pseudonat_instances()[0])
+        assert not rep.passed
+        assert not rep.witnesses
+        fail = rep.first_failure()
+        assert fail.name in ("roundtrip-isomorphism", "pseudonaturality-square")
+        assert fail.counterexample.startswith("canonical comparison refused: boundary-preserved: ")
+
+    def _groth_map_images(self):
+        """The diagram morphisms whose indexed_groth_map images the functoriality test
+        checks, with the identity of z1."""
+        coll, gtc, zeta1, zeta2 = _collapse_zetas()
+        return [zeta1, zeta2, identity_diagram_mor(zeta1.cod)], coll, gtc
+
+    def test_opfib_comparison_natural_along_morphisms(self):
+        # xi ∘ eps_phi = eps_psi ∘ indexed_groth_map(indexed_fibres_map(xi)), strictly
+        zetas, coll, gtc = self._groth_map_images()
+        for zeta in zetas:
+            xi = indexed_groth_map(zeta, coll, gt=gtc)
+            phi2, eps_phi = _opfib_comparison(xi.dom, gtc)
+            psi2, eps_psi = _opfib_comparison(xi.cod, gtc)
+            back = indexed_groth_map(indexed_fibres_map(xi, gtc), coll, phi2, psi2, gtc)
+            for a in coll.base.objects:
+                left = compose_functors(xi.components[a], eps_phi.components[a])
+                right = compose_functors(eps_psi.components[a], back.components[a])
+                assert first_disagreement(left, right) is None, (zeta.name, a)
+
+    def test_diagram_comparison_natural_along_morphisms(self):
+        # zeta ∘ eta_Z = eta_Z' ∘ indexed_fibres_map(indexed_groth_map(zeta)), strictly
+        zetas, coll, gtc = self._groth_map_images()
+        for zeta in zetas:
+            eta_dom = _diagram_comparison(zeta.dom, coll, gtc)
+            eta_cod = _diagram_comparison(zeta.cod, coll, gtc)
+            back = indexed_fibres_map(indexed_groth_map(zeta, coll, gt=gtc), gtc)
+            for v in gtc.total.objects:
+                left = compose_functors(zeta.components[v], eta_dom.components[v])
+                right = compose_functors(eta_cod.components[v], back.components[v])
+                assert first_disagreement(left, right) is None, (zeta.name, v)
+
+    def test_verdicts_agree_with_search_on_corpus(self):
+        for phi in examples.corpus_opfibs():
+            gt = groth(phi.over)
+            phi2 = indexed_groth(indexed_fibres(phi, gt), phi.over, gt)
+            found = diagram_iso_search(phi2.total, phi.total).status == FOUND
+            assert indexed_roundtrip_opfib(phi).passed == found, phi.name
+        for z, f in examples.corpus_z_instances():
+            gt = groth(f)
+            z2 = indexed_fibres(indexed_groth(z, f, gt), gt)
+            found = diagram_iso_search(z2, z).status == FOUND
+            assert indexed_roundtrip_diagram(z, f).passed == found, z.name
+        for alpha, phi in examples.pseudonat_instances():
+            path1 = indexed_fibres(pullback_diagram_opfib(alpha, phi), groth(alpha.dom))
+            path2 = reindex(indexed_fibres(phi), groth_map(alpha))
+            found = diagram_iso_search(path1, path2).status == FOUND
+            assert pseudonat_check(alpha, phi).passed == found, (alpha.name, phi.name)
