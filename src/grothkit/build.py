@@ -12,8 +12,8 @@ from .fincat import (
     id_name,
     identity_functor,
     make_category,
-    pair_id,
-    pair_mor_id,
+    pair_category,
+    pair_projections,
     validate_diagram,
     validate_functor,
 )
@@ -149,35 +149,24 @@ def cyclic_table(n: int, prefix: str = "r") -> tuple[list[str], dict[tuple[str, 
     return elems, table
 
 
+def _product(c: FinCat, d: FinCat, name: str | None) -> tuple[FinCat, dict, dict]:
+    """The product with its naming tables obj_of and mor_of (see pair_category)."""
+    return pair_category(
+        c,
+        d,
+        [(x, y) for x in c.objects for y in d.objects],
+        [(f, g) for f in c.mors for g in d.mors],
+        name or f"product({c.name},{d.name})",
+    )
+
+
 def product(c: FinCat, d: FinCat, name: str | None = None) -> FinCat:
-    objects = [pair_id(x, y) for x in c.objects for y in d.objects]
-    mor = {(f, g): pair_mor_id(c, d, f, g) for f in c.mors for g in d.mors}
-    ids = {(c.identity[x], d.identity[y]) for x in c.objects for y in d.objects}
-    non_ids = [fg for fg in mor if fg not in ids]
-    arrows = [(mor[(f, g)], pair_id(c.src[f], d.src[g]), pair_id(c.tgt[f], d.tgt[g])) for f, g in non_ids]
-    comp = {}
-    for f1, g1 in non_ids:
-        n1 = mor[(f1, g1)]
-        for f2 in c.out(c.tgt[f1]):
-            for g2 in d.out(d.tgt[g1]):
-                if (f2, g2) not in ids:
-                    comp[(mor[(f2, g2)], n1)] = mor[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
-    return make_category(name or f"product({c.name},{d.name})", objects, arrows, comp)
+    return _product(c, d, name)[0]
 
 
 def product_projections(c: FinCat, d: FinCat) -> tuple[FinCat, FunctorData, FunctorData]:
-    p = product(c, d)
-    fst_ob = {pair_id(x, y): x for x in c.objects for y in d.objects}
-    snd_ob = {pair_id(x, y): y for x in c.objects for y in d.objects}
-    fst_mor: dict[str, str] = {}
-    snd_mor: dict[str, str] = {}
-    for f in c.mors:
-        for g in d.mors:
-            n = pair_mor_id(c, d, f, g)
-            fst_mor[n] = f
-            snd_mor[n] = g
-    fst = validate_functor(p, c, fst_ob, fst_mor, name=f"fst[{p.name}]")
-    snd = validate_functor(p, d, snd_ob, snd_mor, name=f"snd[{p.name}]")
+    p, obj_of, mor_of = _product(c, d, None)
+    fst, snd = pair_projections(p, c, d, obj_of, mor_of, (f"fst[{p.name}]", f"snd[{p.name}]"))
     return p, fst, snd
 
 

@@ -508,20 +508,12 @@ def run_command(argv: list[str]) -> int:
         outcome: Outcome = args.handler(args)
     except UsageError as err:
         outcome = Outcome("error", counterexamples=[str(err)], text=str(err))
-        _emit(args, outcome, as_json)
-        return outcome.exit_code
     except WorkspaceParseError as err:
         kind = "fail" if err.only_semantic() else "error"
         outcome = Outcome(kind, counterexamples=[d.describe() for d in err.diagnostics],
                           text=str(err))
-        _emit(args, outcome, as_json)
-        return outcome.exit_code
     except ValidationError as err:
-        outcome = Outcome("fail", counterexamples=err.report.counterexamples(),
-                          text=err.report.describe())
-        _emit(args, outcome, as_json)
-        return outcome.exit_code
-
+        outcome = _outcome_from_report(err.report)
     _emit(args, outcome, as_json)
     return outcome.exit_code
 

@@ -110,9 +110,6 @@ class Workspace:
     def of_kind(self, kind: str) -> list[Entity]:
         return [self.entities[(k, n)] for k, n in sorted(self.entities) if k == kind]
 
-    def kind_of(self, name: str) -> list[str]:
-        return [k for k, n in self.entities if n == name]
-
 
 def split_top(s: str, sep: str = ",") -> list[str]:
     """Split on separators not nested inside parentheses or brackets."""
@@ -270,8 +267,7 @@ class _Parser:
             elif kind == "cocone":
                 self._cocone(words, stmts, line)
         except ValidationError as err:
-            first = err.report.first_failure()
-            detail = f"{first.name}: {first.counterexample}" if first else err.report.title
+            detail = err.report.summary() or err.report.title
             self.err("semantic", line, 1, f"{header!r}: {detail}")
 
     def _category(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
@@ -360,8 +356,7 @@ class _Parser:
             else:
                 self.err("syntax", line, 1, f"{kind} has no builder shorthand")
         except ValidationError as err:
-            first = err.report.first_failure()
-            detail = f"{first.name}: {first.counterexample}" if first else err.report.title
+            detail = err.report.summary() or err.report.title
             self.err("semantic", line, 1, f"{header!r}: {detail}")
 
     def _category_builder(self, name: str, builder: str, argtext: str, line: int) -> FinCat | None:

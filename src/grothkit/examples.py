@@ -23,6 +23,7 @@ from .fincat import (
     id_name,
     identity_diagram_mor,
     identity_functor,
+    pair_mor_id,
     validate_diagram,
     validate_diagram_mor,
     validate_functor,
@@ -247,8 +248,6 @@ def sign_z_diagram(gt) -> CatDiagram:
 def product_square_opfib() -> DiagramOpfib:
     """A hand-built opfibration over the identity arrow: product projections with
     componentwise cleavages, lift of f at (x, y) being (f, id_y)."""
-    from .fincat import pair_id
-
     wa = build.walking_arrow()
     d2 = build.discrete(2, prefix="u")
     p, fst, snd = build.product_projections(wa, d2)
@@ -262,12 +261,8 @@ def product_square_opfib() -> DiagramOpfib:
     lifts = {}
     for e in p.objects:
         for f in wa.mors:
-            if wa.src[f] != fst.ob_map[e]:
-                continue
-            if wa.is_identity(f):
-                lifts[(e, f)] = p.identity[e]
-            else:
-                lifts[(e, f)] = pair_id(f, d2.identity[snd.ob_map[e]])
+            if wa.src[f] == fst.ob_map[e]:
+                lifts[(e, f)] = pair_mor_id(wa, d2, f, d2.identity[snd.ob_map[e]])
     cleav = Cleavage(lifts)
     return diagram_opfib(over, total, {"a": fst, "b": fst}, {"a": cleav, "b": cleav},
                          name="product_square")

@@ -68,9 +68,6 @@ class FinCat:
         """Morphisms with source x, in listing order."""
         return self.out_table.get(x, ())
 
-    def id_of(self, x: str) -> str:
-        return self.identity[x]
-
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src[m]) == m
 
@@ -400,6 +397,57 @@ def compose_functors(g: FunctorData, f: FunctorData, name: str | None = None) ->
         {x: g.ob_map[f.ob_map[x]] for x in f.dom.objects},
         {m: g.mor_map[f.mor_map[m]] for m in f.dom.mors},
     )
+
+
+# ---------------------------------------------------------------------------
+# categories of pairs: products and pullbacks
+
+
+def pair_category(
+    c: FinCat,
+    d: FinCat,
+    ob_pairs: Sequence[tuple[str, str]],
+    mor_pairs: Sequence[tuple[str, str]],
+    name: str,
+) -> tuple[FinCat, dict[tuple[str, str], str], dict[tuple[str, str], str]]:
+    """The category of the listed pairs, composed componentwise, with its naming tables
+    obj_of and mor_of; the pairs must be closed under boundaries and composites.
+
+    Objects, arrows and composites follow the listing order of the pairs.
+    """
+    obj_of = {xy: pair_id(*xy) for xy in ob_pairs}
+    mor_of = {fg: pair_mor_id(c, d, *fg) for fg in mor_pairs}
+    non_ids = [(f, g) for f, g in mor_pairs if not (c.is_identity(f) and d.is_identity(g))]
+    arrows = [
+        (mor_of[(f, g)], obj_of[(c.src[f], d.src[g])], obj_of[(c.tgt[f], d.tgt[g])])
+        for f, g in non_ids
+    ]
+    starting_at: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for f, g in non_ids:
+        starting_at.setdefault((c.src[f], d.src[g]), []).append((f, g))
+    comp = {}
+    for f1, g1 in non_ids:
+        for f2, g2 in starting_at.get((c.tgt[f1], d.tgt[g1]), ()):
+            comp[(mor_of[(f2, g2)], mor_of[(f1, g1)])] = mor_of[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
+    return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of
+
+
+def pair_projections(
+    p: FinCat,
+    c: FinCat,
+    d: FinCat,
+    obj_of: Mapping[tuple[str, str], str],
+    mor_of: Mapping[tuple[str, str], str],
+    names: tuple[str, str],
+) -> tuple[FunctorData, FunctorData]:
+    """The validated projections of a pair_category p onto c and onto d, named `names`."""
+    fst = validate_functor(
+        p, c, {v: x for (x, _), v in obj_of.items()}, {n: f for (f, _), n in mor_of.items()}, name=names[0]
+    )
+    snd = validate_functor(
+        p, d, {v: y for (_, y), v in obj_of.items()}, {n: g for (_, g), n in mor_of.items()}, name=names[1]
+    )
+    return fst, snd
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .fincat import (
     validate_functor,
     validate_nat_trans,
 )
-from .groth import GrothTotal, groth, groth_map, inc_cocone
+from .groth import GrothTotal, groth, groth_map
 from .opfib import (
     Cleavage,
     CleavedOpfib,
@@ -78,9 +78,6 @@ class DiagramOpfib:
 
     def component_opfib(self, a: str) -> CleavedOpfib:
         return CleavedOpfib(self.components[a], self.cleavages[a])
-
-    def as_diagram_mor(self) -> DiagramMor:
-        return validate_diagram_mor(self.total, self.over, self.components, name=self.name)
 
 
 def _validate_fibration_lifts(t: FunctorData, lifts: Mapping[tuple[str, str], str]) -> str | None:
@@ -149,8 +146,7 @@ def diagram_opfib(
         try:
             clean[a] = cleaved_opfib(t, lifts).cleavage
         except ValidationError as err:
-            bad = err.report.first_failure()
-            rep.fail(f"cleavage@{a}", f"{bad.name}: {bad.counterexample}")
+            rep.fail(f"cleavage@{a}", err.report.summary())
     if not rep.passed:
         raise ValidationError(rep)
     return DiagramOpfib(name, over, total, dict(components), clean, flavor=flavor)
@@ -200,11 +196,7 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
     for a in base.objects:
         q = phi.component_opfib(a)
         sub = check_discrete_opfib(q.p) if discrete else check_split_opfib(q)
-        fail = sub.first_failure()
-        rep.record(
-            f"component@{a}",
-            None if fail is None else f"{fail.name}: {fail.counterexample}",
-        )
+        rep.record(f"component@{a}", sub.summary())
     if not discrete:
         for h in base.mors:
             a, b = base.src[h], base.tgt[h]
@@ -214,11 +206,7 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
                 phi.component_opfib(a),
                 phi.component_opfib(b),
             )
-            fail = sub.first_failure()
-            rep.record(
-                f"square@{h}",
-                None if fail is None else f"{fail.name}: {fail.counterexample}",
-            )
+            rep.record(f"square@{h}", sub.summary())
     return rep
 
 
@@ -261,11 +249,7 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
             phi.component_opfib(a),
             psi.component_opfib(a),
         )
-        fail = sub.first_failure()
-        rep.record(
-            f"cleavage-preserving@{a}",
-            None if fail is None else f"{fail.name}: {fail.counterexample}",
-        )
+        rep.record(f"cleavage-preserving@{a}", sub.summary())
     return rep
 
 
@@ -421,9 +405,8 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
     _require_opfib_flavor(phi)
     rep = check_diagram_opfib(phi)
     if not rep.passed:
-        bad = rep.first_failure()
         out = Report(f"indexed fibres of {phi.name}")
-        out.fail("input-opfibration", f"{bad.name}: {bad.counterexample}")
+        out.fail("input-opfibration", rep.summary())
         raise ValidationError(out)
     g = gt if gt is not None else groth(phi.over)
     label = name or f"fibres({phi.name})"
@@ -466,13 +449,12 @@ def indexed_groth(
         raise UsageError(f"the base of {z.name} is not the total category of {f.name}")
     label = name or f"groth({z.name})"
     base = f.base
-    inc = inc_cocone(f, g)
     parts = {
         a: groth(
             validate_diagram(
                 f.at_ob[a],
-                {x: z.at_ob[inc.legs[a].ob_map[x]] for x in f.at_ob[a].objects},
-                {al: z.at_mor[inc.legs[a].mor_map[al]] for al in f.at_ob[a].mors},
+                {x: z.at_ob[g.obj_of[(a, x)]] for x in f.at_ob[a].objects},
+                {al: z.at_mor[g.mor_of[(base.identity[a], al, f.at_ob[a].src[al])]] for al in f.at_ob[a].mors},
                 name=f"{z.name}|{a}",
             )
         )
@@ -517,31 +499,27 @@ def indexed_groth_map(
     gt: GrothTotal | None = None,
     name: str | None = None,
 ) -> DiagramOpfibMor:
-    """Functorial action of indexed_groth on a morphism of diagrams on the total of F."""
+    """Functorial action of indexed_groth on a morphism of diagrams on the total of F.
+
+    The components are built between the per-index totals that `phi_dom` and
+    `phi_cod` keep, so both must be indexed_groth results of zeta's boundaries.
+    """
+    for arg, phi in (("phi_dom", phi_dom), ("phi_cod", phi_cod)):
+        if phi is not None and phi.groth_parts is None:
+            raise UsageError(f"{arg} {phi.name} was not built by indexed_groth")
     g = gt if gt is not None else groth(f)
     phi1 = phi_dom if phi_dom is not None else indexed_groth(zeta.dom, f, g)
     phi2 = phi_cod if phi_cod is not None else indexed_groth(zeta.cod, f, g)
-    inc = inc_cocone(f, g)
     comps: dict[str, FunctorData] = {}
     for a in f.base.objects:
-        leg = inc.legs[a]
-        fib = f.at_ob[a]
-        d1 = validate_diagram(
-            fib,
-            {x: zeta.dom.at_ob[leg.ob_map[x]] for x in fib.objects},
-            {al: zeta.dom.at_mor[leg.mor_map[al]] for al in fib.mors},
-            name=f"{zeta.dom.name}|{a}",
-        )
-        d2 = validate_diagram(
-            fib,
-            {x: zeta.cod.at_ob[leg.ob_map[x]] for x in fib.objects},
-            {al: zeta.cod.at_mor[leg.mor_map[al]] for al in fib.mors},
-            name=f"{zeta.cod.name}|{a}",
-        )
+        g1, g2 = phi1.groth_parts[a], phi2.groth_parts[a]
         restricted = validate_diagram_mor(
-            d1, d2, {x: zeta.components[leg.ob_map[x]] for x in fib.objects}, name=f"{zeta.name}|{a}"
+            g1.diagram,
+            g2.diagram,
+            {x: zeta.components[g.obj_of[(a, x)]] for x in f.at_ob[a].objects},
+            name=f"{zeta.name}|{a}",
         )
-        comps[a] = groth_map(restricted, groth(d1), groth(d2), name=f"groth({zeta.name})@{a}")
+        comps[a] = groth_map(restricted, g1, g2, name=f"groth({zeta.name})@{a}")
     return DiagramOpfibMor(name or f"groth({zeta.name})", phi1, phi2, comps)
 
 
@@ -577,8 +555,7 @@ def _record_comparison(rep: Report, name: str, verify: Callable[[], IsoWitness])
     try:
         witness = verify()
     except ValidationError as err:
-        bad = err.report.first_failure()
-        rep.fail(name, f"canonical comparison refused: {bad.name}: {bad.counterexample}")
+        rep.fail(name, f"canonical comparison refused: {err.report.summary()}")
         return
     rep.ok(name)
     rep.witnesses.append(witness.describe())
@@ -635,9 +612,7 @@ def indexed_roundtrip_opfib(phi: DiagramOpfib) -> Report:
     gt = groth(phi.over)
     z = indexed_fibres(phi, gt)
     phi2 = indexed_groth(z, phi.over, gt)
-    sub = check_diagram_opfib(phi2)
-    fail = sub.first_failure()
-    rep.record("reconstructed-passes-criterion", None if fail is None else f"{fail.name}: {fail.counterexample}")
+    rep.record("reconstructed-passes-criterion", check_diagram_opfib(phi2).summary())
     _record_comparison(rep, "roundtrip-isomorphism", lambda: _verify_opfib_comparison(phi2, phi))
     return rep
 
@@ -648,9 +623,7 @@ def indexed_roundtrip_diagram(z: CatDiagram, f: CatDiagram) -> Report:
     rep = Report(f"indexed round trip (diagram side) for {z.name}")
     gt = groth(f)
     phi = indexed_groth(z, f, gt)
-    sub = check_diagram_opfib(phi)
-    fail = sub.first_failure()
-    rep.record("image-passes-criterion", None if fail is None else f"{fail.name}: {fail.counterexample}")
+    rep.record("image-passes-criterion", check_diagram_opfib(phi).summary())
     z2 = indexed_fibres(phi, gt)
     _record_comparison(
         rep,

@@ -20,8 +20,8 @@ from .fincat import (
     compose_functors,
     first_disagreement,
     make_category,
-    pair_id,
-    pair_mor_id,
+    pair_category,
+    pair_projections,
     validate_diagram,
     validate_functor,
 )
@@ -237,9 +237,8 @@ def check_cleavage_preserving(
 def _require_split(q: CleavedOpfib) -> None:
     rep = q.split_report if q.split_report is not None else check_split_opfib(q)
     if not rep.passed:
-        bad = rep.first_failure()
         out = Report(f"fibres of {q.p.name}")
-        out.fail("input-split", f"{bad.name}: {bad.counterexample}")
+        out.fail("input-split", rep.summary())
         raise ValidationError(out)
 
 
@@ -311,48 +310,12 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     label = name or f"pb({h.name},{q.p.name})"
 
     pairs = [(x, e) for x in base_d.objects for e in total.objects if h.ob_map[x] == q.p.ob_map[e]]
-    obj_of = {pe: pair_id(*pe) for pe in pairs}
-    ob_pair = {v: k for k, v in obj_of.items()}
-
     lying_over: dict[str, list[str]] = {}
     for m in total.mors:
         lying_over.setdefault(q.p.mor_map[m], []).append(m)
     mor_pairs = [(u, m) for u in base_d.mors for m in lying_over.get(h.mor_map[u], ())]
-
-    mor_of = {(u, m): pair_mor_id(base_d, total, u, m) for u, m in mor_pairs}
-    mor_pair = {v: k for k, v in mor_of.items()}
-    non_ids = [(u, m) for (u, m) in mor_pairs if not (base_d.is_identity(u) and total.is_identity(m))]
-    arrows = [
-        (mor_of[(u, m)], obj_of[(base_d.src[u], total.src[m])], obj_of[(base_d.tgt[u], total.tgt[m])])
-        for (u, m) in non_ids
-    ]
-    # non-identity pairs by source, in mor_pairs order; identity composites
-    # are synthesized by make_category
-    starting_at: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for u, m in non_ids:
-        starting_at.setdefault((base_d.src[u], total.src[m]), []).append((u, m))
-    comp = {}
-    for (u1, m1) in non_ids:
-        for (u2, m2) in starting_at.get((base_d.tgt[u1], total.tgt[m1]), ()):
-            comp[(mor_of[(u2, m2)], mor_of[(u1, m1)])] = mor_of[
-                (base_d.comp[(u2, u1)], total.comp[(m2, m1)])
-            ]
-    pb_total = make_category(label, [obj_of[pe] for pe in pairs], arrows, comp)
-
-    proj = validate_functor(
-        pb_total,
-        base_d,
-        {obj_of[(x, e)]: x for (x, e) in pairs},
-        {mor_of[(u, m)]: u for (u, m) in mor_pairs},
-        name=f"proj[{label}]",
-    )
-    snd = validate_functor(
-        pb_total,
-        total,
-        {obj_of[(x, e)]: e for (x, e) in pairs},
-        {mor_of[(u, m)]: m for (u, m) in mor_pairs},
-        name=f"into[{label}]",
-    )
+    pb_total, obj_of, mor_of = pair_category(base_d, total, pairs, mor_pairs, label)
+    proj, snd = pair_projections(pb_total, base_d, total, obj_of, mor_of, (f"proj[{label}]", f"into[{label}]"))
     lifts = {
         (obj_of[(x, e)], g): mor_of[(g, q.cleavage.lift(e, h.mor_map[g]))]
         for (x, e) in pairs
@@ -362,8 +325,8 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     return PullbackOpfib(
         opfib=cleaved_opfib(proj, lifts),
         to_total=snd,
-        ob_pair=ob_pair,
-        mor_pair=mor_pair,
+        ob_pair={v: k for k, v in obj_of.items()},
+        mor_pair={v: k for k, v in mor_of.items()},
         obj_of=obj_of,
         mor_of=mor_of,
     )

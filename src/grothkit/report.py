@@ -57,6 +57,11 @@ class Report:
                 return c
         return None
 
+    def summary(self) -> str | None:
+        """The first failed check as "name: counterexample", or None when all passed."""
+        bad = self.first_failure()
+        return None if bad is None else f"{bad.name}: {bad.counterexample}"
+
     def describe(self) -> str:
         lines = [f"{self.title}: {self.verdict}"]
         lines += ["  " + c.describe() for c in self.checks]

@@ -40,7 +40,7 @@ from grothkit.indexed import (
 )
 from grothkit.isosearch import FOUND, diagram_iso_search, iso_search, over_base_iso_search
 from grothkit.opfib import Cleavage, cell_transport, check_cleavage_preserving, fibres, pullback_opfib
-from grothkit.report import ValidationError
+from grothkit.report import UsageError, ValidationError
 
 from helpers import functors_table_equal
 
@@ -567,6 +567,25 @@ class TestEquivalenceFunctoriality:
                 back_both.components[v],
                 compose_functors(back2.components[v], back1.components[v]),
             )
+
+
+    def test_indexed_groth_map_reuses_the_totals_of_its_opfibrations(self):
+        coll, gtc, zeta1, _ = _collapse_zetas()
+        phi0 = indexed_groth(zeta1.dom, coll, gtc, name="phi0")
+        phi1 = indexed_groth(zeta1.cod, coll, gtc, name="phi1")
+        xi = indexed_groth_map(zeta1, coll, phi0, phi1, gtc)
+        for a in coll.base.objects:
+            assert xi.components[a].dom is phi0.total.at_ob[a]
+            assert xi.components[a].cod is phi1.total.at_ob[a]
+
+    @pytest.mark.parametrize("arg", ["phi_dom", "phi_cod"])
+    def test_indexed_groth_map_refuses_opfibrations_without_groth_parts(self, arg):
+        coll, gtc, zeta1, _ = _collapse_zetas()
+        z = zeta1.dom if arg == "phi_dom" else zeta1.cod
+        pulled = pullback_diagram_opfib(identity_diagram_mor(coll), indexed_groth(z, coll, gtc))
+        assert pulled.groth_parts is None
+        with pytest.raises(UsageError, match=f"^{arg} "):
+            indexed_groth_map(zeta1, coll, gt=gtc, **{arg: pulled})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The shared kernels: cartesian fill-ins, functor comparison, inverse functors, pair names."""
+"""The shared kernels: cartesian fill-ins, functor comparison, inverse functors, pair names,
+categories of pairs and report summaries."""
 
 from grothkit import build
-from grothkit.fincat import first_disagreement, identity_functor, inverse_functor, pair_mor_id
-from grothkit.opfib import _fill_ins
+from grothkit.fincat import first_disagreement, identity_functor, inverse_functor, pair_mor_id, validate_functor
+from grothkit.groth import groth
+from grothkit.opfib import _fill_ins, pullback_opfib
+from grothkit.report import Report
 
 from test_messages import inversion3, swap2, two_fill_in_functor
 
@@ -50,3 +53,121 @@ class TestPairMorId:
         assert pair_mor_id(wa, ch, "id_a", "id_1") == "id_(a,1)"
         assert pair_mor_id(wa, ch, "f", "id_1") == "(f,id_1)"
         assert pair_mor_id(wa, ch, "id_b", "le(0,1)") == "(id_b,le(0,1))"
+
+
+def _non_identity_composites(c):
+    return [(gf, h) for gf, h in c.comp.items() if not (c.is_identity(gf[0]) or c.is_identity(gf[1]))]
+
+
+class TestPairCategoryOrders:
+    """Listing orders of products and pullbacks; CLI output and search cost depend on them."""
+
+    def test_product(self):
+        p = build.product(build.walking_arrow(), build.chain(3))
+        assert p.name == "product(walking_arrow,chain(3))"
+        assert list(p.objects) == ["(a,0)", "(a,1)", "(a,2)", "(b,0)", "(b,1)", "(b,2)"]
+        assert list(p.non_identity_mors()) == [
+            "(id_a,le(0,1))", "(id_a,le(0,2))", "(id_a,le(1,2))",
+            "(id_b,le(0,1))", "(id_b,le(0,2))", "(id_b,le(1,2))",
+            "(f,id_0)", "(f,id_1)", "(f,id_2)", "(f,le(0,1))", "(f,le(0,2))", "(f,le(1,2))",
+        ]
+        composites = [
+            (("(id_a,le(1,2))", "(id_a,le(0,1))"), "(id_a,le(0,2))"),
+            (("(f,id_1)", "(id_a,le(0,1))"), "(f,le(0,1))"),
+            (("(f,le(1,2))", "(id_a,le(0,1))"), "(f,le(0,2))"),
+            (("(f,id_2)", "(id_a,le(0,2))"), "(f,le(0,2))"),
+            (("(f,id_2)", "(id_a,le(1,2))"), "(f,le(1,2))"),
+            (("(id_b,le(1,2))", "(id_b,le(0,1))"), "(id_b,le(0,2))"),
+            (("(id_b,le(0,1))", "(f,id_0)"), "(f,le(0,1))"),
+            (("(id_b,le(0,2))", "(f,id_0)"), "(f,le(0,2))"),
+            (("(id_b,le(1,2))", "(f,id_1)"), "(f,le(1,2))"),
+            (("(id_b,le(1,2))", "(f,le(0,1))"), "(f,le(0,2))"),
+        ]
+        # the non-identity composites are inserted first, in this order
+        assert list(p.comp.items())[: len(composites)] == composites
+        assert _non_identity_composites(p) == composites
+
+    def test_product_projections(self):
+        p, fst, snd = build.product_projections(build.walking_arrow(), build.chain(3))
+        assert (fst.name, snd.name) == ("fst[product(walking_arrow,chain(3))]", "snd[product(walking_arrow,chain(3))]")
+        assert list(fst.ob_map.items()) == [
+            ("(a,0)", "a"), ("(a,1)", "a"), ("(a,2)", "a"), ("(b,0)", "b"), ("(b,1)", "b"), ("(b,2)", "b"),
+        ]
+        assert list(snd.ob_map.items()) == [
+            ("(a,0)", "0"), ("(a,1)", "1"), ("(a,2)", "2"), ("(b,0)", "0"), ("(b,1)", "1"), ("(b,2)", "2"),
+        ]
+        assert list(fst.mor_map.items()) == [
+            ("id_(a,0)", "id_a"), ("id_(a,1)", "id_a"), ("id_(a,2)", "id_a"),
+            ("(id_a,le(0,1))", "id_a"), ("(id_a,le(0,2))", "id_a"), ("(id_a,le(1,2))", "id_a"),
+            ("id_(b,0)", "id_b"), ("id_(b,1)", "id_b"), ("id_(b,2)", "id_b"),
+            ("(id_b,le(0,1))", "id_b"), ("(id_b,le(0,2))", "id_b"), ("(id_b,le(1,2))", "id_b"),
+            ("(f,id_0)", "f"), ("(f,id_1)", "f"), ("(f,id_2)", "f"),
+            ("(f,le(0,1))", "f"), ("(f,le(0,2))", "f"), ("(f,le(1,2))", "f"),
+        ]
+        assert list(snd.mor_map.items()) == [
+            ("id_(a,0)", "id_0"), ("id_(a,1)", "id_1"), ("id_(a,2)", "id_2"),
+            ("(id_a,le(0,1))", "le(0,1)"), ("(id_a,le(0,2))", "le(0,2)"), ("(id_a,le(1,2))", "le(1,2)"),
+            ("id_(b,0)", "id_0"), ("id_(b,1)", "id_1"), ("id_(b,2)", "id_2"),
+            ("(id_b,le(0,1))", "le(0,1)"), ("(id_b,le(0,2))", "le(0,2)"), ("(id_b,le(1,2))", "le(1,2)"),
+            ("(f,id_0)", "id_0"), ("(f,id_1)", "id_1"), ("(f,id_2)", "id_2"),
+            ("(f,le(0,1))", "le(0,1)"), ("(f,le(0,2))", "le(0,2)"), ("(f,le(1,2))", "le(1,2)"),
+        ]
+        assert p.tables_equal(build.product(build.walking_arrow(), build.chain(3)))
+
+    def test_pullback_along_a_chain_inclusion(self):
+        c4, c3 = build.chain(4), build.chain(3)
+        gt = groth(build.constant_diagram(c4, build.discrete(2)))
+        h = validate_functor(
+            c3, c4, {"0": "0", "1": "1", "2": "3"},
+            {"id_0": "id_0", "id_1": "id_1", "id_2": "id_3",
+             "le(0,1)": "le(0,1)", "le(0,2)": "le(0,3)", "le(1,2)": "le(1,3)"},
+            name="h",
+        )
+        pb = pullback_opfib(h, gt.opfib())
+        total = pb.opfib.total
+        assert total.name == "pb(h,proj[groth(const(chain(4),discrete(2)))])"
+        objects = ["(0,(0,x0))", "(0,(0,x1))", "(1,(1,x0))", "(1,(1,x1))", "(2,(3,x0))", "(2,(3,x1))"]
+        arrows = [
+            "(le(0,1),(le(0,1),id_x0)@x0)", "(le(0,1),(le(0,1),id_x1)@x1)",
+            "(le(0,2),(le(0,3),id_x0)@x0)", "(le(0,2),(le(0,3),id_x1)@x1)",
+            "(le(1,2),(le(1,3),id_x0)@x0)", "(le(1,2),(le(1,3),id_x1)@x1)",
+        ]
+        assert list(total.objects) == objects
+        assert list(total.non_identity_mors()) == arrows
+        composites = [
+            (("(le(1,2),(le(1,3),id_x0)@x0)", "(le(0,1),(le(0,1),id_x0)@x0)"), "(le(0,2),(le(0,3),id_x0)@x0)"),
+            (("(le(1,2),(le(1,3),id_x1)@x1)", "(le(0,1),(le(0,1),id_x1)@x1)"), "(le(0,2),(le(0,3),id_x1)@x1)"),
+        ]
+        assert list(total.comp.items())[: len(composites)] == composites
+        assert _non_identity_composites(total) == composites
+
+        proj, into = pb.opfib.p, pb.to_total
+        assert (proj.name, into.name) == (f"proj[{total.name}]", f"into[{total.name}]")
+        ids = [f"id_{x}" for x in objects]
+        assert list(proj.ob_map.items()) == list(zip(objects, ["0", "0", "1", "1", "2", "2"]))
+        assert list(proj.mor_map.items()) == list(zip(
+            ids + arrows,
+            ["id_0", "id_0", "id_1", "id_1", "id_2", "id_2"] + ["le(0,1)"] * 2 + ["le(0,2)"] * 2 + ["le(1,2)"] * 2,
+        ))
+        assert list(into.ob_map.items()) == list(zip(objects, ["(0,x0)", "(0,x1)", "(1,x0)", "(1,x1)", "(3,x0)", "(3,x1)"]))
+        assert list(into.mor_map.items()) == list(zip(
+            ids + arrows,
+            ["id_(0,x0)", "id_(0,x1)", "id_(1,x0)", "id_(1,x1)", "id_(3,x0)", "id_(3,x1)",
+             "(le(0,1),id_x0)@x0", "(le(0,1),id_x1)@x1", "(le(0,3),id_x0)@x0", "(le(0,3),id_x1)@x1",
+             "(le(1,3),id_x0)@x0", "(le(1,3),id_x1)@x1"],
+        ))
+
+
+class TestReportSummary:
+    def test_none_when_every_check_passes(self):
+        rep = Report("all good")
+        rep.ok("first")
+        rep.record("second", None)
+        assert rep.summary() is None
+
+    def test_first_failure_when_two_fail(self):
+        rep = Report("two failures")
+        rep.ok("fine")
+        rep.fail("early", "x0 has no image")
+        rep.fail("late", "f has no image")
+        assert rep.summary() == "early: x0 has no image"
