@@ -14,6 +14,8 @@ from grothkit.dsl import (
 from grothkit.groth import groth
 from grothkit.indexed import check_diagram_opfib, identity_diagram_opfib
 
+SHIPPED = examples.shipped_examples()
+
 
 class TestParse:
     def test_walking_arrow_sample(self):
@@ -198,3 +200,128 @@ class TestDmorEntity:
         ws = parse_workspace(text)
         printed = print_workspace(ws)
         assert print_workspace(parse_workspace(printed)) == printed
+
+
+_OPFIB = SHIPPED["identity_opfib.cat"]
+_CLEAVED = SHIPPED["mutated_cleavage.cat"]
+
+# Malformed workspaces with the exact diagnostics the reader gives for them.
+# Columns count characters of the line, tabs included, from 1.
+PINNED_DIAGNOSTICS = {
+    "statements-on-one-line": (
+        "category C {\tobjects: a b ;  arrows: f a -> b ;\t g: a -> b ;\t\tcompose: x ;  }\n",
+        ["m.cat:1:18: syntax: expected 'name: src -> tgt', got 'f a -> b'",
+         "m.cat:1:51: syntax: expected 'g.f = h', got 'x'"],
+    ),
+    "statements-on-a-body-line": (
+        "category C {\n \tobjects: a  id_a ;\t arrows: f: a -> b ;  g q ; h: b -> b ;"
+        " compose: h.h = h ; zz ;\n}\n",
+        ["m.cat:2:44: syntax: expected 'name: src -> tgt', got 'g q'",
+         "m.cat:2:81: syntax: expected 'g.f = h', got 'zz'"],
+    ),
+    "unterminated-block": (
+        "category A = chain(2)\ncategory C {\n  objects: a ;\n  arrows: f: a -> a ;\n",
+        ["m.cat:2:1: syntax: unterminated block for 'category C'"],
+    ),
+    "builder-without-call": (
+        "category P = poset\n",
+        ["m.cat:1:1: syntax: expected BUILDER(...), got 'poset'"],
+    ),
+    "unknown-builders": (
+        "category P = frob(1)\nfunctor F = twist(P)\ndiagram D on P = flat(P)\ncleavage c = poset(a)\n",
+        ["m.cat:1:1: syntax: unknown category builder 'frob'",
+         "m.cat:2:1: syntax: unknown functor builder 'twist'",
+         "m.cat:3:1: reference: unknown category 'P'",
+         "m.cat:4:1: syntax: cleavage has no builder shorthand"],
+    ),
+    "category-lexical": (
+        "category C { objects: a ; arrows: id_a: a -> a ; }",
+        ["m.cat:1:15: lexical: invalid arrow name 'id_a'"],
+    ),
+    "category-syntax": (
+        "category C { objects: a ; arrows: f a -> a ; }",
+        ["m.cat:1:15: syntax: expected 'name: src -> tgt', got 'f a -> a'"],
+    ),
+    "category-reference": (
+        "category C {\n  objects: a ;\n  arrows: f: a -> a ;\n  compose: f.q = f ;\n}\n",
+        ["m.cat:1:1: reference: compose entry uses undeclared morphism 'q'"],
+    ),
+    "category-semantic": (
+        "category C { objects: a ; arrows: f: a -> b ; }",
+        ["m.cat:1:1: semantic: 'category C': dangling-identifier: morphism f: a -> b uses undeclared object"],
+    ),
+    "functor-lexical": (
+        "category C = chain(2)\nfunctor F|G : C -> C { ob: 0 |-> 0 ; 1 |-> 1 ; arr: le(0,1) |-> le(0,1) ; }\n",
+        ["m.cat:2:1: lexical: invalid functor name 'F|G'"],
+    ),
+    "functor-syntax": (
+        "category C = chain(2)\nfunctor F : C -> C {\n  ob: 0 |-> 0 ;  1 -> 1 ;\n}\n",
+        ["m.cat:3:18: syntax: expected 'x |-> y' in ob/arr section, got '1 -> 1'"],
+    ),
+    "functor-reference": (
+        "functor F : X -> X { }",
+        ["m.cat:1:1: reference: unknown category 'X'", "m.cat:1:1: reference: unknown category 'X'"],
+    ),
+    "functor-semantic": (
+        "category C = chain(2)\nfunctor F : C -> C { ob: 0 |-> 1 ; 1 |-> 0 ; arr: le(0,1) |-> le(0,1) ; }\n",
+        ["m.cat:2:1: semantic: 'functor F : C -> C': boundary-preserved: "
+         "image of le(0,1): 0 -> 1 is le(0,1): 0 -> 1"],
+    ),
+    "cleavage-lexical": (
+        _CLEAVED.replace("cleavage canonical for p", "cleavage can|on for p"),
+        ["m.cat:51:1: lexical: invalid cleavage name 'can|on'"],
+    ),
+    "cleavage-syntax": (
+        _CLEAVED.replace("lift ((a,b), f) |-> (f,id_b)@b ;\n}\ncleavage mutated",
+                         "lift ((a,b), f) -> (f,id_b)@b ;\n}\ncleavage mutated"),
+        ["m.cat:53:3: syntax: expected 'lift (E, f) |-> e', got 'lift ((a,b), f) -> (f,id_b)@b'"],
+    ),
+    "cleavage-reference": (
+        _CLEAVED.replace("cleavage canonical for p", "cleavage canonical for q"),
+        ["m.cat:51:1: reference: unknown functor 'q'"],
+    ),
+    "cleavage-semantic": (
+        _CLEAVED.replace("lift ((a,a), f) |-> (f,id_a)@a ;", "lift ((a,a), f) |-> (id_a,f)@a ;"),
+        ["m.cat:51:1: semantic: 'cleavage canonical for p': lift-over: lift of f at (a,a) lies over id_a"],
+    ),
+    "opfib-lexical": (
+        _OPFIB.replace("opfib phi {", "opfib ph|i {"),
+        ["m.cat:48:1: lexical: invalid opfib name 'ph|i'"],
+    ),
+    "opfib-syntax": (
+        _OPFIB.replace("  total: phi_total ;", "  total: phi_total ;  bogus: x ;"),
+        ["m.cat:50:23: syntax: unexpected statement 'bogus: x' in opfib block"],
+    ),
+    "opfib-reference": (
+        _OPFIB.replace("  over: phi_over ;", "  over: phi_ovr ;"),
+        ["m.cat:48:1: reference: unknown diagram 'phi_ovr'"],
+    ),
+    "opfib-semantic": (
+        _OPFIB.replace("  component b = (phi_p_b, phi_cl_b) ;\n", ""),
+        ["m.cat:48:1: semantic: 'opfib phi': components-total: no component at b"],
+    ),
+    "cocone-lexical": (
+        COCONE_FILE.replace("cocone s for F", "cocone s|t for F"),
+        ["m.cat:9:1: lexical: invalid cocone name 's|t'"],
+    ),
+    "cocone-syntax": (
+        COCONE_FILE.replace("  vertex: U ;", "  vertex U ;"),
+        ["m.cat:10:3: syntax: unexpected statement 'vertex U' in cocone block"],
+    ),
+    "cocone-reference": (
+        COCONE_FILE.replace("cocone s for F", "cocone s for G"),
+        ["m.cat:9:1: reference: unknown diagram 'G'"],
+    ),
+    "cocone-semantic": (
+        COCONE_FILE.replace("  leg b = leg_b ;", "  leg b = leg_a ;"),
+        ["m.cat:9:1: semantic: 'cocone s for F': cell-boundary: cell at f is not leg[a] => leg[b]∘F(f)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIAGNOSTICS))
+def test_pinned_diagnostics(case):
+    text, expected = PINNED_DIAGNOSTICS[case]
+    with pytest.raises(WorkspaceParseError) as err:
+        parse_workspace(text, "m.cat")
+    assert [d.describe() for d in err.value.diagnostics] == expected
