@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import build
 from .fincat import (
@@ -57,6 +58,25 @@ from .report import ValidationError
 NAME_RE = re.compile(r"^[^\s;:.={}#|]+$")
 RESERVED_MEMBERS = {"objects", "arrows", "compose", "ob", "arr"}
 KINDS = ("category", "functor", "nattrans", "diagram", "dmor", "cleavage", "opfib", "cocone")
+
+_Statements = Iterator[tuple[str, int, int]]  # (text, line, col) of each statement
+
+# One pattern per statement form, compiled once; each is used with `match`.
+# A statement runs from its first to its last character that is neither `;` nor whitespace.
+_STATEMENT = re.compile(r"[^;\s](?:[^;]*[^;\s])?")
+_ARROW = re.compile(r"(\S+?)\s*:\s*(\S+)\s*->\s*(\S+)$")
+_COMPOSE = re.compile(r"(\S+)\.(\S+)\s*=\s*(\S+)$")
+_BUILDER = re.compile(r"(\w+)\s*\((.*)\)$", re.DOTALL)
+_PRODUCT = re.compile(r"(\S+?)\.(\S+?)=(\S+)$")
+_FUNCTOR_HEAD = re.compile(r"functor\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+_NATTRANS_HEAD = re.compile(r"nattrans\s+(\S+)\s*:\s*(\S+)\s*=>\s*(\S+)$")
+_DMOR_HEAD = re.compile(r"dmor\s+(\S+)\s*:\s*(\S+)\s*=>\s*(\S+)$")
+_MAPS_TO = re.compile(r"(\S+)\s*\|->\s*(\S+)$")
+_AT = re.compile(r"at\s+(\S+)\s*=\s*(\S+)$")
+_LIFT = re.compile(r"lift\s*\((.*)\)\s*\|->\s*(\S+)$")
+# the keywords of each alternation differ in their first letter, so at most one branch matches
+_OPFIB_ENTRY = re.compile(r"(?:(over|total|flavor)\s*:\s*(\S+)|component\s+(\S+)\s*=\s*\((.*)\))$")
+_COCONE_ENTRY = re.compile(r"(?:vertex\s*:\s*(\S+)|(leg|cell)\s+(\S+)\s*=\s*(\S+))$")
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,8 @@ class Workspace:
 
 def split_top(s: str, sep: str = ",") -> list[str]:
     """Split on separators not nested inside parentheses or brackets."""
+    if not any(ch in s for ch in "()[]"):
+        return [p.strip() for p in s.split(sep)]
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch in "([":
@@ -136,11 +158,23 @@ def _valid_name(tok: str) -> bool:
 # parsing
 
 
-@dataclass
-class _Stmt:
-    text: str
-    line: int
-    col: int
+def _stmts(first: int, texts: list[str]) -> _Statements:
+    """(text, line, col) of each `;`-separated statement, stripped, of consecutive lines from line `first`."""
+    for line_no, text in enumerate(texts, first):
+        for m in _STATEMENT.finditer(text):
+            yield m[0], line_no, m.start() + 1
+
+
+def _sections(stmts: _Statements, labels: tuple[str, ...]) -> Iterator[tuple[str | None, str, int, int]]:
+    """(section, text, line, col) of each statement; a leading `label:` opens a section."""
+    section = None
+    for text, line, col in stmts:
+        label, colon, rest = text.partition(":")
+        if colon and label in labels:
+            section, text = label, rest.strip()
+            if not text:
+                continue
+        yield section, text, line, col
 
 
 class _Parser:
@@ -149,31 +183,22 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.ws = Workspace()
         # strip comments but keep line structure for positions
-        self.lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
+        self.lines = text.splitlines()
+        if "#" in text:
+            self.lines = [ln.partition("#")[0] for ln in self.lines]
 
     # -- diagnostics --------------------------------------------------------
 
     def err(self, kind: str, line: int, col: int, message: str) -> None:
         self.diags.append(Diagnostic(self.filename, line, col, kind, message))
 
-    # -- statement stream ---------------------------------------------------
-
-    def _stmts(self, body: list[tuple[int, str]]) -> list[_Stmt]:
-        out = []
-        for line_no, text in body:
-            col = 1
-            for piece in text.split(";"):
-                stripped = piece.strip()
-                if stripped:
-                    out.append(_Stmt(stripped, line_no, col + piece.index(stripped[0])))
-                col += len(piece) + 1
-        return out
+    # -- declarations and blocks -------------------------------------------
 
     def parse(self) -> Workspace:
-        i = 0
-        n = len(self.lines)
+        lines = self.lines
+        i, n = 0, len(lines)
         while i < n:
-            line = self.lines[i]
+            line = lines[i]
             stripped = line.strip()
             if not stripped:
                 i += 1
@@ -184,29 +209,26 @@ class _Parser:
                 i += 1
                 continue
             if "{" in stripped:
-                header = stripped[: stripped.index("{")].strip()
-                rest = stripped[stripped.index("{") + 1 :]
-                body: list[tuple[int, str]] = []
-                closed = False
-                if "}" in rest:
-                    body.append((i + 1, rest[: rest.index("}")]))
-                    closed = True
-                else:
-                    body.append((i + 1, rest))
-                j = i + 1
-                while not closed and j < n:
-                    ln = self.lines[j]
-                    if "}" in ln:
-                        body.append((j + 1, ln[: ln.index("}")]))
-                        closed = True
-                    else:
-                        body.append((j + 1, ln))
+                start = line.index("{") + 1
+                header = line[: start - 1].strip()
+                j, close = i, line.find("}", start)
+                while close < 0:
                     j += 1
-                if not closed:
-                    self.err("syntax", i + 1, 1, f"unterminated block for {header!r}")
-                    return self._finish()
-                self._entity(header, self._stmts(body), i + 1)
-                i = j if "}" not in stripped else i + 1
+                    if j == n:
+                        self.err("syntax", i + 1, 1, f"unterminated block for {header!r}")
+                        return self._finish()
+                    close = lines[j].find("}")
+                if j == i:
+                    body = [line[start:close]]
+                else:
+                    body = [line[start:], *lines[i + 1 : j], lines[j][:close]]
+                self._entity(header, _stmts(i + 1, body), i + 1)
+                tail = lines[j][close + 1 :]
+                if tail.strip():
+                    col = close + 2 + tail.index(tail.strip()[0])
+                    self.err("syntax", j + 1, col, f"unexpected text after '}}': {tail.strip()!r}")
+                # a `}` before the `{` leaves the following lines to be read as declarations
+                i = i + 1 if "}" in header else j + 1
             elif "=" in stripped:
                 header, expr = stripped.split("=", 1)
                 self._builder(header.strip(), expr.strip(), i + 1)
@@ -246,7 +268,7 @@ class _Parser:
 
     # -- entities -----------------------------------------------------------
 
-    def _entity(self, header: str, stmts: list[_Stmt], line: int) -> None:
+    def _entity(self, header: str, stmts: _Statements, line: int) -> None:
         words = header.split()
         kind = words[0]
         try:
@@ -270,7 +292,7 @@ class _Parser:
             detail = err.report.summary() or err.report.title
             self.err("semantic", line, 1, f"{header!r}: {detail}")
 
-    def _category(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
+    def _category(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 2:
             self.err("syntax", line, 1, "expected: category NAME { ... }")
             return
@@ -278,63 +300,53 @@ class _Parser:
         objects: list[str] = []
         arrows: list[tuple[str, str, str]] = []
         comp: dict[tuple[str, str], str] = {}
-        section = None
         ok = True
-        for st in stmts:
-            text = st.text
-            for label in ("objects", "arrows", "compose"):
-                if text == label + ":" or text.startswith(label + ":"):
-                    section = label
-                    text = text[len(label) + 1 :].strip()
-                    break
-            if not text:
-                continue
+        for section, text, ln, col in _sections(stmts, ("objects", "arrows", "compose")):
             if section == "objects":
                 for tok in text.split():
-                    if self._check_member(tok, st.line, st.col, "object"):
+                    if self._check_member(tok, ln, col, "object"):
                         objects.append(tok)
                     else:
                         ok = False
             elif section == "arrows":
-                m = re.match(r"^(\S+?)\s*:\s*(\S+)\s*->\s*(\S+)$", text)
+                m = _ARROW.match(text)
                 if not m:
-                    self.err("syntax", st.line, st.col, f"expected 'name: src -> tgt', got {text!r}")
+                    self.err("syntax", ln, col, f"expected 'name: src -> tgt', got {text!r}")
                     ok = False
-                    continue
-                nm, s, t = m.groups()
-                if self._check_member(nm, st.line, st.col, "arrow"):
-                    arrows.append((nm, s, t))
+                elif self._check_member(m[1], ln, col, "arrow"):
+                    arrows.append(m.groups())
                 else:
                     ok = False
             elif section == "compose":
-                m = re.match(r"^(\S+)\.(\S+)\s*=\s*(\S+)$", text)
+                m = _COMPOSE.match(text)
                 if not m:
-                    self.err("syntax", st.line, st.col, f"expected 'g.f = h', got {text!r}")
+                    self.err("syntax", ln, col, f"expected 'g.f = h', got {text!r}")
                     ok = False
-                    continue
-                g, f, h = m.groups()
-                comp[(g, f)] = h
+                else:
+                    comp[(m[1], m[2])] = m[3]
             else:
-                self.err("syntax", st.line, st.col, f"statement outside a section: {text!r}")
+                self.err("syntax", ln, col, f"statement outside a section: {text!r}")
                 ok = False
         if not ok:
             return
         declared = {a for a, _, _ in arrows} | {id_name(x) for x in objects}
-        for (g, f), h in comp.items():
-            for tok in (g, f, h):
-                if tok not in declared:
-                    self.err("reference", line, 1, f"compose entry uses undeclared morphism {tok!r}")
-                    return
+        if not declared.issuperset(chain(chain.from_iterable(comp), comp.values())):
+            # name the first undeclared morphism in entry order
+            for (g, f), h in comp.items():
+                for tok in (g, f, h):
+                    if tok not in declared:
+                        self.err("reference", line, 1, f"compose entry uses undeclared morphism {tok!r}")
+                        return
         self._declare("category", name, {}, make_category(name, objects, arrows, comp), line)
 
     def _builder(self, header: str, expr: str, line: int) -> None:
         words = header.split()
         kind = words[0]
-        m = re.match(r"^(\w+)\s*\((.*)\)$", expr, re.DOTALL)
+        m = _BUILDER.match(expr)
         if not m:
             self.err("syntax", line, 1, f"expected BUILDER(...), got {expr!r}")
             return
-        builder, argtext = m.group(1), m.group(2).strip()
+        builder, argtext = m[1], m[2].strip()
         try:
             if kind == "category":
                 if len(words) != 2:
@@ -373,6 +385,11 @@ class _Parser:
             args = []
         elif builder == "poset":
             elems_text, _, rel_text = argtext.partition(":")
+            # the printer writes poset elements as objects and delooping elements as arrows;
+            # the checks run in a list so that every invalid element is reported
+            elems = elems_text.split()
+            if not all([self._check_member(x, line, 1, "object") for x in elems]):
+                return None
             rel = []
             for item in rel_text.split():
                 if "<" not in item:
@@ -380,17 +397,20 @@ class _Parser:
                     return None
                 x, y = item.split("<", 1)
                 rel.append((x, y))
-            args = [elems_text.split(), rel]
+            args = [elems, rel]
         elif builder == "delooping":
             elems_text, _, prod_text = argtext.partition(":")
+            elems = elems_text.split()
+            if not all([self._check_member(x, line, 1, "arrow") for x in elems]):
+                return None
             table = {}
             for item in prod_text.split():
-                m = re.match(r"^(\S+?)\.(\S+?)=(\S+)$", item)
+                m = _PRODUCT.match(item)
                 if not m:
                     self.err("syntax", line, 1, f"delooping product item {item!r} must be x.y=z")
                     return None
-                table[(m.group(1), m.group(2))] = m.group(3)
-            args = [elems_text.split(), table]
+                table[(m[1], m[2])] = m[3]
+            args = [elems, table]
         elif builder not in ("product", "opposite", "slice", "coslice"):
             self.err("syntax", line, 1, f"unknown category builder {builder!r}")
             return None
@@ -498,8 +518,8 @@ class _Parser:
             return
         self._declare("diagram", name, refs, value, line)
 
-    def _functor(self, header: str, stmts: list[_Stmt], line: int) -> None:
-        m = re.match(r"^functor\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", header)
+    def _functor(self, header: str, stmts: _Statements, line: int) -> None:
+        m = _FUNCTOR_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: functor NAME : C -> D { ... }")
             return
@@ -510,22 +530,12 @@ class _Parser:
             return
         ob_map: dict[str, str] = {}
         mor_map: dict[str, str] = {}
-        section = None
-        for st in stmts:
-            text = st.text
-            for label in ("ob", "arr"):
-                if text == label + ":" or text.startswith(label + ":"):
-                    section = label
-                    text = text[len(label) + 1 :].strip()
-                    break
-            if not text:
-                continue
-            m = re.match(r"^(\S+)\s*\|->\s*(\S+)$", text)
+        for section, text, ln, col in _sections(stmts, ("ob", "arr")):
+            m = _MAPS_TO.match(text)
             if not m or section is None:
-                self.err("syntax", st.line, st.col, f"expected 'x |-> y' in ob/arr section, got {text!r}")
+                self.err("syntax", ln, col, f"expected 'x |-> y' in ob/arr section, got {text!r}")
                 return
-            k, v = m.groups()
-            (ob_map if section == "ob" else mor_map)[k] = v
+            (ob_map if section == "ob" else mor_map)[m[1]] = m[2]
         for x in dom.objects:
             if x in ob_map:
                 mor_map.setdefault(dom.identity[x], cod.identity.get(ob_map[x], ""))
@@ -537,8 +547,8 @@ class _Parser:
             line,
         )
 
-    def _nattrans(self, header: str, stmts: list[_Stmt], line: int) -> None:
-        m = re.match(r"^nattrans\s+(\S+)\s*:\s*(\S+)\s*=>\s*(\S+)$", header)
+    def _nattrans(self, header: str, stmts: _Statements, line: int) -> None:
+        m = _NATTRANS_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: nattrans NAME : F => G { ... }")
             return
@@ -558,17 +568,17 @@ class _Parser:
             line,
         )
 
-    def _at_block(self, stmts: list[_Stmt]) -> dict[str, str] | None:
+    def _at_block(self, stmts: _Statements) -> dict[str, str] | None:
         out: dict[str, str] = {}
-        for st in stmts:
-            m = re.match(r"^at\s+(\S+)\s*=\s*(\S+)$", st.text)
+        for text, ln, col in stmts:
+            m = _AT.match(text)
             if not m:
-                self.err("syntax", st.line, st.col, f"expected 'at key = value', got {st.text!r}")
+                self.err("syntax", ln, col, f"expected 'at key = value', got {text!r}")
                 return None
-            out[m.group(1)] = m.group(2)
+            out[m[1]] = m[2]
         return out
 
-    def _diagram(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
+    def _diagram(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 4 or words[2] != "on":
             self.err("syntax", line, 1, "expected: diagram NAME on BASE { ... }")
             return
@@ -611,8 +621,8 @@ class _Parser:
             line,
         )
 
-    def _dmor(self, header: str, stmts: list[_Stmt], line: int) -> None:
-        m = re.match(r"^dmor\s+(\S+)\s*:\s*(\S+)\s*=>\s*(\S+)$", header)
+    def _dmor(self, header: str, stmts: _Statements, line: int) -> None:
+        m = _DMOR_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: dmor NAME : F => G { ... }")
             return
@@ -640,7 +650,7 @@ class _Parser:
             line,
         )
 
-    def _cleavage(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
+    def _cleavage(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 4 or words[2] != "for":
             self.err("syntax", line, 1, "expected: cleavage NAME for FUNCTOR { ... }")
             return
@@ -649,16 +659,16 @@ class _Parser:
         if p is None:
             return
         lifts: dict[tuple[str, str], str] = {}
-        for st in stmts:
-            m = re.match(r"^lift\s*\((.*)\)\s*\|->\s*(\S+)$", st.text)
+        for text, ln, col in stmts:
+            m = _LIFT.match(text)
             if not m:
-                self.err("syntax", st.line, st.col, f"expected 'lift (E, f) |-> e', got {st.text!r}")
+                self.err("syntax", ln, col, f"expected 'lift (E, f) |-> e', got {text!r}")
                 return
-            parts = split_top(m.group(1))
+            parts = split_top(m[1])
             if len(parts) != 2:
-                self.err("syntax", st.line, st.col, f"expected two entries in lift key, got {m.group(1)!r}")
+                self.err("syntax", ln, col, f"expected two entries in lift key, got {m[1]!r}")
                 return
-            lifts[(parts[0], parts[1])] = m.group(2)
+            lifts[(parts[0], parts[1])] = m[2]
         total, base = p.dom, p.cod
         for e in total.objects:
             lifts.setdefault((e, base.identity[p.ob_map[e]]), total.identity[e])
@@ -674,7 +684,7 @@ class _Parser:
             value = Cleavage(dict(lifts))
         self._declare("cleavage", name, {"functor": p_name}, value, line)
 
-    def _opfib(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
+    def _opfib(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 2:
             self.err("syntax", line, 1, "expected: opfib NAME { ... }")
             return
@@ -682,32 +692,27 @@ class _Parser:
         over_name = total_name = None
         flavor = "opfibration"
         comps: dict[str, tuple[str, str]] = {}
-        for st in stmts:
-            m = re.match(r"^over\s*:\s*(\S+)$", st.text)
-            if m:
-                over_name = m.group(1)
-                continue
-            m = re.match(r"^total\s*:\s*(\S+)$", st.text)
-            if m:
-                total_name = m.group(1)
-                continue
-            m = re.match(r"^flavor\s*:\s*(\S+)$", st.text)
-            if m:
-                flavor = m.group(1)
+        for text, ln, col in stmts:
+            m = _OPFIB_ENTRY.match(text)
+            if not m:
+                self.err("syntax", ln, col, f"unexpected statement {text!r} in opfib block")
+                return
+            key, value, a, pair = m.groups()
+            if key == "over":
+                over_name = value
+            elif key == "total":
+                total_name = value
+            elif key == "flavor":
+                flavor = value
                 if flavor not in ("opfibration", "fibration"):
-                    self.err("syntax", st.line, st.col, f"unknown flavor {flavor!r}")
+                    self.err("syntax", ln, col, f"unknown flavor {flavor!r}")
                     return
-                continue
-            m = re.match(r"^component\s+(\S+)\s*=\s*\((.*)\)$", st.text)
-            if m:
-                parts = split_top(m.group(2))
+            else:
+                parts = split_top(pair)
                 if len(parts) != 2:
-                    self.err("syntax", st.line, st.col, "component needs (functor, cleavage)")
+                    self.err("syntax", ln, col, "component needs (functor, cleavage)")
                     return
-                comps[m.group(1)] = (parts[0], parts[1])
-                continue
-            self.err("syntax", st.line, st.col, f"unexpected statement {st.text!r} in opfib block")
-            return
+                comps[a] = (parts[0], parts[1])
         if over_name is None or total_name is None:
             self.err("syntax", line, 1, "opfib block needs 'over:' and 'total:' entries")
             return
@@ -732,7 +737,7 @@ class _Parser:
             line,
         )
 
-    def _cocone(self, words: list[str], stmts: list[_Stmt], line: int) -> None:
+    def _cocone(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 4 or words[2] != "for":
             self.err("syntax", line, 1, "expected: cocone NAME for DIAGRAM { ... }")
             return
@@ -743,21 +748,16 @@ class _Parser:
         vertex_name = None
         leg_refs: dict[str, str] = {}
         cell_refs: dict[str, str] = {}
-        for st in stmts:
-            m = re.match(r"^vertex\s*:\s*(\S+)$", st.text)
-            if m:
-                vertex_name = m.group(1)
-                continue
-            m = re.match(r"^leg\s+(\S+)\s*=\s*(\S+)$", st.text)
-            if m:
-                leg_refs[m.group(1)] = m.group(2)
-                continue
-            m = re.match(r"^cell\s+(\S+)\s*=\s*(\S+)$", st.text)
-            if m:
-                cell_refs[m.group(1)] = m.group(2)
-                continue
-            self.err("syntax", st.line, st.col, f"unexpected statement {st.text!r} in cocone block")
-            return
+        for text, ln, col in stmts:
+            m = _COCONE_ENTRY.match(text)
+            if not m:
+                self.err("syntax", ln, col, f"unexpected statement {text!r} in cocone block")
+                return
+            vertex, key, a, ref = m.groups()
+            if vertex is not None:
+                vertex_name = vertex
+            else:
+                (leg_refs if key == "leg" else cell_refs)[a] = ref
         if vertex_name is None:
             self.err("syntax", line, 1, "cocone block needs a 'vertex:' entry")
             return
@@ -814,14 +814,13 @@ def parse_files(paths: Iterable[str]) -> Workspace:
 def _print_category(c: FinCat, name: str, out: list[str]) -> None:
     out.append(f"category {name} {{")
     out.append("  objects: " + " ".join(c.objects) + " ;")
-    non_ids = [m for m in c.mors if not c.is_identity(m)]
+    ids = set(c.identity.values())
+    non_ids = [m for m in c.mors if m not in ids]
     if non_ids:
         out.append("  arrows:")
         for m in non_ids:
             out.append(f"    {m}: {c.src[m]} -> {c.tgt[m]} ;")
-        entries = sorted(
-            ((g, f, h) for (g, f), h in c.comp.items() if not c.is_identity(g) and not c.is_identity(f))
-        )
+        entries = sorted((g, f, h) for (g, f), h in c.comp.items() if g not in ids and f not in ids)
         if entries:
             out.append("  compose:")
             for g, f, h in entries:
@@ -835,7 +834,8 @@ def _print_functor(e: Entity, out: list[str]) -> None:
     out.append("  ob:")
     for x in t.dom.objects:
         out.append(f"    {x} |-> {t.ob_map[x]} ;")
-    non_ids = [m for m in t.dom.mors if not t.dom.is_identity(m)]
+    ids = set(t.dom.identity.values())
+    non_ids = [m for m in t.dom.mors if m not in ids]
     if non_ids:
         out.append("  arr:")
         for m in non_ids:
@@ -874,8 +874,9 @@ def print_workspace(ws: Workspace) -> str:
         cl: Cleavage = e.value
         p: FunctorData = ws.get("functor", e.refs["functor"])
         out.append(f"cleavage {e.name} for {e.refs['functor']} {{")
+        base_ids = set(p.cod.identity.values())
         for (obj, f), m in sorted(cl.lifts.items()):
-            if p.cod.is_identity(f) and m == p.dom.identity[obj]:
+            if f in base_ids and m == p.dom.identity[obj]:
                 continue
             out.append(f"  lift ({obj}, {f}) |-> {m} ;")
         out.append("}")

@@ -244,3 +244,33 @@ def brute_isos(c: FinCat, d: FinCat, ob_allowed=None, mor_allowed=None) -> set:
 
 def freeze_tables(ob_map, mor_map):
     return tuple(sorted(ob_map.items())), tuple(sorted(mor_map.items()))
+
+
+def reference_stmts(body: list[tuple[int, str]]) -> list[tuple[str, int, int]]:
+    """(text, line, col) of each `;`-separated statement of (line, text) pairs, by splitting and stripping."""
+    out = []
+    for line_no, text in body:
+        col = 1
+        for piece in text.split(";"):
+            stripped = piece.strip()
+            if stripped:
+                out.append((stripped, line_no, col + piece.index(stripped[0])))
+            col += len(piece) + 1
+    return out
+
+
+def reference_split_top(s: str, sep: str = ",") -> list[str]:
+    """Split on separators not nested inside parentheses or brackets, one character at a time."""
+    parts, depth, cur = [], 0, []
+    for ch in s:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [p.strip() for p in parts]

@@ -1,9 +1,14 @@
+import re
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothkit import build, examples
 from grothkit.dsl import (
     Workspace,
     WorkspaceParseError,
+    _stmts,
     export_opfib,
     parse_workspace,
     print_workspace,
@@ -13,6 +18,8 @@ from grothkit.dsl import (
 )
 from grothkit.groth import groth
 from grothkit.indexed import check_diagram_opfib, identity_diagram_opfib
+
+from helpers import reference_split_top, reference_stmts
 
 SHIPPED = examples.shipped_examples()
 
@@ -325,3 +332,85 @@ def test_pinned_diagnostics(case):
     with pytest.raises(WorkspaceParseError) as err:
         parse_workspace(text, "m.cat")
     assert [d.describe() for d in err.value.diagnostics] == expected
+
+
+class TestTextAfterBlock:
+    """Text after a block's closing brace is refused, at its own column."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("category C { objects: a ; } category D { objects: b ; }",
+         "m.cat:1:29: syntax: unexpected text after '}': 'category D { objects: b ; }'"),
+        ("category C {\n  objects: a ;\n} junk\n",
+         "m.cat:3:3: syntax: unexpected text after '}': 'junk'"),
+        ("category C {\n  objects: a ;\n}\t }  # a comment\n",
+         "m.cat:3:4: syntax: unexpected text after '}': '}'"),
+    ])
+    def test_reported(self, text, expected):
+        with pytest.raises(WorkspaceParseError) as err:
+            parse_workspace(text, "m.cat")
+        assert [d.describe() for d in err.value.diagnostics] == [expected]
+
+    def test_whitespace_and_comments_after_brace_are_fine(self):
+        ws = parse_workspace("category C { objects: a ; }  \t# done\ncategory D {\n objects: b ;\n}\u00a0\n")
+        assert ws.names("category") == ["C", "D"]
+
+
+class TestBuilderElementNames:
+    """poset(...) elements are checked as objects and delooping(...) elements as arrows."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("category P = poset(x, y; x<=y, y<=x)",
+         ["m.cat:1:1: lexical: invalid object name 'y;'",
+          "m.cat:1:1: lexical: invalid object name 'x<=y,'",
+          "m.cat:1:1: lexical: invalid object name 'y<=x'"]),
+        ("category R = poset(a;b c : c<a;b)",
+         ["m.cat:1:1: lexical: invalid object name 'a;b'"]),
+        ("category G = delooping(e, a; a.a=a)",
+         ["m.cat:1:1: lexical: invalid arrow name 'a;'",
+          "m.cat:1:1: lexical: invalid arrow name 'a.a=a'"]),
+        ("category G = delooping(e id_a : id_a.id_a=e)",
+         ["m.cat:1:1: lexical: invalid arrow name 'id_a'"]),
+    ])
+    def test_invalid_elements_are_lexical_errors(self, text, expected):
+        with pytest.raises(WorkspaceParseError) as err:
+            parse_workspace(text, "m.cat")
+        assert [d.describe() for d in err.value.diagnostics] == expected
+
+
+# Statement text drawn from names, separators, brackets and ASCII and non-ASCII whitespace.
+_TEXT = st.lists(
+    st.sampled_from(["a", "f", "x1", "(a,b)", "id_a", "->", "|->", ";", ",", "(", ")", "[", "]",
+                     " ", "  ", "\t", "\u00a0", "\u3000"]),
+    max_size=14,
+).map("".join)
+
+
+class TestTextKernelsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TEXT, max_size=4), st.integers(min_value=1, max_value=50))
+    def test_statement_stream(self, texts, first):
+        body = list(enumerate(texts, first))
+        assert list(_stmts(first, texts)) == reference_stmts(body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT)
+    def test_split_top(self, text):
+        assert split_top(text) == reference_split_top(text)
+
+
+def test_parsing_compiles_and_looks_up_no_pattern():
+    """Every pattern the reader uses is compiled at import, so parsing touches no `re` function."""
+    ws = parse_workspace(SHIPPED["deltaB.cat"])
+    ws_add_category(ws, "F_total", groth(ws.get("diagram", "F")).total)
+    printed = print_workspace(ws)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re called while parsing")
+
+    with mock.patch.multiple(re, match=refuse, search=refuse, fullmatch=refuse, compile=refuse):
+        for name, text in SHIPPED.items():
+            try:
+                parse_workspace(text, name)
+            except WorkspaceParseError:
+                assert name == "broken_assoc.cat"
+        assert parse_workspace(printed).get("category", "F_total").tables_equal(ws.get("category", "F_total"))
