@@ -39,32 +39,33 @@ def walking_iso() -> FinCat:
 
 
 def poset(elements: Sequence[str], relation: Sequence[tuple[str, str]], name: str | None = None) -> FinCat:
-    """Poset category; the relation is closed reflexively and transitively first."""
+    """Poset category; the relation is closed reflexively and transitively first, and a
+    cycle is reported by its first pair x <= y, y <= x in sorted order."""
     elems = list(elements)
-    le = {(x, x) for x in elems} | {p for p in relation}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(le):
-            for y2, z in list(le):
-                if y2 == y and (x, z) not in le:
-                    le.add((x, z))
-                    changed = True
-    for x, y in le:
-        if x != y and (y, x) in le:
-            rep = Report("build poset")
-            rep.fail("antisymmetry", f"{x} <= {y} and {y} <= {x}")
-            raise ValidationError(rep)
+    # reach[x]: every y with x <= y, closed over successor sets in Warshall's order
+    reach: dict[str, set[str]] = {x: {x} for x in elems}
+    for x, y in relation:
+        reach.setdefault(x, set()).add(y)
+    for k, above_k in reach.items():
+        for above in reach.values():
+            if k in above:
+                above |= above_k
+    ups = {x: sorted(reach[x]) for x in sorted(reach)}
+    cycle = [(x, y) for x, above in ups.items() for y in above if x != y and x in reach.get(y, ())]
+    if cycle:
+        x, y = cycle[0]
+        rep = Report("build poset")
+        rep.fail("antisymmetry", f"{x} <= {y} and {y} <= {x}")
+        raise ValidationError(rep)
 
     def mor(x: str, y: str) -> str:
         return id_name(x) if x == y else f"le({x},{y})"
 
-    arrows = [(mor(x, y), x, y) for x, y in sorted(le) if x != y]
-    comp: dict[tuple[str, str], str] = {}
-    for x, y in sorted(le):
-        for y2, z in sorted(le):
-            if y2 == y and x != y and y != z:
-                comp[(mor(y, z), mor(x, y))] = mor(x, z)
+    arrows = [(mor(x, y), x, y) for x, above in ups.items() for y in above if x != y]
+    comp = {
+        (mor(y, z), mor(x, y)): mor(x, z)
+        for x, above in ups.items() for y in above if x != y for z in ups.get(y, ()) if y != z
+    }
     return make_category(name or f"poset({len(elems)})", elems, arrows, comp)
 
 

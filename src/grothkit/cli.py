@@ -506,6 +506,13 @@ def run_command(argv: list[str]) -> int:
 
     try:
         outcome: Outcome = args.handler(args)
+        dest = getattr(args, "output", None)
+        if dest and outcome.output is not None:
+            try:
+                with open(dest, "w", encoding="utf-8") as fh:
+                    fh.write(outcome.output)
+            except OSError as err:
+                raise UsageError(f"cannot write {dest}: {err.strerror}") from err
     except UsageError as err:
         outcome = Outcome("error", counterexamples=[str(err)], text=str(err))
     except WorkspaceParseError as err:
@@ -540,13 +547,8 @@ def _emit(args, outcome: Outcome, as_json: bool) -> None:
     else:
         if outcome.text:
             print(outcome.text)
-    if outcome.output is not None:
-        dest = getattr(args, "output", None)
-        if dest:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(outcome.output)
-        elif not as_json:
-            print(outcome.output, end="")
+    if outcome.output is not None and not getattr(args, "output", None) and not as_json:
+        print(outcome.output, end="")  # with -o, run_command has written it
 
 
 def main() -> None:

@@ -53,7 +53,7 @@ from .fincat import (
 from .groth import LaxCocone, validate_lax_cocone
 from .indexed import DiagramOpfib, diagram_opfib
 from .opfib import Cleavage, cleaved_opfib
-from .report import ValidationError
+from .report import UsageError, ValidationError
 
 NAME_RE = re.compile(r"^[^\s;:.={}#|]+$")
 RESERVED_MEMBERS = {"objects", "arrows", "compose", "ob", "arr"}
@@ -795,12 +795,16 @@ def parse_workspace(text: str, filename: str = "<input>") -> Workspace:
 
 
 def parse_files(paths: Iterable[str]) -> Workspace:
-    """Parse several files into one workspace (later files see earlier entities)."""
-    parser: _Parser | None = None
+    """Parse several files into one workspace (later files see earlier entities);
+    a file that cannot be opened or is not UTF-8 text raises UsageError naming it."""
     ws = Workspace()
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+            raise UsageError(f"cannot read {path}: {reason}") from err
         parser = _Parser(text, path)
         parser.ws = ws
         parser.parse()

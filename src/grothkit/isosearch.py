@@ -206,21 +206,27 @@ def iter_iso_tables(
         ):
             return
 
+        wide = {x for x, u in ob_map.items() if u in d.wide_sources}
+
         def consistent(m: str) -> bool:
             # check every composition constraint whose three participants are now
-            # assigned and one of which is m: g∘m, m∘f and the factorizations of m
+            # assigned and one of which is m: g∘m, m∘f and the factorizations of m.
+            # Every image lies in the hom-set between the images of its ends, so a
+            # constraint on composites out of x holds unless x is in `wide`
             n = mor_map[m]
+            for f in into[c.src[m]]:
+                nf = mor_map.get(f)
+                if nf is not None and c.src[f] in wide:
+                    h = mor_map.get(c.comp[(m, f)])
+                    if h is not None and d.comp[(n, nf)] != h:
+                        return False
+            if c.src[m] not in wide:
+                return True
             for g in c.out(c.tgt[m]):
                 ng = mor_map.get(g)
                 if ng is not None:
                     h = mor_map.get(c.comp[(g, m)])
                     if h is not None and d.comp[(ng, n)] != h:
-                        return False
-            for f in into[c.src[m]]:
-                nf = mor_map.get(f)
-                if nf is not None:
-                    h = mor_map.get(c.comp[(m, f)])
-                    if h is not None and d.comp[(n, nf)] != h:
                         return False
             for g, f in c.factorizations[m]:
                 if g in mor_map and f in mor_map:

@@ -79,4 +79,5 @@ class ValidationError(Exception):
 
 class UsageError(ValueError):
     """Raised when arguments that are each valid do not fit together, e.g. a functor
-    that does not land in the base it is applied to.  The CLI exits 2 on it."""
+    that does not land in the base it is applied to, or when a named file cannot be
+    read or written.  The CLI exits 2 on it."""

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from grothkit.fincat import CatDiagram, FinCat, FunctorData, validate_category
+from grothkit.fincat import CatDiagram, FinCat, FunctorData, id_name, make_category, validate_category
+from grothkit.report import Report, ValidationError
 
 
 def group_axiom_failures(elements, table, unit) -> list[str]:
@@ -114,6 +115,80 @@ def reference_category_violations(objects, arrows, identity, comp) -> list[tuple
                 if left != right:
                     out.append(("associativity", f"({h}∘{g})∘{f} = {left} but {h}∘({g}∘{f}) = {right}"))
     return out
+
+
+def reference_functor_violations(dom: FinCat, cod: FinCat, ob_map, mor_map) -> list[tuple[str, str]]:
+    """(law, message) pairs that validate_functor must report, by a scan over all pairs.
+
+    Every (f, g) in mors x mors with tgt f = src g is checked for
+    composition, whatever hom-set the two sides lie in, stopping at the same
+    stages as the validator.  An empty list means the maps form a functor.
+    """
+    out: list[tuple[str, str]] = []
+    for x in dom.objects:
+        if x not in ob_map:
+            out.append(("object-map-total", f"no image for object {x}"))
+        elif ob_map[x] not in cod.objects:
+            out.append(("dangling-identifier", f"object image {ob_map[x]} not in codomain"))
+    for m in dom.mors:
+        if m not in mor_map:
+            out.append(("morphism-map-total", f"no image for morphism {m}"))
+        elif mor_map[m] not in cod.mors:
+            out.append(("dangling-identifier", f"morphism image {mor_map[m]} not in codomain"))
+    if out:
+        return out
+
+    for m in dom.mors:
+        n = mor_map[m]
+        if cod.src[n] != ob_map[dom.src[m]] or cod.tgt[n] != ob_map[dom.tgt[m]]:
+            out.append(("boundary-preserved",
+                        f"image of {m}: {dom.src[m]} -> {dom.tgt[m]} is {n}: {cod.src[n]} -> {cod.tgt[n]}"))
+    for x in dom.objects:
+        if mor_map[dom.identity[x]] != cod.identity[ob_map[x]]:
+            out.append(("identities-preserved", f"image of id at {x} is {mor_map[dom.identity[x]]}"))
+    if out:
+        return out
+
+    for f in dom.mors:
+        for g in dom.mors:
+            if dom.src[g] == dom.tgt[f]:
+                lhs, rhs = mor_map[dom.comp[(g, f)]], cod.comp[(mor_map[g], mor_map[f])]
+                if lhs != rhs:
+                    out.append(("composition-preserved", f"image of {g}∘{f} is {lhs}, but images compose to {rhs}"))
+    return out
+
+
+def reference_poset(elements, relation, name=None) -> FinCat:
+    """The poset category by closing the relation to a fixpoint over all pairs of pairs.
+
+    Arrows and composites are listed in sorted order of the pairs, and a
+    cycle is reported by its first pair x <= y, y <= x in sorted order.
+    """
+    le = {(x, x) for x in elements} | set(relation)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(le):
+            for y2, z in list(le):
+                if y2 == y and (x, z) not in le:
+                    le.add((x, z))
+                    changed = True
+    for x, y in sorted(le):
+        if x != y and (y, x) in le:
+            rep = Report("build poset")
+            rep.fail("antisymmetry", f"{x} <= {y} and {y} <= {x}")
+            raise ValidationError(rep)
+
+    def mor(x, y):
+        return id_name(x) if x == y else f"le({x},{y})"
+
+    arrows = [(mor(x, y), x, y) for x, y in sorted(le) if x != y]
+    comp = {}
+    for x, y in sorted(le):
+        for y2, z in sorted(le):
+            if y2 == y and x != y and y != z:
+                comp[(mor(y, z), mor(x, y))] = mor(x, z)
+    return make_category(name or f"poset({len(elements)})", list(elements), arrows, comp)
 
 
 def brute_composable_pairs(cat: FinCat) -> list[tuple[str, str]]:
@@ -274,3 +349,12 @@ def reference_split_top(s: str, sep: str = ",") -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts]
+
+
+def involution_arrow() -> FinCat:
+    """An arrow f: a -> b with an involution s of a and f∘s = f.
+
+    hom(a, a) has two morphisms and every hom-set out of b at most one.
+    """
+    return make_category("involution_arrow", ["a", "b"], [("s", "a", "a"), ("f", "a", "b")],
+                         {("s", "s"): id_name("a"), ("f", "s"): "f"})

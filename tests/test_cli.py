@@ -483,9 +483,41 @@ def _sweep_files(exdir, tmp_path):
     return files + duals
 
 
+def _unreadable(tmp_path):
+    """(argv, path): -i files that cannot be read and an -o file that cannot be written."""
+    latin = tmp_path / "latin1.cat"
+    latin.write_bytes("category C { objects: \u00e9 ; }\n".encode("latin-1"))
+    missing, out = str(tmp_path / "missing.cat"), str(tmp_path / "no_such_dir" / "P.cat")
+    return [
+        (["iso", "-i", missing, "a", "b"], missing),
+        (["iso", "-i", str(tmp_path), "a", "b"], str(tmp_path)),
+        (["validate", "-i", str(latin)], str(latin)),
+        (["build", "--name", "P", "--spec", "walking_arrow()", "-o", out], out),
+    ]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, as_json):
+    reasons = ["No such file or directory", "Is a directory", "not UTF-8 text", "No such file or directory"]
+    for (argv, name), reason in zip(_unreadable(tmp_path), reasons):
+        rc = run_command(argv + ["--json"] * as_json)
+        out = capsys.readouterr().out
+        verb = "write" if "-o" in argv else "read"
+        message = f"cannot {verb} {name}: {reason}"
+        assert rc == 2, argv
+        if as_json:
+            payload = json.loads(out)
+            assert (payload["verdict"], payload["counterexamples"]) == ("error", [message])
+        else:
+            assert out == message + "\n"
+    assert not (tmp_path / "no_such_dir").exists()
+
+
 def test_sweep_never_raises(exdir, tmp_path, capsys):
     files = _sweep_files(exdir, tmp_path)
     runs = [["examples", "--list"]]
+    # each twice in a row, so that one run of the pair adds --json below
+    runs += [argv for argv, _ in _unreadable(tmp_path) for _ in range(2)]
     runs += [["validate", "-i", path(exdir, name)] for name in sorted(shipped_examples())]
     runs += [["build", "-i", f, "--name", "P", "--spec", f"product({c}, {c})"]
              for f, ws in files for c in ws.names("category")[:1]]

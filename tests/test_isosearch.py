@@ -31,6 +31,7 @@ from helpers import (
     brute_isos,
     center_size,
     freeze_tables,
+    involution_arrow,
     quaternion_table,
     relabelled,
     semidirect_table,
@@ -269,6 +270,42 @@ class TestAgainstBruteForce:
         ob_allowed = lambda x, u: fst.ob_map[x] == fst.ob_map[ob_back[u]]
         mor_allowed = lambda m, n: fst.mor_map[m] == fst.mor_map[mor_back[n]]
         assert _searched(p, copy, ob_allowed, mor_allowed) == brute_isos(p, copy, ob_allowed, mor_allowed)
+
+
+# Categories with one-morphism hom-sets beside wider ones: the search skips the
+# composition constraints whose sides lie in a one-morphism hom-set.
+INVOLUTION = involution_arrow()
+MIXED = [INVOLUTION, build.product(build.chain(2), INVOLUTION), build.product(INVOLUTION, build.walking_arrow()),
+         build.product(build.discrete(2), INVOLUTION), build.product(build.walking_iso(), INVOLUTION)]
+# (nodes to the first witness, witnesses, nodes to run dry) against a relabelled copy,
+# the same counts as before the skip
+MIXED_NODES = [
+    (INVOLUTION, (4, 1, 4)),
+    (_fork(False), (13, 2, 25)),
+    (build.product(build.walking_arrow(), INVOLUTION), (13, 2, 18)),
+    (build.product(build.chain(3), INVOLUTION), (27, 4, 66)),
+    (build.product(INVOLUTION, INVOLUTION), (34, 8, 142)),
+    (build.product(build.commuting_square_poset(), INVOLUTION), (43, 16, 366)),
+]
+
+
+class TestMixedHomSets:
+    def test_mixed_pairs_against_brute_force(self):
+        for c, d in itertools.product(MIXED, repeat=2):
+            assert _searched(c, d) == brute_isos(c, d), (c.name, d.name)
+
+    def test_node_counts(self):
+        for k, (c, counts) in enumerate(MIXED_NODES):
+            rng = random.Random(k)
+            obs, mors = list(c.objects), list(c.mors)
+            rng.shuffle(obs)
+            rng.shuffle(mors)
+            copy, _, _ = relabelled(c, obs, mors)
+            res = iso_search(c, copy)
+            assert res.status == FOUND
+            b = Budget(10**9)
+            witnesses = sum(1 for _ in iter_iso_tables(c, copy, b))
+            assert (res.nodes, witnesses, b.used) == counts, c.name
 
 
 # The natural and diagram searches check, at each node, the morphisms into and
