@@ -24,9 +24,6 @@ from .dsl import (
     parse_files,
     print_workspace,
     render_dot,
-    ws_add_category,
-    ws_add_cleavage,
-    ws_add_functor,
 )
 from .examples import shipped_examples
 from .groth import base_change, cocone_factorize, factorize, groth
@@ -44,6 +41,7 @@ from .indexed import (
 )
 from .isosearch import DEFAULT_BUDGET, FOUND, NONE, iso_search
 from .opfib import (
+    Cleavage,
     CleavedOpfib,
     check_cleavage_preserving,
     check_discrete_opfib,
@@ -186,12 +184,9 @@ def _cmd_groth(args) -> Outcome:
     d = _need(ws, "diagram", args.diagram)
     gt = groth(d)
     base_name = ws.entities[("diagram", args.diagram)].refs["base"]
-    total_name = f"{args.diagram}_total"
-    ws_add_category(ws, total_name, gt.total)
-    proj_name = ws_add_functor(ws, f"{args.diagram}_proj", gt.projection, total_name, base_name)
-    from .opfib import Cleavage
-
-    ws_add_cleavage(ws, f"{args.diagram}_cleav", Cleavage(dict(gt.lifts)), proj_name)
+    total_name = ws.add("category", f"{args.diagram}_total", gt.total)
+    proj_name = ws.add("functor", f"{args.diagram}_proj", gt.projection, {"dom": total_name, "cod": base_name})
+    ws.add("cleavage", f"{args.diagram}_cleav", Cleavage(dict(gt.lifts)), {"functor": proj_name})
     out = Outcome(
         "pass",
         text=f"built {total_name}: {len(gt.total.objects)} objects, "
@@ -232,9 +227,8 @@ def _cmd_cocone_factorize(args) -> Outcome:
     sigma = _need(ws, "cocone", args.cocone)
     s = cocone_factorize(sigma)
     e = ws.entities[("cocone", args.cocone)]
-    total_name = f"{args.cocone}_total"
-    ws_add_category(ws, total_name, s.dom)
-    ws_add_functor(ws, f"{args.cocone}_factor", s, total_name, e.refs["vertex"])
+    total_name = ws.add("category", f"{args.cocone}_total", s.dom)
+    ws.add("functor", f"{args.cocone}_factor", s, {"dom": total_name, "cod": e.refs["vertex"]})
     out = Outcome("pass", text=f"built mediating functor {args.cocone}_factor")
     out.output = print_workspace(ws)
     return out
@@ -280,10 +274,10 @@ def _cmd_pullback(args) -> Outcome:
     q = _opfib_of(ws, args, args.functor, args.cleavage)
     pb = pullback_opfib(h, q)
     prefix = f"pb_{args.h}_{args.functor}"
-    total_name = ws_add_category(ws, f"{prefix}_total", pb.opfib.total)
-    pn = ws_add_functor(ws, f"{prefix}_proj", pb.opfib.p, total_name,
-                        ws.entities[("functor", args.h)].refs["dom"])
-    ws_add_cleavage(ws, f"{prefix}_cleav", pb.opfib.cleavage, pn)
+    total_name = ws.add("category", f"{prefix}_total", pb.opfib.total)
+    pn = ws.add("functor", f"{prefix}_proj", pb.opfib.p,
+                {"dom": total_name, "cod": ws.entities[("functor", args.h)].refs["dom"]})
+    ws.add("cleavage", f"{prefix}_cleav", pb.opfib.cleavage, {"functor": pn})
     out = Outcome("pass", text=f"built pullback {prefix}_total "
                                f"({len(pb.opfib.total.objects)} objects)")
     out.output = render_dot(pb.opfib.total) if args.dot_flag else print_workspace(ws)
@@ -313,7 +307,7 @@ def _cmd_indexed(args) -> Outcome:
     if sub == "fibres":
         phi = _need(ws, "opfib", args.first)
         z = indexed_fibres(phi)
-        total_name = ws_add_category(ws, f"{args.first}_base_total", z.base)
+        total_name = ws.add("category", f"{args.first}_base_total", z.base)
         export_diagram(ws, f"{args.first}_fibres", z, base_name=total_name)
         out = Outcome("pass", text=f"built fibre diagram {args.first}_fibres on {total_name}")
         out.output = print_workspace(ws)
@@ -369,13 +363,16 @@ def _cmd_examples(args) -> Outcome:
     if args.list:
         return Outcome("pass", text="\n".join(sorted(files)))
     target = args.output_dir or "."
-    os.makedirs(target, exist_ok=True)
     written = []
-    for name, text in sorted(files.items()):
-        path = os.path.join(target, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        written.append(path)
+    try:
+        os.makedirs(target, exist_ok=True)
+        for name, text in sorted(files.items()):
+            path = os.path.join(target, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            written.append(path)
+    except OSError as err:
+        raise UsageError(f"cannot write {err.filename}: {err.strerror}") from err
     return Outcome("pass", text="\n".join(written))
 
 

@@ -112,11 +112,12 @@ class Entity:
 class Workspace:
     entities: dict[tuple[str, str], Entity] = field(default_factory=dict)
 
-    def add(self, entity: Entity) -> None:
-        key = (entity.kind, entity.name)
-        if key in self.entities:
-            raise KeyError(f"duplicate {entity.kind} {entity.name}")
-        self.entities[key] = entity
+    def add(self, kind: str, name: str, value, refs: dict | None = None) -> str:
+        """Add an entity under a free name and return the name; a taken name is refused."""
+        if (kind, name) in self.entities:
+            raise UsageError(f"a {kind} named {name!r} is already in the workspace")
+        self.entities[(kind, name)] = Entity(kind, name, refs or {}, value)
+        return name
 
     def has(self, kind: str, name: str) -> bool:
         return (kind, name) in self.entities
@@ -218,10 +219,11 @@ class _Parser:
                         self.err("syntax", i + 1, 1, f"unterminated block for {header!r}")
                         return self._finish()
                     close = lines[j].find("}")
+                # blanking the header keeps the columns of statements on its line counted from the line start
                 if j == i:
-                    body = [line[start:close]]
+                    body = [" " * start + line[start:close]]
                 else:
-                    body = [line[start:], *lines[i + 1 : j], lines[j][:close]]
+                    body = [" " * start + line[start:], *lines[i + 1 : j], lines[j][:close]]
                 self._entity(header, _stmts(i + 1, body), i + 1)
                 tail = lines[j][close + 1 :]
                 if tail.strip():
@@ -245,14 +247,19 @@ class _Parser:
 
     # -- helpers ------------------------------------------------------------
 
-    def _declare(self, kind: str, name: str, refs: dict, value, line: int) -> None:
+    def _free(self, kind: str, name: str, line: int) -> bool:
+        """Whether `name` is a valid name that no `kind` has taken; reports why not."""
         if not _valid_name(name):
             self.err("lexical", line, 1, f"invalid {kind} name {name!r}")
-            return
+            return False
         if self.ws.has(kind, name):
             self.err("reference", line, 1, f"duplicate {kind} name {name!r}")
-            return
-        self.ws.add(Entity(kind, name, refs, value))
+            return False
+        return True
+
+    def _declare(self, kind: str, name: str, refs: dict, value, line: int) -> None:
+        if self._free(kind, name, line):
+            self.ws.add(kind, name, value, refs)
 
     def _lookup(self, kind: str, name: str, stmt_line: int, stmt_col: int):
         if not self.ws.has(kind, name):
@@ -480,8 +487,7 @@ class _Parser:
             value = build.constant_diagram(base, fibre, name=name)
             ident = f"__id_{args[0]}"
             if not self.ws.has("functor", ident):
-                self.ws.add(Entity("functor", ident, {"dom": args[0], "cod": args[0]},
-                                   identity_functor(fibre)))
+                self.ws.add("functor", ident, identity_functor(fibre), {"dom": args[0], "cod": args[0]})
             refs = {
                 "base": base_name,
                 "at_ob": {x: args[0] for x in base.objects},
@@ -500,18 +506,18 @@ class _Parser:
                          f"base {base_name!r} is not opposite({args[0]})")
                 return
             value = validate_diagram(base, dict(diagram.at_ob), dict(diagram.at_mor), name=name)
-            at_ob_refs = {}
-            for x in base.objects:
-                sub = f"__{name}_at_{x}"
-                self.ws.add(Entity("category", sub, {}, value.at_ob[x]))
-                at_ob_refs[x] = sub
-            at_mor_refs = {}
-            for f in base.non_identity_mors():
-                sub = f"__{name}_arr_{f}"
-                self.ws.add(Entity("functor", sub,
-                                   {"dom": at_ob_refs[base.src[f]], "cod": at_ob_refs[base.tgt[f]]},
-                                   value.at_mor[f]))
-                at_mor_refs[f] = sub
+            if not self._free("diagram", name, line):  # before any sub-entity is added
+                return
+            try:
+                at_ob_refs = {x: self.ws.add("category", f"__{name}_at_{x}", value.at_ob[x]) for x in base.objects}
+                at_mor_refs = {
+                    f: self.ws.add("functor", f"__{name}_arr_{f}", value.at_mor[f],
+                                   {"dom": at_ob_refs[base.src[f]], "cod": at_ob_refs[base.tgt[f]]})
+                    for f in base.non_identity_mors()
+                }
+            except UsageError as err:  # the user declared an entity under a generated name
+                self.err("reference", line, 1, str(err))
+                return
             refs = {"base": base_name, "at_ob": at_ob_refs, "at_mor": at_mor_refs}
         else:
             self.err("syntax", line, 1, f"unknown diagram builder {builder!r}")
@@ -908,92 +914,34 @@ def print_workspace(ws: Workspace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# programmatic workspace assembly (used by the CLI's output paths)
-
-
-def ws_add_category(ws: Workspace, name: str, cat: FinCat) -> str:
-    if not ws.has("category", name):
-        ws.add(Entity("category", name, {}, cat))
-    return name
-
-
-def ws_add_functor(ws: Workspace, name: str, t: FunctorData, dom_name: str, cod_name: str) -> str:
-    if not ws.has("functor", name):
-        ws.add(Entity("functor", name, {"dom": dom_name, "cod": cod_name}, t))
-    return name
-
-
-def ws_add_cleavage(ws: Workspace, name: str, cleavage: Cleavage, functor_name: str) -> str:
-    if not ws.has("cleavage", name):
-        ws.add(Entity("cleavage", name, {"functor": functor_name}, cleavage))
-    return name
-
-
-def ws_add_diagram(
-    ws: Workspace,
-    name: str,
-    d: CatDiagram,
-    base_name: str,
-    at_ob_names: dict[str, str],
-    at_mor_names: dict[str, str],
-) -> str:
-    if not ws.has("diagram", name):
-        ws.add(Entity("diagram", name, {"base": base_name, "at_ob": at_ob_names, "at_mor": at_mor_names}, d))
-    return name
-
-
-def ws_add_dmor(
-    ws: Workspace, name: str, d: DiagramMor, dom_name: str, cod_name: str, at_names: dict[str, str]
-) -> str:
-    if not ws.has("dmor", name):
-        ws.add(Entity("dmor", name, {"dom": dom_name, "cod": cod_name, "at": at_names}, d))
-    return name
-
-
-def ws_add_opfib(
-    ws: Workspace,
-    name: str,
-    phi: DiagramOpfib,
-    over_name: str,
-    total_name: str,
-    component_names: dict[str, tuple[str, str]],
-) -> str:
-    if not ws.has("opfib", name):
-        ws.add(Entity("opfib", name, {"over": over_name, "total": total_name, "components": component_names}, phi))
-    return name
+# programmatic workspace assembly (used by the CLI's output paths); every name must be free
 
 
 def export_diagram(ws: Workspace, prefix: str, d: CatDiagram, base_name: str | None = None) -> str:
     """Add a diagram with freshly named fibre categories and action functors."""
-    bname = base_name or ws_add_category(ws, f"{prefix}_base", d.base)
-    at_ob_names = {}
-    for x in d.base.objects:
-        at_ob_names[x] = ws_add_category(ws, f"{prefix}_at_{x}", d.at_ob[x])
-    at_mor_names = {}
-    for f in d.base.non_identity_mors():
-        at_mor_names[f] = ws_add_functor(
-            ws, f"{prefix}_arr_{f}", d.at_mor[f], at_ob_names[d.base.src[f]], at_ob_names[d.base.tgt[f]]
-        )
-    return ws_add_diagram(ws, prefix, d, bname, at_ob_names, at_mor_names)
+    bname = base_name or ws.add("category", f"{prefix}_base", d.base)
+    at_ob_names = {x: ws.add("category", f"{prefix}_at_{x}", d.at_ob[x]) for x in d.base.objects}
+    at_mor_names = {
+        f: ws.add("functor", f"{prefix}_arr_{f}", d.at_mor[f],
+                  {"dom": at_ob_names[d.base.src[f]], "cod": at_ob_names[d.base.tgt[f]]})
+        for f in d.base.non_identity_mors()
+    }
+    return ws.add("diagram", prefix, d, {"base": bname, "at_ob": at_ob_names, "at_mor": at_mor_names})
 
 
 def export_opfib(ws: Workspace, prefix: str, phi: DiagramOpfib, over_name: str | None = None) -> str:
     """Add an opfibration candidate plus every entity it references."""
-    base_name = ws_add_category(ws, f"{prefix}_idx", phi.base)
+    base_name = ws.add("category", f"{prefix}_idx", phi.base)
     oname = over_name or export_diagram(ws, f"{prefix}_over", phi.over, base_name)
     tname = export_diagram(ws, f"{prefix}_total", phi.total, base_name)
     comp_names = {}
     for a in phi.base.objects:
-        fn = ws_add_functor(
-            ws,
-            f"{prefix}_p_{a}",
-            phi.components[a],
-            ws.entities[("diagram", tname)].refs["at_ob"][a],
-            ws.entities[("diagram", oname)].refs["at_ob"][a],
-        )
-        cn = ws_add_cleavage(ws, f"{prefix}_cl_{a}", phi.cleavages[a], fn)
+        fn = ws.add("functor", f"{prefix}_p_{a}", phi.components[a],
+                    {"dom": ws.entities[("diagram", tname)].refs["at_ob"][a],
+                     "cod": ws.entities[("diagram", oname)].refs["at_ob"][a]})
+        cn = ws.add("cleavage", f"{prefix}_cl_{a}", phi.cleavages[a], {"functor": fn})
         comp_names[a] = (fn, cn)
-    return ws_add_opfib(ws, prefix, phi, oname, tname, comp_names)
+    return ws.add("opfib", prefix, phi, {"over": oname, "total": tname, "components": comp_names})
 
 
 def render_dot(c: FinCat) -> str:

@@ -7,14 +7,7 @@ backs the test suites, the acceptance run, and the `examples` CLI command.
 from __future__ import annotations
 
 from . import build
-from .dsl import (
-    Workspace,
-    export_opfib,
-    print_workspace,
-    ws_add_category,
-    ws_add_cleavage,
-    ws_add_functor,
-)
+from .dsl import Workspace, export_opfib, print_workspace
 from .fincat import (
     CatDiagram,
     DiagramMor,
@@ -524,17 +517,17 @@ def _mutated_cleavage_workspace() -> Workspace:
     dB = build.constant_diagram(wa, build.walking_arrow(), name="deltaB")
     gt = groth(dB)
     ws = Workspace()
-    ws_add_category(ws, "A", wa)
-    ws_add_category(ws, "T", gt.total)
-    ws_add_functor(ws, "p", gt.projection, "T", "A")
-    ws_add_cleavage(ws, "canonical", Cleavage(dict(gt.lifts)), "p")
+    ws.add("category", "A", wa)
+    ws.add("category", "T", gt.total)
+    ws.add("functor", "p", gt.projection, {"dom": "T", "cod": "A"})
+    ws.add("cleavage", "canonical", Cleavage(dict(gt.lifts)), {"functor": "p"})
     mutated = dict(gt.lifts)
     victim = gt.obj_of[("a", "a")]
     # replace the chosen lift of f at (a,a) by the composite morphism (f, f)
     mutated[(victim, "f")] = gt.mor_of[("f", "f", "a")]
-    ws_add_cleavage(ws, "mutated", Cleavage(mutated), "p")
-    ws_add_functor(ws, "idT", identity_functor(gt.total), "T", "T")
-    ws_add_functor(ws, "idA", identity_functor(wa), "A", "A")
+    ws.add("cleavage", "mutated", Cleavage(mutated), {"functor": "p"})
+    ws.add("functor", "idT", identity_functor(gt.total), {"dom": "T", "cod": "T"})
+    ws.add("functor", "idA", identity_functor(wa), {"dom": "A", "cod": "A"})
     return ws
 
 
@@ -543,9 +536,9 @@ def _nondiscrete_workspace() -> Workspace:
     wa = build.walking_arrow()
     p, fst, _ = build.product_projections(wa, wa)
     ws = Workspace()
-    ws_add_category(ws, "A", wa)
-    ws_add_category(ws, "P", p)
-    ws_add_functor(ws, "proj", fst, "P", "A")
+    ws.add("category", "A", wa)
+    ws.add("category", "P", p)
+    ws.add("functor", "proj", fst, {"dom": "P", "cod": "A"})
     return ws
 
 

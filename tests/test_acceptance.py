@@ -9,7 +9,7 @@ import time
 
 from grothkit import build, examples
 from grothkit.cli import run_command
-from grothkit.dsl import parse_workspace, print_workspace, ws_add_category
+from grothkit.dsl import parse_workspace, print_workspace
 from grothkit.groth import base_change, groth
 from grothkit.indexed import (
     discrete_check_diagram,
@@ -276,7 +276,7 @@ def test_criterion_10_parser_round_trip():
             failures.append(f"idempotence: {name}")
     ws = parse_workspace(examples.shipped_examples()["deltaB.cat"])
     gt = groth(ws.get("diagram", "F"))
-    ws_add_category(ws, "F_total", gt.total)
+    ws.add("category", "F_total", gt.total)
     printed = print_workspace(ws)
     ws2 = parse_workspace(printed)
     if not ws2.get("category", "F_total").tables_equal(gt.total):

@@ -373,7 +373,6 @@ class TestRemainingPathways:
 
     def test_indexed_pseudonat_command(self, tmp_path, capsys):
         from grothkit.dsl import Workspace, export_opfib, print_workspace as pw
-        from grothkit.dsl import ws_add_dmor, ws_add_functor
         from grothkit import build, examples
         from grothkit.fincat import id_name, validate_diagram_mor, validate_functor
         from grothkit.groth import groth
@@ -394,9 +393,9 @@ class TestRemainingPathways:
         pt_b = validate_functor(d1.at_ob["b"], coll.at_ob["b"], {"*": "a"},
                                 {id_name("*"): id_name("a")}, name="pt_b")
         alpha = validate_diagram_mor(d1, coll, {"a": pt_a, "b": pt_b}, name="alpha")
-        na = ws_add_functor(ws, "pt_a", pt_a, "D1_at_a", "phi_over_at_a")
-        nb = ws_add_functor(ws, "pt_b", pt_b, "D1_at_b", "phi_over_at_b")
-        ws_add_dmor(ws, "alpha", alpha, "D1", "phi_over", {"a": na, "b": nb})
+        na = ws.add("functor", "pt_a", pt_a, {"dom": "D1_at_a", "cod": "phi_over_at_a"})
+        nb = ws.add("functor", "pt_b", pt_b, {"dom": "D1_at_b", "cod": "phi_over_at_b"})
+        ws.add("dmor", "alpha", alpha, {"dom": "D1", "cod": "phi_over", "at": {"a": na, "b": nb}})
         src = tmp_path / "pn.cat"
         src.write_text(pw(ws))
         rc = run_command(["indexed", "-i", str(src), "pseudonat", "alpha", "phi"])
@@ -417,6 +416,62 @@ class TestRemainingPathways:
 
         back = dualize_opfib(dual)
         assert check_diagram_opfib(back).passed
+
+
+# ---------------------------------------------------------------------------
+# an output name that the input already uses is refused
+
+# (input files, declarations the command needs, declarations that take the name, command, kind, name)
+_DELTA1_Z = "category W = walking_arrow()\ndiagram Z on F_total = constant(W)"
+CLASHES = [
+    (["deltaB.cat"], "", "category F_total = terminal()", ["groth", "F"], "category", "F_total"),
+    (["deltaB.cat"], "", "functor F_proj = identity(A)", ["groth", "F"], "functor", "F_proj"),
+    (["deltaB.cat"], "", "category T = terminal()\nfunctor P = identity(T)\ncleavage F_cleav for P { }",
+     ["groth", "F"], "cleavage", "F_cleav"),
+    (["mutated_cleavage.cat"], "", "category p_fibres_at_a = terminal()", ["ungroth", "p", "canonical"],
+     "category", "p_fibres_at_a"),
+    (["mutated_cleavage.cat"], "", "category pb_idA_p_total = terminal()", ["pullback", "idA", "p", "canonical"],
+     "category", "pb_idA_p_total"),
+    ([], COCONE_FILE, "category s_total = terminal()", ["cocone-factorize", "s"], "category", "s_total"),
+    (["delta1_total.cat"], _DELTA1_Z, "category Z_groth_idx = terminal()", ["indexed", "groth", "Z", "F"],
+     "category", "Z_groth_idx"),
+    (["identity_opfib.cat"], "", "category phi_base_total = terminal()", ["indexed", "fibres", "phi"],
+     "category", "phi_base_total"),
+    (["identity_opfib.cat"], "", "category phi_op_idx = terminal()", ["indexed", "dualize", "phi"],
+     "category", "phi_op_idx"),
+]
+
+
+@pytest.fixture(scope="module")
+def clash_inputs(exdir):
+    """The shipped examples plus `delta1_total.cat`, the groth output of delta1.cat."""
+    total = str(exdir / "delta1_total.cat")
+    assert run_command(["groth", "-i", path(exdir, "delta1.cat"), "F", "-o", total]) == 0
+    return exdir
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("files, context, clash, argv, kind, name", CLASHES,
+                         ids=[c[5] for c in CLASHES])
+def test_taken_output_name_exits_2_naming_it(clash_inputs, tmp_path, capsys, files, context, clash, argv,
+                                             kind, name, as_json):
+    (tmp_path / "context.cat").write_text(context + "\n")
+    (tmp_path / "taken.cat").write_text(clash + "\n")
+    inputs = [path(clash_inputs, f) for f in files] + [str(tmp_path / "context.cat")]
+    command = [argv[0]] + [a for f in inputs for a in ("-i", f)] + argv[1:]
+    assert run_command(command) == 0  # free names: the command succeeds
+    capsys.readouterr()
+    out = tmp_path / "out.cat"
+    rc = run_command(command + ["-i", str(tmp_path / "taken.cat"), "-o", str(out)] + ["--json"] * as_json)
+    printed = capsys.readouterr().out
+    message = f"a {kind} named {name!r} is already in the workspace"
+    assert rc == 2
+    if as_json:
+        payload = json.loads(printed)
+        assert (payload["verdict"], payload["counterexamples"]) == ("error", [message])
+    else:
+        assert printed == message + "\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +539,27 @@ def _sweep_files(exdir, tmp_path):
 
 
 def _unreadable(tmp_path):
-    """(argv, path): -i files that cannot be read and an -o file that cannot be written."""
+    """(argv, path): -i files that cannot be read and -o targets that cannot be written."""
     latin = tmp_path / "latin1.cat"
     latin.write_bytes("category C { objects: \u00e9 ; }\n".encode("latin-1"))
     missing, out = str(tmp_path / "missing.cat"), str(tmp_path / "no_such_dir" / "P.cat")
+    blocked = tmp_path / "blocked" / sorted(shipped_examples())[0]
+    blocked.mkdir(parents=True, exist_ok=True)
     return [
         (["iso", "-i", missing, "a", "b"], missing),
         (["iso", "-i", str(tmp_path), "a", "b"], str(tmp_path)),
         (["validate", "-i", str(latin)], str(latin)),
         (["build", "--name", "P", "--spec", "walking_arrow()", "-o", out], out),
+        # a regular file where `examples` wants a directory, and a directory where it wants its first file
+        (["examples", "-o", str(latin)], str(latin)),
+        (["examples", "-o", str(blocked.parent)], str(blocked)),
     ]
 
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, as_json):
-    reasons = ["No such file or directory", "Is a directory", "not UTF-8 text", "No such file or directory"]
+    reasons = ["No such file or directory", "Is a directory", "not UTF-8 text", "No such file or directory",
+               "File exists", "Is a directory"]
     for (argv, name), reason in zip(_unreadable(tmp_path), reasons):
         rc = run_command(argv + ["--json"] * as_json)
         out = capsys.readouterr().out
@@ -511,6 +572,8 @@ def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, as_json):
         else:
             assert out == message + "\n"
     assert not (tmp_path / "no_such_dir").exists()
+    assert (tmp_path / "latin1.cat").is_file()
+    assert os.listdir(tmp_path / "blocked") == [sorted(shipped_examples())[0]]
 
 
 def test_sweep_never_raises(exdir, tmp_path, capsys):

@@ -14,7 +14,6 @@ from grothkit.dsl import (
     print_workspace,
     render_dot,
     split_top,
-    ws_add_category,
 )
 from grothkit.groth import groth
 from grothkit.indexed import check_diagram_opfib, identity_diagram_opfib
@@ -105,7 +104,7 @@ class TestPrint:
         ws = parse_workspace(examples.shipped_examples()["deltaB.cat"])
         d = ws.get("diagram", "F")
         gt = groth(d)
-        ws_add_category(ws, "F_total", gt.total)
+        ws.add("category", "F_total", gt.total)
         printed = print_workspace(ws)
         ws2 = parse_workspace(printed)
         assert ws2.get("category", "F_total").tables_equal(gt.total)
@@ -217,8 +216,8 @@ _CLEAVED = SHIPPED["mutated_cleavage.cat"]
 PINNED_DIAGNOSTICS = {
     "statements-on-one-line": (
         "category C {\tobjects: a b ;  arrows: f a -> b ;\t g: a -> b ;\t\tcompose: x ;  }\n",
-        ["m.cat:1:18: syntax: expected 'name: src -> tgt', got 'f a -> b'",
-         "m.cat:1:51: syntax: expected 'g.f = h', got 'x'"],
+        ["m.cat:1:30: syntax: expected 'name: src -> tgt', got 'f a -> b'",
+         "m.cat:1:63: syntax: expected 'g.f = h', got 'x'"],
     ),
     "statements-on-a-body-line": (
         "category C {\n \tobjects: a  id_a ;\t arrows: f: a -> b ;  g q ; h: b -> b ;"
@@ -243,11 +242,21 @@ PINNED_DIAGNOSTICS = {
     ),
     "category-lexical": (
         "category C { objects: a ; arrows: id_a: a -> a ; }",
-        ["m.cat:1:15: lexical: invalid arrow name 'id_a'"],
+        ["m.cat:1:27: lexical: invalid arrow name 'id_a'"],
     ),
     "category-syntax": (
         "category C { objects: a ; arrows: f a -> a ; }",
-        ["m.cat:1:15: syntax: expected 'name: src -> tgt', got 'f a -> a'"],
+        ["m.cat:1:27: syntax: expected 'name: src -> tgt', got 'f a -> a'"],
+    ),
+    "representable-duplicate": (
+        "category C = chain(2)\ncategory A = opposite(C)\n"
+        "diagram F on A = representable(C, 0)\ndiagram F on A = representable(C, 0)\n",
+        ["m.cat:4:1: reference: duplicate diagram name 'F'"],
+    ),
+    "representable-sub-entity-taken": (
+        "category C = chain(2)\ncategory A = opposite(C)\ncategory __F_at_1 = terminal()\n"
+        "diagram F on A = representable(C, 0)\n",
+        ["m.cat:4:1: reference: a category named '__F_at_1' is already in the workspace"],
     ),
     "category-reference": (
         "category C {\n  objects: a ;\n  arrows: f: a -> a ;\n  compose: f.q = f ;\n}\n",
@@ -401,7 +410,7 @@ class TestTextKernelsAgainstReference:
 def test_parsing_compiles_and_looks_up_no_pattern():
     """Every pattern the reader uses is compiled at import, so parsing touches no `re` function."""
     ws = parse_workspace(SHIPPED["deltaB.cat"])
-    ws_add_category(ws, "F_total", groth(ws.get("diagram", "F")).total)
+    ws.add("category", "F_total", groth(ws.get("diagram", "F")).total)
     printed = print_workspace(ws)
 
     def refuse(*args, **kwargs):
