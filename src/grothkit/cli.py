@@ -104,15 +104,18 @@ def _opfib_of(ws: Workspace, args, p_name: str, cl_name: str) -> CleavedOpfib:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("GROTHKIT_BUDGET")
-    if env is not None:
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("GROTHKIT_BUDGET")
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "GROTHKIT_BUDGET"
         except ValueError:
             raise UsageError(f"GROTHKIT_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise UsageError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 def _search_outcome(result, limit: int, found_text: str, none_text: str) -> Outcome:

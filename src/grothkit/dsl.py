@@ -229,8 +229,7 @@ class _Parser:
                 if tail.strip():
                     col = close + 2 + tail.index(tail.strip()[0])
                     self.err("syntax", j + 1, col, f"unexpected text after '}}': {tail.strip()!r}")
-                # a `}` before the `{` leaves the following lines to be read as declarations
-                i = i + 1 if "}" in header else j + 1
+                i = j + 1
             elif "=" in stripped:
                 header, expr = stripped.split("=", 1)
                 self._builder(header.strip(), expr.strip(), i + 1)
@@ -488,6 +487,9 @@ class _Parser:
             ident = f"__id_{args[0]}"
             if not self.ws.has("functor", ident):
                 self.ws.add("functor", ident, identity_functor(fibre), {"dom": args[0], "cod": args[0]})
+            elif not self.ws.get("functor", ident).tables_equal(identity_functor(fibre)):
+                self.err("reference", line, 1, f"functor {ident!r} is not the identity of {args[0]!r}")
+                return
             refs = {
                 "base": base_name,
                 "at_ob": {x: args[0] for x in base.objects},

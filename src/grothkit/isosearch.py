@@ -164,6 +164,44 @@ def _order(items: list, rng: random.Random | None) -> list:
     return items
 
 
+def _backtrack(slots: list, options: Callable, fits: Callable, budget: Budget, assigned: dict,
+               used: set | None = None) -> Iterator[dict]:
+    """Yield `assigned` each time it gives every slot a value, depth first.
+
+    `options(slot)` lists a slot's candidates when the search reaches it.
+    Each one ticks the budget, is passed over if it is in `used` (when
+    given), and is kept if `fits(slot)` holds with it assigned.  The stack
+    holds one candidate iterator per slot reached, so Python's stack depth
+    stays the same however many slots there are.
+    """
+    stack: list[Iterator] = []
+    while True:
+        if len(stack) == len(slots):
+            yield assigned
+        else:
+            stack.append(iter(options(slots[len(stack)])))
+        while stack:  # move the deepest slot on to its next candidate that fits
+            slot = slots[len(stack) - 1]
+            if used is not None and slot in assigned:
+                used.discard(assigned[slot])
+            for value in stack[-1]:
+                budget.tick()
+                if used is not None and value in used:
+                    continue
+                assigned[slot] = value
+                if fits(slot):
+                    if used is not None:
+                        used.add(value)
+                    break
+            else:
+                assigned.pop(slot, None)
+                stack.pop()
+                continue
+            break
+        else:
+            return
+
+
 def iter_iso_tables(
     c: FinCat,
     d: FinCat,
@@ -177,106 +215,85 @@ def iter_iso_tables(
     The enumeration is exhaustive, so running the generator dry proves there
     is no isomorphism satisfying the filters; when an invariant of `_refine`
     proves it before the first node, `budget.refuted_by` names the invariant.
-    Raises BudgetExceeded when the node budget runs out.
+    Objects are placed first, then the non-identity morphisms, starting from
+    the images of the identities.  Raises BudgetExceeded when the node budget
+    runs out.
     """
     refuted_by, colours = _refine(c, d)
     if refuted_by is not None:
         budget.refuted_by = refuted_by
         return
     (ob_c, mor_c), (ob_d, mor_d) = colours
-    cand: dict[str, list[str]] = {}
-    for x in c.objects:
-        cand[x] = [
-            u
-            for u in d.objects
-            if ob_d[u] == ob_c[x] and (ob_allowed is None or ob_allowed(x, u))
-        ]
-        if not cand[x]:
-            return
+    cand = {
+        x: [u for u in d.objects if ob_d[u] == ob_c[x] and (ob_allowed is None or ob_allowed(x, u))]
+        for x in c.objects
+    }
+    # an object without candidates comes first, so the search ends before its first node
     order = sorted(c.objects, key=lambda x: len(cand[x]))
 
     non_ids = list(c.non_identity_mors())
     into = _into(c)
+    ob_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+    wide: set[str] = set()
 
-    def assign_mors(ob_map: dict[str, str]) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-        mor_map: dict[str, str] = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
-        used = set(mor_map.values())
-        if mor_allowed is not None and any(
-            not mor_allowed(m, mor_map[m]) for m in mor_map
-        ):
-            return
+    def hom_sizes_agree(x: str) -> bool:
+        # the pair (x, u) itself agrees by its colour
+        u = ob_map[x]
+        return all(
+            len(c.hom(x, y)) == len(d.hom(u, v)) and len(c.hom(y, x)) == len(d.hom(v, u))
+            for y, v in ob_map.items()
+        )
 
-        wide = {x for x, u in ob_map.items() if u in d.wide_sources}
+    def targets(m: str) -> list[str]:
+        colour = mor_c[m]
+        return _order([n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == colour], rng)
 
-        def consistent(m: str) -> bool:
-            # check every composition constraint whose three participants are now
-            # assigned and one of which is m: g∘m, m∘f and the factorizations of m.
-            # Every image lies in the hom-set between the images of its ends, so a
-            # constraint on composites out of x holds unless x is in `wide`
-            n = mor_map[m]
-            for f in into[c.src[m]]:
-                nf = mor_map.get(f)
-                if nf is not None and c.src[f] in wide:
-                    h = mor_map.get(c.comp[(m, f)])
-                    if h is not None and d.comp[(n, nf)] != h:
-                        return False
-            if c.src[m] not in wide:
-                return True
-            for g in c.out(c.tgt[m]):
-                ng = mor_map.get(g)
-                if ng is not None:
-                    h = mor_map.get(c.comp[(g, m)])
-                    if h is not None and d.comp[(ng, n)] != h:
-                        return False
-            for g, f in c.factorizations[m]:
-                if g in mor_map and f in mor_map:
-                    if d.comp[(mor_map[g], mor_map[f])] != n:
-                        return False
+    def consistent(m: str) -> bool:
+        # check every composition constraint whose three participants are now
+        # assigned and one of which is m: g∘m, m∘f and the factorizations of m.
+        # Every image lies in the hom-set between the images of its ends, so a
+        # constraint on composites out of x holds unless x is in `wide`
+        n = mor_map[m]
+        for f in into[c.src[m]]:
+            nf = mor_map.get(f)
+            if nf is not None and c.src[f] in wide:
+                h = mor_map.get(c.comp[(m, f)])
+                if h is not None and d.comp[(n, nf)] != h:
+                    return False
+        if c.src[m] not in wide:
             return True
+        for g in c.out(c.tgt[m]):
+            ng = mor_map.get(g)
+            if ng is not None:
+                h = mor_map.get(c.comp[(g, m)])
+                if h is not None and d.comp[(ng, n)] != h:
+                    return False
+        for g, f in c.factorizations[m]:
+            if g in mor_map and f in mor_map:
+                if d.comp[(mor_map[g], mor_map[f])] != n:
+                    return False
+        return True
 
-        def go(i: int) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-            if i == len(non_ids):
-                yield dict(ob_map), dict(mor_map)
-                return
-            m = non_ids[i]
-            colour = mor_c[m]
-            targets = [n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == colour]
-            for n in _order(targets, rng):
-                budget.tick()
-                if n in used:
-                    continue
-                if mor_allowed is not None and not mor_allowed(m, n):
-                    continue
-                mor_map[m] = n
-                used.add(n)
-                if consistent(m):
-                    yield from go(i + 1)
-                del mor_map[m]
-                used.discard(n)
+    fits = consistent if mor_allowed is None else lambda m: mor_allowed(m, mor_map[m]) and consistent(m)
+    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, set()):
+        mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
+        if mor_allowed is not None and not all(mor_allowed(m, n) for m, n in mor_map.items()):
+            continue
+        wide = {x for x, u in ob_map.items() if u in d.wide_sources}
+        for _ in _backtrack(non_ids, targets, fits, budget, mor_map, set(mor_map.values())):
+            yield dict(ob_map), dict(mor_map)
 
-        yield from go(0)
 
-    def assign_obs(i: int, ob_map: dict[str, str], used: set[str]) -> Iterator[tuple[dict, dict]]:
-        if i == len(order):
-            yield from assign_mors(ob_map)
-            return
-        x = order[i]
-        for u in _order(list(cand[x]), rng):
-            budget.tick()
-            if u in used:
-                continue
-            if any(
-                len(c.hom(x, y)) != len(d.hom(u, v)) or len(c.hom(y, x)) != len(d.hom(v, u))
-                for y, v in ob_map.items()
-            ):
-                continue
-            ob_map[x] = u
-            used.add(u)
-            yield from assign_obs(i + 1, ob_map, used)
-            del ob_map[x]
-            used.discard(u)
-
-    yield from assign_obs(0, {}, set())
+def _first(budget: Budget, solutions: Iterator, witness: Callable[[object], IsoWitness]) -> SearchResult:
+    """FOUND with the verified witness of the first solution, NONE if there is none, or BUDGET."""
+    try:
+        solution = next(solutions, None)
+    except BudgetExceeded:
+        return SearchResult(BUDGET, None, budget.used)
+    if solution is None:
+        return SearchResult(NONE, None, budget.used, budget.refuted_by)
+    return SearchResult(FOUND, witness(solution), budget.used)
 
 
 def _wrap_category_witness(c: FinCat, d: FinCat, ob_map: dict, mor_map: dict, flavor: str) -> IsoWitness:
@@ -292,12 +309,8 @@ def iso_search(
 ) -> SearchResult:
     """Search for a strict isomorphism of categories; witnesses are machine-checked."""
     b = Budget(budget)
-    try:
-        for ob_map, mor_map in iter_iso_tables(c, d, b, rng=rng):
-            return SearchResult(FOUND, _wrap_category_witness(c, d, ob_map, mor_map, "category-iso"), b.used)
-    except BudgetExceeded:
-        return SearchResult(BUDGET, None, b.used)
-    return SearchResult(NONE, None, b.used, b.refuted_by)
+    return _first(b, iter_iso_tables(c, d, b, rng=rng),
+                  lambda tables: _wrap_category_witness(c, d, *tables, "category-iso"))
 
 
 def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -308,15 +321,13 @@ def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET)
         raise ValueError("functors do not share a codomain")
     b = Budget(budget)
     cat, target = f.dom, f.cod
-    cand: dict[str, list[str]] = {}
-    for x in cat.objects:
-        cand[x] = [m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
-        if not cand[x]:
-            return SearchResult(NONE, None, b.used)
-    order = sorted(cat.objects, key=lambda x: len(cand[x]))
+    cand = {x: [m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
+            for x in cat.objects}
+    order = sorted(cat.objects, key=lambda x: len(cand[x]))  # one without candidates ends the search at once
     into = _into(cat)
+    comp: dict[str, str] = {}
 
-    def natural_so_far(comp: dict[str, str], x: str) -> bool:
+    def natural_so_far(x: str) -> bool:
         # the squares of the morphisms out of and into x with both ends assigned
         for m in (*cat.out(x), *into[x]):
             a, z = cat.src[m], cat.tgt[m]
@@ -325,30 +336,12 @@ def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET)
                     return False
         return True
 
-    def go(i: int, comp: dict[str, str]) -> dict[str, str] | None:
-        if i == len(order):
-            return dict(comp)
-        x = order[i]
-        for m in cand[x]:
-            b.tick()
-            comp[x] = m
-            if natural_so_far(comp, x):
-                out = go(i + 1, comp)
-                if out is not None:
-                    return out
-            del comp[x]
-        return None
+    def witness(comps: dict[str, str]) -> IsoWitness:
+        fwd = validate_nat_trans(f, g, comps, name=f"niso[{f.name}->{g.name}]")
+        inv = {x: target.inverse(m) for x, m in comps.items()}
+        return verify_natural_iso(fwd, validate_nat_trans(g, f, inv, name=f"niso[{g.name}->{f.name}]"))
 
-    try:
-        comps = go(0, {})
-    except BudgetExceeded:
-        return SearchResult(BUDGET, None, b.used)
-    if comps is None:
-        return SearchResult(NONE, None, b.used)
-    fwd = validate_nat_trans(f, g, comps, name=f"niso[{f.name}->{g.name}]")
-    inv = {x: target.inverse(m) for x, m in comps.items()}
-    bwd = validate_nat_trans(g, f, inv, name=f"niso[{g.name}->{f.name}]")
-    return SearchResult(FOUND, verify_natural_iso(fwd, bwd), b.used)
+    return _first(b, _backtrack(order, cand.__getitem__, natural_so_far, b, comp), witness)
 
 
 def over_base_iso_search(
@@ -364,13 +357,8 @@ def over_base_iso_search(
     b = Budget(budget)
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
     mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]
-    try:
-        for ob_map, mor_map in iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed):
-            witness = _wrap_category_witness(total1, total2, ob_map, mor_map, "over-base-iso")
-            return SearchResult(FOUND, witness, b.used)
-    except BudgetExceeded:
-        return SearchResult(BUDGET, None, b.used)
-    return SearchResult(NONE, None, b.used, b.refuted_by)
+    return _first(b, iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed),
+                  lambda tables: _wrap_category_witness(total1, total2, *tables, "over-base-iso"))
 
 
 def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -383,51 +371,31 @@ def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUD
         raise ValueError("diagrams do not share a base")
     base = z1.base
     b = Budget(budget)
+    into = _into(base)
+    assigned: dict[str, tuple[dict, dict]] = {}
 
-    try:
+    def squares_ok(v: str) -> bool:
+        # the squares of the base morphisms out of and into v with both ends assigned
+        for h in (*base.out(v), *into[v]):
+            a, z = base.src[h], base.tgt[h]
+            if a not in assigned or z not in assigned:
+                continue
+            t1, t2 = z1.at_mor[h], z2.at_mor[h]
+            ob_a, mor_a = assigned[a]
+            ob_z, mor_z = assigned[z]
+            if any(ob_z[t1.ob_map[x]] != t2.ob_map[ob_a[x]] for x in z1.at_ob[a].objects):
+                return False
+            if any(mor_z[t1.mor_map[m]] != t2.mor_map[mor_a[m]] for m in z1.at_ob[a].mors):
+                return False
+        return True
+
+    def solutions() -> Iterator[dict]:
         candidates: dict[str, list[tuple[dict, dict]]] = {}
         for v in base.objects:
-            options = list(iter_iso_tables(z1.at_ob[v], z2.at_ob[v], b))
-            if not options:
-                return SearchResult(NONE, None, b.used, b.refuted_by)
-            candidates[v] = options
-
+            candidates[v] = list(iter_iso_tables(z1.at_ob[v], z2.at_ob[v], b))
+            if not candidates[v]:
+                return
         order = sorted(base.objects, key=lambda v: len(candidates[v]))
-        into = _into(base)
+        yield from _backtrack(order, candidates.__getitem__, squares_ok, b, assigned)
 
-        def squares_ok(assigned: dict[str, tuple[dict, dict]], v: str) -> bool:
-            # the squares of the base morphisms out of and into v with both ends assigned
-            for h in (*base.out(v), *into[v]):
-                a, z = base.src[h], base.tgt[h]
-                if a not in assigned or z not in assigned:
-                    continue
-                t1, t2 = z1.at_mor[h], z2.at_mor[h]
-                ob_a, mor_a = assigned[a]
-                ob_z, mor_z = assigned[z]
-                if any(ob_z[t1.ob_map[x]] != t2.ob_map[ob_a[x]] for x in z1.at_ob[a].objects):
-                    return False
-                if any(mor_z[t1.mor_map[m]] != t2.mor_map[mor_a[m]] for m in z1.at_ob[a].mors):
-                    return False
-            return True
-
-        def go(i: int, assigned: dict) -> dict | None:
-            if i == len(order):
-                return dict(assigned)
-            v = order[i]
-            for option in candidates[v]:
-                b.tick()
-                assigned[v] = option
-                if squares_ok(assigned, v):
-                    out = go(i + 1, assigned)
-                    if out is not None:
-                        return out
-                del assigned[v]
-            return None
-
-        solution = go(0, {})
-    except BudgetExceeded:
-        return SearchResult(BUDGET, None, b.used)
-
-    if solution is None:
-        return SearchResult(NONE, None, b.used)
-    return SearchResult(FOUND, diagram_iso_of_tables(z1, z2, solution), b.used)
+    return _first(b, solutions(), lambda tables: diagram_iso_of_tables(z1, z2, tables))

@@ -74,6 +74,36 @@ class TestExitCodes:
         rc = run_command(["iso", "-i", groups, "Z4xZ4", "Q8xZ2"])
         assert rc == 3
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("source", ["--budget", "GROTHKIT_BUDGET"])
+    def test_negative_budget_is_a_usage_error(self, groups, monkeypatch, capsys, source, as_json):
+        argv = ["iso", "-i", groups, "Z4xZ4", "Q8xZ2"] + ["--json"] * as_json
+        if source == "--budget":
+            argv += ["--budget", "-5"]
+        else:
+            monkeypatch.setenv("GROTHKIT_BUDGET", "-5")
+        rc = run_command(argv)
+        out = capsys.readouterr().out
+        message = f"{source} must not be negative, got -5"
+        assert rc == 2
+        if as_json:
+            payload = json.loads(out)
+            assert payload["verdict"] == "error" and payload["counterexamples"] == [message]
+            assert payload["budget"] == {"used": 0, "limit": None}
+        else:
+            assert out == message + "\n"
+
+    @pytest.mark.parametrize("source", ["--budget", "GROTHKIT_BUDGET"])
+    def test_zero_budget_is_valid(self, groups, monkeypatch, capsys, source):
+        argv = ["iso", "-i", groups, "Z4xZ4", "Q8xZ2", "--json"]
+        if source == "--budget":
+            argv += ["--budget", "0"]
+        else:
+            monkeypatch.setenv("GROTHKIT_BUDGET", "0")
+        rc = run_command(argv)
+        assert rc == 3
+        assert json.loads(capsys.readouterr().out)["budget"] == {"used": 1, "limit": 0}
+
     @pytest.mark.parametrize("option", [["--budget", "5"], ["--seed", "3"]])
     def test_indexed_takes_no_search_options(self, exdir, capsys, option):
         rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), "roundtrip", "phi", *option])
@@ -593,9 +623,19 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
         ]
         # where no shipped example has the entities, name missing ones
         runs += found or [command.split() + ["-i", files[0][0]] + ["nosuch"] * len(signatures[0])]
+    # chain(8)² has more slots than Python's recursion limit; its search takes 1,324 nodes
+    deep = tmp_path / "deep.cat"
+    deep.write_text("category C = chain(8)\ncategory P = product(C, C)\ncategory Q = product(C, C)\n")
+    runs += [["iso", "-i", str(deep), "P", "Q"]] * 2
+    outs = {}
     for i, argv in enumerate(runs):
         if argv[0] == "iso":
             argv = argv + ["--budget", "2000"]
-        rc = run_command(argv + ["--json"] * (i % 2))
-        capsys.readouterr()
+        argv = argv + ["--json"] * (i % 2)
+        rc = run_command(argv)
+        outs[tuple(argv)] = rc, capsys.readouterr().out
         assert rc in (0, 1, 2, 3), argv
+    deep_iso = ["iso", "-i", str(deep), "P", "Q", "--budget", "2000"]
+    assert outs[tuple(deep_iso)] == (0, "P and Q are isomorphic\n")
+    rc, out = outs[tuple(deep_iso + ["--json"])]
+    assert rc == 0 and json.loads(out)["witnesses"]

@@ -77,6 +77,14 @@ class TestParse:
             ident = p.cod.identity[p.ob_map[e]]
             assert (e, ident) in cl.lifts
 
+    def test_constant_reuses_a_declared_identity(self):
+        text = ("category A = walking_arrow()\ncategory B = walking_arrow()\n"
+                "functor __id_B = identity(B)\ndiagram F on A = constant(B)\n")
+        ws = parse_workspace(text)
+        printed = print_workspace(ws)
+        assert printed.count("functor __id_B ") == 1
+        assert parse_workspace(printed).get("diagram", "F").tables_equal(ws.get("diagram", "F"))
+
     def test_error_classes_distinguished(self):
         cases = {
             "category C { objects: a ; arrows: f a -> a ; }": "syntax",
@@ -331,6 +339,18 @@ PINNED_DIAGNOSTICS = {
     "cocone-semantic": (
         COCONE_FILE.replace("  leg b = leg_b ;", "  leg b = leg_a ;"),
         ["m.cat:9:1: semantic: 'cocone s for F': cell-boundary: cell at f is not leg[a] => leg[b]∘F(f)"],
+    ),
+    # the body of the block is skipped with it, not read as declarations
+    "brace-before-block": (
+        "category C} {\n objects: a ;\n}\n",
+        ["m.cat:1:1: lexical: invalid category name 'C}'"],
+    ),
+    # constant(B) acts by the identity, so a declared __id_B must be the identity of B
+    "constant-foreign-identity": (
+        "category A = walking_arrow()\ncategory B = walking_arrow()\n"
+        "functor __id_B : B -> B { ob: a |-> b ; b |-> b ; arr: f |-> id_b ; }\n"
+        "diagram F on A = constant(B)\n",
+        ["m.cat:4:1: reference: functor '__id_B' is not the identity of 'B'"],
     ),
 }
 

@@ -130,6 +130,38 @@ class TestIsoSearch:
         assert compose_functors(fwd, bwd).is_identity_functor()
 
 
+# Deeper than Python's recursion limit: chain(8)² has 64 objects and 1,260
+# non-identity morphisms, each a slot of the search.
+NODES_CHAIN8_SQUARED = 1324
+
+
+class TestDepth:
+    def test_chain8_squared_against_itself_and_a_relabelled_copy(self):
+        c = build.chain(8)
+        p = build.product(c, c)
+        obs, mors = list(p.objects), list(p.mors)
+        random.Random(8).shuffle(obs)
+        random.Random(8).shuffle(mors)
+        copy, _, _ = relabelled(p, obs, mors)
+        for d in (p, copy):
+            res = iso_search(p, d)
+            assert res.status == FOUND
+            assert compose_functors(res.witness.backward, res.witness.forward).is_identity_functor()
+            assert res.nodes == NODES_CHAIN8_SQUARED  # every hom-set has one morphism, so no node branches
+
+    def test_nat_iso_over_many_objects(self):
+        t = identity_functor(build.discrete(1100))
+        res = nat_iso_search(t, t)
+        assert res.status == FOUND
+        assert res.witness.forward.is_identity_nat()
+
+    def test_diagram_iso_over_many_base_objects(self):
+        z = build.constant_diagram(build.discrete(1100), build.terminal())
+        res = diagram_iso_search(z, z)
+        assert res.status == FOUND
+        assert res.nodes == 2200  # one fibre iso per base object, then one node each
+
+
 class TestNatIsoSearch:
     def test_identity_components(self):
         t = identity_functor(build.chain(3))
