@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping, Sequence
 
 from .fincat import (
@@ -181,61 +180,52 @@ def opposite(c: FinCat, name: str | None = None) -> FinCat:
     return make_category(name or f"op({c.name})", list(c.objects), arrows, comp)
 
 
-def slice_category(c: FinCat, target: str, name: str | None = None) -> FinCat:
-    """Objects are morphisms into `target`; a map m1 -> m2 is w with m2∘w = m1."""
-    if target not in set(c.objects):
-        rep = Report("build slice")
-        rep.fail("object-exists", f"{target} is not an object of {c.name}")
+def _require_object(c: FinCat, x: str, what: str) -> None:
+    """Refuse an `x` that is not an object of c as the failed check object-exists of `build what`."""
+    if x not in set(c.objects):
+        rep = Report(f"build {what}")
+        rep.fail("object-exists", f"{x} is not an object of {c.name}")
         raise ValidationError(rep)
-    objects = [m for m in c.mors if c.tgt[m] == target]
+
+
+def _comma(c: FinCat, x: str, into: bool, name: str) -> FinCat:
+    """The morphisms into x (slice) or out of x (coslice) as objects; a map m1 -> m2 is a w
+    between their other ends with m2∘w = m1 (slice) or w∘m1 = m2 (coslice), named by (w, m1)."""
+    at, end, prefix = (c.tgt, c.src, "sl") if into else (c.src, c.tgt, "cosl")
+    objects = [m for m in c.mors if at[m] == x]
 
     def mor(w: str, m1: str) -> str:
-        # w: src(m1) -> src(m2) witnessing m2∘w = m1
-        if c.is_identity(w):
-            return id_name(m1)
-        return f"sl({w},{m1})"
+        return id_name(m1) if c.is_identity(w) else f"{prefix}({w},{m1})"
 
-    triples = []  # (w, m1, m2)
-    for m1 in objects:
-        for m2 in objects:
-            for w in c.hom(c.src[m1], c.src[m2]):
-                if c.comp[(m2, w)] == m1:
-                    triples.append((w, m1, m2))
-    arrows = [(mor(w, m1), m1, m2) for w, m1, m2 in triples if not c.is_identity(w)]
-    comp = {}
-    for w1, m1, m2 in triples:
-        for w2, m2b, m3 in triples:
-            if m2b == m2 and not c.is_identity(w1) and not c.is_identity(w2):
-                comp[(mor(w2, m2), mor(w1, m1))] = mor(c.comp[(w2, w1)], m1)
-    return make_category(name or f"slice({c.name},{target})", objects, arrows, comp)
+    triples = [  # (name, w, m1, m2) of each non-identity map
+        (mor(w, m1), w, m1, m2)
+        for m1 in objects for m2 in objects for w in c.hom(end[m1], end[m2])
+        if (c.comp[(m2, w)] == m1 if into else c.comp[(w, m1)] == m2) and not c.is_identity(w)
+    ]
+    leaving: dict[str, list] = {m: [] for m in objects}
+    for t in triples:
+        leaving[t[2]].append(t)
+    comp = {(n2, n1): mor(c.comp[(w2, w1)], m1) for n1, w1, m1, m2 in triples for n2, w2, _, _ in leaving[m2]}
+    return make_category(name, objects, [(n, m1, m2) for n, _, m1, m2 in triples], comp)
+
+
+def slice_category(c: FinCat, target: str, name: str | None = None) -> FinCat:
+    """Objects are morphisms into `target`; a map m1 -> m2 is w with m2∘w = m1."""
+    _require_object(c, target, "slice")
+    return _comma(c, target, True, name or f"slice({c.name},{target})")
 
 
 def coslice_category(c: FinCat, source: str, name: str | None = None) -> FinCat:
-    """Objects are morphisms out of `source`; dual to slice_category."""
-    if source not in set(c.objects):
-        rep = Report("build coslice")
-        rep.fail("object-exists", f"{source} is not an object of {c.name}")
-        raise ValidationError(rep)
-    objects = [m for m in c.mors if c.src[m] == source]
+    """Objects are morphisms out of `source`; a map m1 -> m2 is w with w∘m1 = m2."""
+    _require_object(c, source, "coslice")
+    return _comma(c, source, False, name or f"coslice({c.name},{source})")
 
-    def mor(w: str, m1: str) -> str:
-        if c.is_identity(w):
-            return id_name(m1)
-        return f"cosl({w},{m1})"
 
-    triples = []
-    for m1 in objects:
-        for m2 in objects:
-            for w in c.hom(c.tgt[m1], c.tgt[m2]):
-                if c.comp[(w, m1)] == m2:
-                    triples.append((w, m1, m2))
-    arrows = [(mor(w, m1), m1, m2) for w, m1, m2 in triples if not c.is_identity(w)]
-    comp = {}
-    for w1, m1, m2 in triples:
-        for w2, m2b, m3 in triples:
-            if m2b == m2 and not c.is_identity(w1) and not c.is_identity(w2):
-                comp[(mor(w2, m2), mor(w1, m1))] = mor(c.comp[(w2, w1)], m1)
-    return make_category(name or f"coslice({c.name},{source})", objects, arrows, comp)
+def constant_functor(c: FinCat, d: FinCat, x: str, name: str | None = None) -> FunctorData:
+    """The functor c -> d sending every object to x and every morphism to its identity."""
+    _require_object(d, x, "constant")
+    return validate_functor(c, d, {y: x for y in c.objects}, {m: d.identity[x] for m in c.mors},
+                            name=name or f"const({c.name},{x})")
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +285,7 @@ def representable_diagram(c: FinCat, at: str, name: str | None = None) -> tuple[
     Returns (opposite base, diagram); each fibre is the discrete category on
     the morphisms into `at`, and a base arrow acts by precomposition.
     """
-    if at not in set(c.objects):
-        rep = Report("build representable")
-        rep.fail("object-exists", f"{at} is not an object of {c.name}")
-        raise ValidationError(rep)
+    _require_object(c, at, "representable")
     base = opposite(c)
     fibres = {
         x: make_category(f"Hom({x},{at})", list(c.hom(x, at)), [], {})
@@ -313,45 +300,3 @@ def representable_diagram(c: FinCat, at: str, name: str | None = None) -> tuple[
         at_mor[m] = validate_functor(fibres[x], fibres[y], ob_map, mor_map, name=f"pre({m})")
     diagram = validate_diagram(base, fibres, at_mor, name=name or f"y({c.name},{at})")
     return base, diagram
-
-
-# ---------------------------------------------------------------------------
-# named dispatcher (used by the DSL's builder shorthand)
-
-
-def build_category(spec: str, args: list, named: dict[str, FinCat], name: str) -> FinCat:
-    """Dispatch a builder by name; `named` resolves category references."""
-    def cat(ref) -> FinCat:
-        if isinstance(ref, FinCat):
-            return ref
-        if ref not in named:
-            raise KeyError(ref)
-        return named[ref]
-
-    if spec == "discrete":
-        return make_category(name, [f"x{i}" for i in range(int(args[0]))], [], {})
-    if spec == "terminal":
-        c = terminal()
-    elif spec == "walking_arrow":
-        c = walking_arrow()
-    elif spec == "walking_iso":
-        c = walking_iso()
-    elif spec == "chain":
-        c = chain(int(args[0]))
-    elif spec == "poset":
-        elements, relation = args
-        c = poset(elements, relation)
-    elif spec == "delooping":
-        elements, table = args
-        c = delooping(elements, table)
-    elif spec == "product":
-        c = product(cat(args[0]), cat(args[1]))
-    elif spec == "opposite":
-        c = opposite(cat(args[0]))
-    elif spec == "slice":
-        c = slice_category(cat(args[0]), args[1])
-    elif spec == "coslice":
-        c = coslice_category(cat(args[0]), args[1])
-    else:
-        raise ValueError(f"unknown category builder {spec!r}")
-    return dataclasses.replace(c, name=name)

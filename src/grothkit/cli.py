@@ -97,7 +97,7 @@ def _need(ws: Workspace, kind: str, name: str):
     return ws.get(kind, name)
 
 
-def _opfib_of(ws: Workspace, args, p_name: str, cl_name: str) -> CleavedOpfib:
+def _opfib_of(ws: Workspace, p_name: str, cl_name: str) -> CleavedOpfib:
     p = _need(ws, "functor", p_name)
     cl = _need(ws, "cleavage", cl_name)
     return cleaved_opfib(p, cl.lifts)
@@ -201,7 +201,7 @@ def _cmd_groth(args) -> Outcome:
 
 def _cmd_ungroth(args) -> Outcome:
     ws = _load(args)
-    q = _opfib_of(ws, args, args.functor, args.cleavage)
+    q = _opfib_of(ws, args.functor, args.cleavage)
     d = fibres(q)
     name = export_diagram(ws, f"{args.functor}_fibres", d,
                           base_name=ws.entities[("functor", args.functor)].refs["cod"])
@@ -252,7 +252,7 @@ def _cmd_base_change(args) -> Outcome:
 
 def _cmd_check_opfib(args) -> Outcome:
     ws = _load(args)
-    q = _opfib_of(ws, args, args.functor, args.cleavage)
+    q = _opfib_of(ws, args.functor, args.cleavage)
     return _outcome_from_report(check_split_opfib(q))
 
 
@@ -266,15 +266,15 @@ def _cmd_check_cleavage(args) -> Outcome:
     ws = _load(args)
     h = _need(ws, "functor", args.h)
     k = _need(ws, "functor", args.k)
-    q1 = _opfib_of(ws, args, args.p1, args.cl1)
-    q2 = _opfib_of(ws, args, args.p2, args.cl2)
+    q1 = _opfib_of(ws, args.p1, args.cl1)
+    q2 = _opfib_of(ws, args.p2, args.cl2)
     return _outcome_from_report(check_cleavage_preserving(h, k, q1, q2))
 
 
 def _cmd_pullback(args) -> Outcome:
     ws = _load(args)
     h = _need(ws, "functor", args.h)
-    q = _opfib_of(ws, args, args.functor, args.cleavage)
+    q = _opfib_of(ws, args.functor, args.cleavage)
     pb = pullback_opfib(h, q)
     prefix = f"pb_{args.h}_{args.functor}"
     total_name = ws.add("category", f"{prefix}_total", pb.opfib.total)

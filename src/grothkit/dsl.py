@@ -7,19 +7,23 @@ identity are synthesized.  All composites of non-identity pairs must be
 declared, which keeps parsing and law-checking decoupled.
 
     category C { objects: a b ; arrows: f: a -> b ; compose: g.f = h ; }
-    category P = product(C, D)          # also: discrete(n) terminal()
-                                        # walking_arrow() walking_iso() chain(n)
-                                        # poset(a b : a<b) delooping(e a : a.a=e)
-                                        # opposite(C) slice(C, c) coslice(C, c)
     functor T : C -> D { ob: a |-> x ; arr: f |-> g ; }
-    functor I = identity(C)             # also: compose(G, H), constant(C, D, x)
     nattrans n : T => S { at a = m ; }
     diagram F on A { at a = C ; at f = T ; }
-    diagram F on A = constant(B)        # also: representable(C, c) with A = opposite(C)
     dmor al : F => G { at a = T ; }
     cleavage cl for P { lift (E, f) |-> e ; }
     opfib phi { over: F ; total: G ; component a = (p_a, cl_a) ; }
     cocone s for F { vertex: U ; leg a = t_a ; cell f = n_f ; }
+
+Stock entities have a builder shorthand.  `_BUILDERS` is the one place that
+knows the builders and their arguments: n is a count, B C D categories, G H
+functors, c x objects of the category before them.
+
+    category NAME = discrete(n) terminal() walking_arrow() walking_iso() chain(n)
+    category NAME = poset(a b : a<b) delooping(e a : a.a=e)
+    category NAME = product(C, D) opposite(C) slice(C, c) coslice(C, c)
+    functor NAME = identity(C) compose(G, H) constant(C, D, x)
+    diagram NAME on BASE = constant(B) representable(C, c)  # BASE = opposite(C)
 
 Entities must be declared before they are referenced.  Parsing validates
 every entity with its module's validator; diagnostics carry file, line,
@@ -28,10 +32,11 @@ column and an error class (lexical, syntax, reference, semantic).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import build
 from .fincat import (
@@ -67,6 +72,7 @@ _STATEMENT = re.compile(r"[^;\s](?:[^;]*[^;\s])?")
 _ARROW = re.compile(r"(\S+?)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _COMPOSE = re.compile(r"(\S+)\.(\S+)\s*=\s*(\S+)$")
 _BUILDER = re.compile(r"(\w+)\s*\((.*)\)$", re.DOTALL)
+_RELATION = re.compile(r"([^<]*)<(.*)$")
 _PRODUCT = re.compile(r"(\S+?)\.(\S+?)=(\S+)$")
 _FUNCTOR_HEAD = re.compile(r"functor\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _NATTRANS_HEAD = re.compile(r"nattrans\s+(\S+)\s*:\s*(\S+)\s*=>\s*(\S+)$")
@@ -260,11 +266,13 @@ class _Parser:
         if self._free(kind, name, line):
             self.ws.add(kind, name, value, refs)
 
-    def _lookup(self, kind: str, name: str, stmt_line: int, stmt_col: int):
-        if not self.ws.has(kind, name):
-            self.err("reference", stmt_line, stmt_col, f"unknown {kind} {name!r}")
-            return None
-        return self.ws.get(kind, name)
+    def _resolve(self, kind: str, refs: Iterable[str], line: int) -> list | None:
+        """The `kind` entities named by `refs`, or None after a diagnostic for each unknown name."""
+        refs = list(refs)
+        missing = [r for r in refs if not self.ws.has(kind, r)]
+        for r in missing:
+            self.err("reference", line, 1, f"unknown {kind} {r!r}")
+        return None if missing else [self.ws.get(kind, r) for r in refs]
 
     def _check_member(self, tok: str, line: int, col: int, what: str) -> bool:
         if not _valid_name(tok) or tok.startswith("id_") and what in ("arrow",):
@@ -353,178 +361,120 @@ class _Parser:
             self.err("syntax", line, 1, f"expected BUILDER(...), got {expr!r}")
             return
         builder, argtext = m[1], m[2].strip()
-        try:
-            if kind == "category":
-                if len(words) != 2:
-                    self.err("syntax", line, 1, "expected: category NAME = builder(...)")
-                    return
-                value = self._category_builder(words[1], builder, argtext, line)
-                if value is not None:
-                    self._declare("category", words[1], {}, value, line)
-            elif kind == "functor":
-                if len(words) != 2:
-                    self.err("syntax", line, 1, "expected: functor NAME = builder(...)")
-                    return
-                self._functor_builder(words[1], builder, argtext, line)
-            elif kind == "diagram":
-                if len(words) != 4 or words[2] != "on":
-                    self.err("syntax", line, 1, "expected: diagram NAME on BASE = builder(...)")
-                    return
-                self._diagram_builder(words[1], words[3], builder, argtext, line)
-            else:
-                self.err("syntax", line, 1, f"{kind} has no builder shorthand")
-        except ValidationError as err:
-            detail = err.report.summary() or err.report.title
-            self.err("semantic", line, 1, f"{header!r}: {detail}")
-
-    def _category_builder(self, name: str, builder: str, argtext: str, line: int) -> FinCat | None:
-        # translate the surface syntax into build_category arguments
-        args: list = split_top(argtext) if argtext else []
-        if builder in ("discrete", "chain"):
-            if len(args) != 1 or not args[0].isdigit():
-                self.err("syntax", line, 1, f"{builder}(n) needs one integer argument")
-                return None
-        elif builder in ("terminal", "walking_arrow", "walking_iso"):
-            if argtext:
-                self.err("syntax", line, 1, f"{builder}() takes no arguments")
-                return None
-            args = []
-        elif builder == "poset":
-            elems_text, _, rel_text = argtext.partition(":")
-            # the printer writes poset elements as objects and delooping elements as arrows;
-            # the checks run in a list so that every invalid element is reported
-            elems = elems_text.split()
-            if not all([self._check_member(x, line, 1, "object") for x in elems]):
-                return None
-            rel = []
-            for item in rel_text.split():
-                if "<" not in item:
-                    self.err("syntax", line, 1, f"poset relation item {item!r} must be x<y")
-                    return None
-                x, y = item.split("<", 1)
-                rel.append((x, y))
-            args = [elems, rel]
-        elif builder == "delooping":
-            elems_text, _, prod_text = argtext.partition(":")
-            elems = elems_text.split()
-            if not all([self._check_member(x, line, 1, "arrow") for x in elems]):
-                return None
-            table = {}
-            for item in prod_text.split():
-                m = _PRODUCT.match(item)
-                if not m:
-                    self.err("syntax", line, 1, f"delooping product item {item!r} must be x.y=z")
-                    return None
-                table[(m[1], m[2])] = m[3]
-            args = [elems, table]
-        elif builder not in ("product", "opposite", "slice", "coslice"):
-            self.err("syntax", line, 1, f"unknown category builder {builder!r}")
-            return None
-        named = {n: self.ws.get("category", n) for k, n in self.ws.entities if k == "category"}
-        try:
-            return build.build_category(builder, args, named, name)
-        except KeyError as err:
-            self.err("reference", line, 1, f"unknown category {err.args[0]!r}")
-            return None
-
-    def _functor_builder(self, name: str, builder: str, argtext: str, line: int) -> None:
-        args = split_top(argtext) if argtext else []
-        if builder == "identity":
-            c = self._lookup("category", args[0], line, 1) if args else None
-            if c is None:
-                return
-            t = identity_functor(c)
-            refs = {"dom": args[0], "cod": args[0]}
-        elif builder == "compose":
-            if len(args) != 2:
-                self.err("syntax", line, 1, "compose(G, H) needs two functor arguments")
-                return
-            g = self._lookup("functor", args[0], line, 1)
-            h = self._lookup("functor", args[1], line, 1)
-            if g is None or h is None:
-                return
-            t = compose_functors(g, h, name=name)
-            ge = self.ws.entities[("functor", args[0])]
-            he = self.ws.entities[("functor", args[1])]
-            refs = {"dom": he.refs["dom"], "cod": ge.refs["cod"]}
-        elif builder == "constant":
-            if len(args) != 3:
-                self.err("syntax", line, 1, "constant(C, D, x) needs category, category, object")
-                return
-            c = self._lookup("category", args[0], line, 1)
-            d = self._lookup("category", args[1], line, 1)
-            if c is None or d is None:
-                return
-            x = args[2]
-            t = validate_functor(
-                c, d,
-                {y: x for y in c.objects},
-                {m: d.identity[x] for m in c.mors},
-                name=name,
-            )
-            refs = {"dom": args[0], "cod": args[1]}
-        else:
-            self.err("syntax", line, 1, f"unknown functor builder {builder!r}")
+        if kind not in _HEADERS:
+            self.err("syntax", line, 1, f"{kind} has no builder shorthand")
             return
-        self._declare(
-            "functor",
-            name,
-            refs,
-            FunctorData(name, t.dom, t.cod, t.ob_map, t.mor_map),
-            line,
-        )
-
-    def _diagram_builder(self, name: str, base_name: str, builder: str, argtext: str, line: int) -> None:
-        base = self._lookup("category", base_name, line, 1)
+        form = _HEADERS[kind].split()
+        if len(words) != len(form) or any(w != f for w, f in zip(words, form) if f.islower()):
+            self.err("syntax", line, 1, f"expected: {_HEADERS[kind]} = builder(...)")
+            return
+        name = words[1]
+        base = self._resolve("category", words[3:], line)  # a diagram's base; [] for the other kinds
         if base is None:
             return
-        args = split_top(argtext) if argtext else []
-        if builder == "constant":
-            fibre = self._lookup("category", args[0], line, 1) if args else None
-            if fibre is None:
-                return
-            value = build.constant_diagram(base, fibre, name=name)
-            ident = f"__id_{args[0]}"
-            if not self.ws.has("functor", ident):
-                self.ws.add("functor", ident, identity_functor(fibre), {"dom": args[0], "cod": args[0]})
-            elif not self.ws.get("functor", ident).tables_equal(identity_functor(fibre)):
-                self.err("reference", line, 1, f"functor {ident!r} is not the identity of {args[0]!r}")
-                return
-            refs = {
-                "base": base_name,
-                "at_ob": {x: args[0] for x in base.objects},
-                "at_mor": {f: ident for f in base.non_identity_mors()},
-            }
-        elif builder == "representable":
-            if len(args) != 2:
-                self.err("syntax", line, 1, "representable(C, c) needs a category and an object")
-                return
-            c = self._lookup("category", args[0], line, 1)
-            if c is None:
-                return
-            fresh_base, diagram = build.representable_diagram(c, args[1], name=name)
-            if not fresh_base.tables_equal(base):
-                self.err("semantic", line, 1,
-                         f"base {base_name!r} is not opposite({args[0]})")
-                return
-            value = validate_diagram(base, dict(diagram.at_ob), dict(diagram.at_mor), name=name)
-            if not self._free("diagram", name, line):  # before any sub-entity is added
-                return
-            try:
-                at_ob_refs = {x: self.ws.add("category", f"__{name}_at_{x}", value.at_ob[x]) for x in base.objects}
-                at_mor_refs = {
-                    f: self.ws.add("functor", f"__{name}_arr_{f}", value.at_mor[f],
-                                   {"dom": at_ob_refs[base.src[f]], "cod": at_ob_refs[base.tgt[f]]})
-                    for f in base.non_identity_mors()
-                }
-            except UsageError as err:  # the user declared an entity under a generated name
-                self.err("reference", line, 1, str(err))
-                return
-            refs = {"base": base_name, "at_ob": at_ob_refs, "at_mor": at_mor_refs}
-        else:
-            self.err("syntax", line, 1, f"unknown diagram builder {builder!r}")
+        sig = _BUILDERS.get((kind, builder))
+        if sig is None:
+            self.err("syntax", line, 1, f"unknown {kind} builder {builder!r}")
             return
-        self._declare("diagram", name, refs, value, line)
+        if sig.params in ((_ORDER,), (_GROUP,)):
+            args, values = [], self._element_list(sig.params[0], argtext, line)
+        else:
+            args = split_top(argtext) if argtext else []
+            counts = [a for p, a in zip(sig.params, args) if p == _COUNT]
+            if len(args) != len(sig.params) or not all(a.isdecimal() for a in counts):
+                self.err("syntax", line, 1, f"expected {sig.usage}, got {builder}({argtext})")
+                return
+            values = [self._argument(p, a, line) for p, a in zip(sig.params, args)]
+        if values is None or any(v is None for v in values):
+            return
+        try:
+            if kind == "diagram":
+                made = sig.make(self, name, words[3], base[0], args, values, line)
+            else:
+                made = dataclasses.replace(sig.make(*values), name=name), self._refs(kind, sig.params, args)
+        except ValidationError as err:
+            self.err("semantic", line, 1, f"{header!r}: {err.report.summary() or err.report.title}")
+            return
+        except UsageError as err:  # arguments that do not fit together
+            self.err("semantic", line, 1, f"{header!r}: {err}")
+            return
+        if made is not None:
+            value, refs = made
+            self._declare(kind, name, refs, value, line)
+
+    def _argument(self, param: str, tok: str, line: int):
+        """A builder argument: a count, a resolved reference (None if unknown), or an object name."""
+        if param == _COUNT:
+            return int(tok)
+        if param == _OBJECT:
+            return tok
+        found = self._resolve(param, [tok], line)
+        return found and found[0]
+
+    def _element_list(self, param: str, argtext: str, line: int) -> list | None:
+        """[elements, items] of poset(a b : a<b) or delooping(e a : a.a=e), or None after a diagnostic."""
+        member, item_re, item_error = _ELEMENT_LISTS[param]
+        elems_text, _, items_text = argtext.partition(":")
+        elems = elems_text.split()
+        # the printer writes poset elements as objects and delooping elements as arrows;
+        # the checks run in a list so that every invalid element is reported
+        if not all([self._check_member(x, line, 1, member) for x in elems]):
+            return None
+        items = []
+        for item in items_text.split():
+            m = item_re.match(item)
+            if not m:
+                self.err("syntax", line, 1, item_error.format(item))
+                return None
+            items.append(m.groups())
+        return [elems, items]
+
+    def _refs(self, kind: str, params: tuple[str, ...], args: list[str]) -> dict:
+        """A built functor runs from its first to its last category argument, and G∘H from H's
+        domain to G's codomain; a built category refers to nothing."""
+        if kind == "category":
+            return {}
+        cats = [a for p, a in zip(params, args) if p == "category"]
+        if cats:
+            return {"dom": cats[0], "cod": cats[-1]}
+        return {"dom": self.ws.entities[("functor", args[-1])].refs["dom"],
+                "cod": self.ws.entities[("functor", args[0])].refs["cod"]}
+
+    def _constant_diagram(self, name: str, base_name: str, base: FinCat, args: list[str], values: list, line: int):
+        fibre_name, fibre = args[0], values[0]
+        value = build.constant_diagram(base, fibre, name=name)
+        ident = f"__id_{fibre_name}"
+        if not self.ws.has("functor", ident):
+            self.ws.add("functor", ident, identity_functor(fibre), {"dom": fibre_name, "cod": fibre_name})
+        elif not self.ws.get("functor", ident).tables_equal(identity_functor(fibre)):
+            self.err("reference", line, 1, f"functor {ident!r} is not the identity of {fibre_name!r}")
+            return None
+        return value, {
+            "base": base_name,
+            "at_ob": {x: fibre_name for x in base.objects},
+            "at_mor": {f: ident for f in base.non_identity_mors()},
+        }
+
+    def _representable_diagram(self, name: str, base_name: str, base: FinCat, args: list[str], values: list,
+                               line: int):
+        fresh_base, diagram = build.representable_diagram(*values, name=name)
+        if not fresh_base.tables_equal(base):
+            self.err("semantic", line, 1, f"base {base_name!r} is not opposite({args[0]})")
+            return None
+        value = validate_diagram(base, dict(diagram.at_ob), dict(diagram.at_mor), name=name)
+        if not self._free("diagram", name, line):  # before any sub-entity is added
+            return None
+        try:
+            at_ob_refs = {x: self.ws.add("category", f"__{name}_at_{x}", value.at_ob[x]) for x in base.objects}
+            at_mor_refs = {
+                f: self.ws.add("functor", f"__{name}_arr_{f}", value.at_mor[f],
+                               {"dom": at_ob_refs[base.src[f]], "cod": at_ob_refs[base.tgt[f]]})
+                for f in base.non_identity_mors()
+            }
+        except UsageError as err:  # the user declared an entity under a generated name
+            self.err("reference", line, 1, str(err))
+            return None
+        return value, {"base": base_name, "at_ob": at_ob_refs, "at_mor": at_mor_refs}
 
     def _functor(self, header: str, stmts: _Statements, line: int) -> None:
         m = _FUNCTOR_HEAD.match(header)
@@ -532,10 +482,10 @@ class _Parser:
             self.err("syntax", line, 1, "expected: functor NAME : C -> D { ... }")
             return
         name, dom_name, cod_name = m.groups()
-        dom = self._lookup("category", dom_name, line, 1)
-        cod = self._lookup("category", cod_name, line, 1)
-        if dom is None or cod is None:
+        found = self._resolve("category", [dom_name, cod_name], line)
+        if found is None:
             return
+        dom, cod = found
         ob_map: dict[str, str] = {}
         mor_map: dict[str, str] = {}
         for section, text, ln, col in _sections(stmts, ("ob", "arr")):
@@ -561,13 +511,11 @@ class _Parser:
             self.err("syntax", line, 1, "expected: nattrans NAME : F => G { ... }")
             return
         name, f_name, g_name = m.groups()
-        f = self._lookup("functor", f_name, line, 1)
-        g = self._lookup("functor", g_name, line, 1)
-        if f is None or g is None:
-            return
-        comps = self._at_block(stmts)
+        found = self._resolve("functor", [f_name, g_name], line)
+        comps = self._at_block(stmts) if found else None
         if comps is None:
             return
+        f, g = found
         self._declare(
             "nattrans",
             name,
@@ -591,33 +539,24 @@ class _Parser:
             self.err("syntax", line, 1, "expected: diagram NAME on BASE { ... }")
             return
         name, base_name = words[1], words[3]
-        base = self._lookup("category", base_name, line, 1)
-        if base is None:
-            return
-        entries = self._at_block(stmts)
+        found = self._resolve("category", [base_name], line)
+        entries = self._at_block(stmts) if found else None
         if entries is None:
             return
-        at_ob: dict[str, FinCat] = {}
-        at_mor: dict[str, FunctorData] = {}
-        at_ob_refs: dict[str, str] = {}
-        at_mor_refs: dict[str, str] = {}
+        base = found[0]
         base_objects, base_mors = set(base.objects), set(base.mors)
-        for key, ref in entries.items():
-            if key in base_objects:
-                v = self._lookup("category", ref, line, 1)
-                if v is None:
-                    return
-                at_ob[key] = v
-                at_ob_refs[key] = ref
-            elif key in base_mors:
-                v = self._lookup("functor", ref, line, 1)
-                if v is None:
-                    return
-                at_mor[key] = v
-                at_mor_refs[key] = ref
-            else:
+        at_ob_refs = {k: ref for k, ref in entries.items() if k in base_objects}
+        at_mor_refs = {k: ref for k, ref in entries.items() if k not in base_objects and k in base_mors}
+        for key in entries:
+            if key not in base_objects and key not in base_mors:
                 self.err("reference", line, 1, f"{key!r} is neither an object nor a morphism of {base_name}")
                 return
+        fibres = self._resolve("category", at_ob_refs.values(), line)
+        actions = self._resolve("functor", at_mor_refs.values(), line)
+        if fibres is None or actions is None:
+            return
+        at_ob = dict(zip(at_ob_refs, fibres))
+        at_mor = dict(zip(at_mor_refs, actions))
         for x in base.objects:
             if x in at_ob:
                 at_mor.setdefault(base.identity[x], identity_functor(at_ob[x]))
@@ -635,26 +574,17 @@ class _Parser:
             self.err("syntax", line, 1, "expected: dmor NAME : F => G { ... }")
             return
         name, f_name, g_name = m.groups()
-        f = self._lookup("diagram", f_name, line, 1)
-        g = self._lookup("diagram", g_name, line, 1)
-        if f is None or g is None:
+        found = self._resolve("diagram", [f_name, g_name], line)
+        refs = self._at_block(stmts) if found else None
+        comps = self._resolve("functor", refs.values(), line) if refs is not None else None
+        if comps is None:
             return
-        entries = self._at_block(stmts)
-        if entries is None:
-            return
-        comps: dict[str, FunctorData] = {}
-        refs: dict[str, str] = {}
-        for key, ref in entries.items():
-            v = self._lookup("functor", ref, line, 1)
-            if v is None:
-                return
-            comps[key] = v
-            refs[key] = ref
+        f, g = found
         self._declare(
             "dmor",
             name,
             {"dom": f_name, "cod": g_name, "at": refs},
-            validate_diagram_mor(f, g, comps, name=name),
+            validate_diagram_mor(f, g, dict(zip(refs, comps)), name=name),
             line,
         )
 
@@ -663,9 +593,10 @@ class _Parser:
             self.err("syntax", line, 1, "expected: cleavage NAME for FUNCTOR { ... }")
             return
         name, p_name = words[1], words[3]
-        p = self._lookup("functor", p_name, line, 1)
-        if p is None:
+        found = self._resolve("functor", [p_name], line)
+        if found is None:
             return
+        p = found[0]
         lifts: dict[tuple[str, str], str] = {}
         for text, ln, col in stmts:
             m = _LIFT.match(text)
@@ -724,24 +655,18 @@ class _Parser:
         if over_name is None or total_name is None:
             self.err("syntax", line, 1, "opfib block needs 'over:' and 'total:' entries")
             return
-        over = self._lookup("diagram", over_name, line, 1)
-        total = self._lookup("diagram", total_name, line, 1)
-        if over is None or total is None:
+        found = self._resolve("diagram", [over_name, total_name], line)
+        if found is None:
             return
-        components: dict[str, FunctorData] = {}
-        cleavages: dict[str, Cleavage] = {}
-        for a, (fn, cn) in comps.items():
-            f = self._lookup("functor", fn, line, 1)
-            c = self._lookup("cleavage", cn, line, 1)
-            if f is None or c is None:
-                return
-            components[a] = f
-            cleavages[a] = c
+        functors = self._resolve("functor", [fn for fn, _ in comps.values()], line)
+        cleavages = self._resolve("cleavage", [cn for _, cn in comps.values()], line)
+        if functors is None or cleavages is None:
+            return
         self._declare(
             "opfib",
             name,
             {"over": over_name, "total": total_name, "components": comps},
-            diagram_opfib(over, total, components, cleavages, name=name, flavor=flavor),
+            diagram_opfib(*found, dict(zip(comps, functors)), dict(zip(comps, cleavages)), name=name, flavor=flavor),
             line,
         )
 
@@ -750,9 +675,10 @@ class _Parser:
             self.err("syntax", line, 1, "expected: cocone NAME for DIAGRAM { ... }")
             return
         name, d_name = words[1], words[3]
-        diagram = self._lookup("diagram", d_name, line, 1)
-        if diagram is None:
+        found = self._resolve("diagram", [d_name], line)
+        if found is None:
             return
+        diagram = found[0]
         vertex_name = None
         leg_refs: dict[str, str] = {}
         cell_refs: dict[str, str] = {}
@@ -769,21 +695,12 @@ class _Parser:
         if vertex_name is None:
             self.err("syntax", line, 1, "cocone block needs a 'vertex:' entry")
             return
-        vertex = self._lookup("category", vertex_name, line, 1)
-        if vertex is None:
+        found = self._resolve("category", [vertex_name], line)
+        legs = self._resolve("functor", leg_refs.values(), line) if found else None
+        cells = self._resolve("nattrans", cell_refs.values(), line) if legs is not None else None
+        if cells is None:
             return
-        legs: dict[str, FunctorData] = {}
-        for a, ref in leg_refs.items():
-            v = self._lookup("functor", ref, line, 1)
-            if v is None:
-                return
-            legs[a] = v
-        cells: dict[str, NatTransData] = {}
-        for f, ref in cell_refs.items():
-            v = self._lookup("nattrans", ref, line, 1)
-            if v is None:
-                return
-            cells[f] = v
+        vertex, legs, cells = found[0], dict(zip(leg_refs, legs)), dict(zip(cell_refs, cells))
         base = diagram.base
         for x in base.objects:
             if x in legs:
@@ -795,6 +712,49 @@ class _Parser:
             validate_lax_cocone(diagram, vertex, legs, cells, name=name),
             line,
         )
+
+
+# ---------------------------------------------------------------------------
+# the builder shorthand: the one place that knows the builders and their arguments
+
+
+class _Signature(NamedTuple):
+    usage: str  # how the builder is written, as in the module docstring
+    params: tuple[str, ...]  # the kind of each argument
+    # the library builder, called with the arguments; for a diagram, a parser method that also
+    # gets the name, the base's name and value, the argument texts and the line, and returns
+    # (value, refs), or None after a diagnostic
+    make: Callable
+
+
+# argument kinds besides category and functor references: a count, an object of the category
+# argument before it, and the element lists of poset and delooping
+_COUNT, _OBJECT, _ORDER, _GROUP = "count", "object", "order", "group"
+_ELEMENT_LISTS = {  # member kind, item pattern, message for a malformed item
+    _ORDER: ("object", _RELATION, "poset relation item {!r} must be x<y"),
+    _GROUP: ("arrow", _PRODUCT, "delooping product item {!r} must be x.y=z"),
+}
+_HEADERS = {"category": "category NAME", "functor": "functor NAME", "diagram": "diagram NAME on BASE"}
+_C, _F = "category", "functor"  # reference arguments, resolved by their kind
+_BUILDERS: dict[tuple[str, str], _Signature] = {
+    (_C, "discrete"): _Signature("discrete(n)", (_COUNT,), build.discrete),
+    (_C, "terminal"): _Signature("terminal()", (), build.terminal),
+    (_C, "walking_arrow"): _Signature("walking_arrow()", (), build.walking_arrow),
+    (_C, "walking_iso"): _Signature("walking_iso()", (), build.walking_iso),
+    (_C, "chain"): _Signature("chain(n)", (_COUNT,), build.chain),
+    (_C, "poset"): _Signature("poset(a b : a<b)", (_ORDER,), build.poset),
+    (_C, "delooping"): _Signature("delooping(e a : a.a=e)", (_GROUP,),
+                                  lambda elems, items: build.delooping(elems, {(a, b): c for a, b, c in items})),
+    (_C, "product"): _Signature("product(C, D)", (_C, _C), build.product),
+    (_C, "opposite"): _Signature("opposite(C)", (_C,), build.opposite),
+    (_C, "slice"): _Signature("slice(C, c)", (_C, _OBJECT), build.slice_category),
+    (_C, "coslice"): _Signature("coslice(C, c)", (_C, _OBJECT), build.coslice_category),
+    (_F, "identity"): _Signature("identity(C)", (_C,), identity_functor),
+    (_F, "compose"): _Signature("compose(G, H)", (_F, _F), compose_functors),
+    (_F, "constant"): _Signature("constant(C, D, x)", (_C, _C, _OBJECT), build.constant_functor),
+    ("diagram", "constant"): _Signature("constant(B)", (_C,), _Parser._constant_diagram),
+    ("diagram", "representable"): _Signature("representable(C, c)", (_C, _OBJECT), _Parser._representable_diagram),
+}
 
 
 def parse_workspace(text: str, filename: str = "<input>") -> Workspace:

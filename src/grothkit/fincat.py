@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .report import Report, ValidationError
+from .report import Report, UsageError, ValidationError
 
 
 def id_name(obj: str) -> str:
@@ -119,9 +119,9 @@ class FinCat:
 
         Agrees with comparing canonical_key()s, since identifiers are unique
         after validation, but compares the tables in place instead of sorting
-        copies; the keys of src are the morphisms.
+        copies; the keys of src are the morphisms; an instance equals itself.
         """
-        return (
+        return self is other or (
             set(self.objects) == set(other.objects)
             and self.src == other.src
             and self.tgt == other.tgt
@@ -398,8 +398,8 @@ def identity_functor(c: FinCat) -> FunctorData:
 
 def compose_functors(g: FunctorData, f: FunctorData, name: str | None = None) -> FunctorData:
     """g∘f; the composite of valid functors needs no re-validation."""
-    if g.dom is not f.cod and not g.dom.tables_equal(f.cod):
-        raise ValueError(f"cannot compose {g.name} after {f.name}: boundary mismatch")
+    if not g.dom.tables_equal(f.cod):
+        raise UsageError(f"cannot compose {g.name} after {f.name}: boundary mismatch")
     return FunctorData(
         name or f"{g.name}∘{f.name}",
         f.dom,
@@ -495,9 +495,9 @@ def validate_nat_trans(
     name: str = "nattrans",
 ) -> NatTransData:
     rep = Report(f"validate nattrans {name}")
-    if dom.dom is not cod.dom and not dom.dom.tables_equal(cod.dom):
+    if not dom.dom.tables_equal(cod.dom):
         rep.fail("parallel-functors", "domain categories differ")
-    if dom.cod is not cod.cod and not dom.cod.tables_equal(cod.cod):
+    if not dom.cod.tables_equal(cod.cod):
         rep.fail("parallel-functors", "codomain categories differ")
     if not rep.passed:
         raise ValidationError(rep)
@@ -536,11 +536,6 @@ def validate_nat_trans(
 def identity_nat_trans(f: FunctorData) -> NatTransData:
     comps = {x: f.cod.identity[f.ob_map[x]] for x in f.dom.objects}
     return NatTransData(f"id[{f.name}]", f, f, comps)
-
-
-def _same_cat(a: FinCat, b: FinCat) -> bool:
-    """Boundary agreement: identical instance or equal tables (lookups are by name)."""
-    return a is b or a.tables_equal(b)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +589,7 @@ def validate_diagram(
 
     for f in base.mors:
         t = at_mor[f]
-        if not _same_cat(t.dom, at_ob[base.src[f]]) or not _same_cat(t.cod, at_ob[base.tgt[f]]):
+        if not t.dom.tables_equal(at_ob[base.src[f]]) or not t.cod.tables_equal(at_ob[base.tgt[f]]):
             rep.fail("arrow-boundary", f"functor at {f} does not go {base.src[f]} fibre -> {base.tgt[f]} fibre")
     if not rep.passed:
         raise ValidationError(rep)
@@ -639,7 +634,7 @@ def validate_diagram_mor(
     name: str = "dmor",
 ) -> DiagramMor:
     rep = Report(f"validate diagram morphism {name}")
-    if dom.base is not cod.base and not dom.base.tables_equal(cod.base):
+    if not dom.base.tables_equal(cod.base):
         rep.fail("shared-base", "domain and codomain diagrams live on different bases")
         raise ValidationError(rep)
     for x in dom.base.objects:
@@ -647,7 +642,7 @@ def validate_diagram_mor(
             rep.fail("components-total", f"no component at {x}")
             continue
         t = components[x]
-        if not _same_cat(t.dom, dom.at_ob[x]) or not _same_cat(t.cod, cod.at_ob[x]):
+        if not t.dom.tables_equal(dom.at_ob[x]) or not t.cod.tables_equal(cod.at_ob[x]):
             rep.fail("component-boundary", f"component at {x} does not map fibre to fibre")
     if not rep.passed:
         raise ValidationError(rep)
@@ -675,7 +670,7 @@ def compose_diagram_mors(g: DiagramMor, f: DiagramMor, name: str | None = None) 
 
 def reindex(d: CatDiagram, h: FunctorData, name: str | None = None) -> CatDiagram:
     """Precompose a diagram on A with a functor h: B -> A, giving a diagram on B."""
-    if h.cod is not d.base and not h.cod.tables_equal(d.base):
+    if not h.cod.tables_equal(d.base):
         raise ValueError("reindexing functor does not land in the diagram base")
     return validate_diagram(
         h.dom,

@@ -18,7 +18,6 @@ from typing import Mapping
 
 from .fincat import (
     CatDiagram,
-    _same_cat,
     DiagramMor,
     FinCat,
     FunctorData,
@@ -200,7 +199,7 @@ def validate_lax_cocone(
 
     for c in base.objects:
         leg = legs[c]
-        if not _same_cat(leg.dom, diagram.at_ob[c]) or not _same_cat(leg.cod, vertex):
+        if not leg.dom.tables_equal(diagram.at_ob[c]) or not leg.cod.tables_equal(vertex):
             rep.fail("leg-boundary", f"leg at {c} is not a functor from the fibre to the vertex")
     if not rep.passed:
         raise ValidationError(rep)
@@ -303,7 +302,7 @@ class BaseChange:
 
 def base_change(h: FunctorData, d: CatDiagram) -> BaseChange:
     """Build and verify the canonical over-base iso between reindex-then-groth and groth-then-pullback."""
-    if not _same_cat(h.cod, d.base):
+    if not h.cod.tables_equal(d.base):
         raise UsageError(f"{h.name} does not land in the base of {d.name}")
     gf = groth(d)
     gfh = groth(reindex(d, h))

@@ -21,7 +21,6 @@ from typing import Callable, Mapping
 from .build import opposite
 from .fincat import (
     CatDiagram,
-    _same_cat,
     reindex,
     DiagramMor,
     FinCat,
@@ -119,7 +118,7 @@ def diagram_opfib(
     which are shape-checked with the dual orientation.
     """
     rep = Report(f"validate opfibration candidate {name}")
-    if over.base is not total.base and not over.base.tables_equal(total.base):
+    if not over.base.tables_equal(total.base):
         rep.fail("shared-base", "total and base diagrams live on different index categories")
         raise ValidationError(rep)
     clean: dict[str, Cleavage] = {}
@@ -128,7 +127,7 @@ def diagram_opfib(
             rep.fail("components-total", f"no component at {a}")
             continue
         t = components[a]
-        if not _same_cat(t.dom, total.at_ob[a]) or not _same_cat(t.cod, over.at_ob[a]):
+        if not t.dom.tables_equal(total.at_ob[a]) or not t.cod.tables_equal(over.at_ob[a]):
             rep.fail("component-boundary", f"component at {a} is not a functor G({a}) -> F({a})")
             continue
         if a not in cleavages:
@@ -260,7 +259,7 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
 def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | None = None) -> DiagramOpfib:
     """Pointwise pullback of an opfibration of diagrams along a diagram morphism."""
     _require_opfib_flavor(phi)
-    if alpha.cod is not phi.over and not alpha.cod.tables_equal(phi.over):
+    if not alpha.cod.tables_equal(phi.over):
         raise UsageError(f"{alpha.name} does not land in the base diagram of {phi.name}")
     base = phi.base
     label = name or f"pb({alpha.name},{phi.name})"
@@ -445,7 +444,7 @@ def indexed_groth(
     (F(h)(X), Z(h, id)(ξ)).
     """
     g = gt if gt is not None else groth(f)
-    if z.base is not g.total and not z.base.tables_equal(g.total):
+    if not z.base.tables_equal(g.total):
         raise UsageError(f"the base of {z.name} is not the total category of {f.name}")
     label = name or f"groth({z.name})"
     base = f.base

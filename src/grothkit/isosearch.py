@@ -315,9 +315,9 @@ def iso_search(
 
 def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Search for an invertible natural transformation between parallel functors."""
-    if f.dom is not g.dom and not f.dom.tables_equal(g.dom):
+    if not f.dom.tables_equal(g.dom):
         raise ValueError("functors do not share a domain")
-    if f.cod is not g.cod and not f.cod.tables_equal(g.cod):
+    if not f.cod.tables_equal(g.cod):
         raise ValueError("functors do not share a codomain")
     b = Budget(budget)
     cat, target = f.dom, f.cod
@@ -352,7 +352,7 @@ def over_base_iso_search(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Search for a strict iso of total categories commuting with the projections."""
-    if proj1.cod is not proj2.cod and not proj1.cod.tables_equal(proj2.cod):
+    if not proj1.cod.tables_equal(proj2.cod):
         raise ValueError("projections do not share a base")
     b = Budget(budget)
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
@@ -367,7 +367,7 @@ def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUD
     Per base object this enumerates category isos between the fibres, then
     backtracks across the base checking every naturality square strictly.
     """
-    if z1.base is not z2.base and not z1.base.tables_equal(z2.base):
+    if not z1.base.tables_equal(z2.base):
         raise ValueError("diagrams do not share a base")
     base = z1.base
     b = Budget(budget)

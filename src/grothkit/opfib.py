@@ -16,7 +16,6 @@ from .fincat import (
     FinCat,
     FunctorData,
     NatTransData,
-    _same_cat,
     compose_functors,
     first_disagreement,
     make_category,
@@ -40,12 +39,11 @@ class Cleavage:
 
 @dataclass(eq=False)
 class CleavedOpfib:
-    """A functor equipped with a cleavage; split/discrete status caches are filled by checkers."""
+    """A functor equipped with a cleavage; the split check caches its report on it."""
 
     p: FunctorData
     cleavage: Cleavage
     split_report: Report | None = field(default=None, repr=False)
-    discrete_report: Report | None = field(default=None, repr=False)
 
     @property
     def total(self) -> FinCat:
@@ -204,8 +202,8 @@ def check_cleavage_preserving(
     q2: CleavedOpfib,
 ) -> Report:
     """Square (h over k) between cleaved opfibrations: commutes and preserves chosen lifts."""
-    if not (_same_cat(h.dom, q1.total) and _same_cat(h.cod, q2.total)
-            and _same_cat(k.dom, q1.base) and _same_cat(k.cod, q2.base)):
+    if not (h.dom.tables_equal(q1.total) and h.cod.tables_equal(q2.total)
+            and k.dom.tables_equal(q1.base) and k.cod.tables_equal(q2.base)):
         raise UsageError(f"({h.name},{k.name}) is not a square from {q1.p.name} to {q2.p.name}")
     rep = Report(f"cleavage preservation for ({h.name},{k.name})")
     left = compose_functors(q2.p, h)
@@ -303,7 +301,7 @@ class PullbackOpfib:
 
 def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> PullbackOpfib:
     """Pull back q: E -> C along h: D -> C; the cleavage transports componentwise."""
-    if not _same_cat(h.cod, q.base):
+    if not h.cod.tables_equal(q.base):
         raise UsageError(f"{h.name} does not land in the base of {q.p.name}")
     _require_split(q)
     total, base_d = q.total, h.dom

@@ -614,6 +614,9 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
     runs += [["validate", "-i", path(exdir, name)] for name in sorted(shipped_examples())]
     runs += [["build", "-i", f, "--name", "P", "--spec", f"product({c}, {c})"]
              for f, ws in files for c in ws.names("category")[:1]]
+    # a builder call with a missing argument is a syntax error, not an IndexError
+    short = ["build", "-i", files[0][0], "--name", "P", "--spec", "product(C)"]
+    runs += [short] * 2
     for command, signatures in SIGNATURES:
         found = [
             command.split() + ["-i", f] + args
@@ -635,6 +638,8 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
         rc = run_command(argv)
         outs[tuple(argv)] = rc, capsys.readouterr().out
         assert rc in (0, 1, 2, 3), argv
+    assert outs[tuple(short)] == (2, "<build>:1:1: syntax: expected product(C, D), got product(C)\n")
+    assert outs[tuple(short + ["--json"])][0] == 2
     deep_iso = ["iso", "-i", str(deep), "P", "Q", "--budget", "2000"]
     assert outs[tuple(deep_iso)] == (0, "P and Q are isomorphic\n")
     rc, out = outs[tuple(deep_iso + ["--json"])]

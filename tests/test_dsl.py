@@ -4,8 +4,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, examples
+from grothkit import build, dsl, examples
 from grothkit.dsl import (
+    _BUILDERS,
     Workspace,
     WorkspaceParseError,
     _stmts,
@@ -15,6 +16,7 @@ from grothkit.dsl import (
     render_dot,
     split_top,
 )
+from grothkit.fincat import compose_functors, identity_functor
 from grothkit.groth import groth
 from grothkit.indexed import check_diagram_opfib, identity_diagram_opfib
 
@@ -345,6 +347,31 @@ PINNED_DIAGNOSTICS = {
         "category C} {\n objects: a ;\n}\n",
         ["m.cat:1:1: lexical: invalid category name 'C}'"],
     ),
+    # builder calls with too few or too many arguments, or arguments that do not fit together
+    **{f"builder-{case}": (
+        "category C = walking_arrow()\ncategory D = chain(2)\n" + line + "\n",
+        ["m.cat:" + message],
+    ) for case, line, message in [
+        ("product-one", "category P = product(C)", "3:1: syntax: expected product(C, D), got product(C)"),
+        ("product-none", "category P = product()", "3:1: syntax: expected product(C, D), got product()"),
+        ("product-three", "category P = product(C, C, C)",
+         "3:1: syntax: expected product(C, D), got product(C, C, C)"),
+        ("opposite-none", "category P = opposite()", "3:1: syntax: expected opposite(C), got opposite()"),
+        ("opposite-three", "category P = opposite(C, C, C)",
+         "3:1: syntax: expected opposite(C), got opposite(C, C, C)"),
+        ("slice-one", "category S = slice(C)", "3:1: syntax: expected slice(C, c), got slice(C)"),
+        ("coslice-none", "category S = coslice()", "3:1: syntax: expected coslice(C, c), got coslice()"),
+        ("chain-not-decimal", "category N = chain(\u00b2)", "3:1: syntax: expected chain(n), got chain(\u00b2)"),
+        ("identity-none", "functor I = identity()", "3:1: syntax: expected identity(C), got identity()"),
+        ("identity-two", "functor I = identity(C, x)", "3:1: syntax: expected identity(C), got identity(C, x)"),
+        ("constant-functor-unknown-object", "functor K = constant(C, D, nosuch)",
+         "3:1: semantic: 'functor K': object-exists: nosuch is not an object of D"),
+        ("compose-mismatch", "functor I = identity(C)\nfunctor J = identity(D)\nfunctor K = compose(I, J)",
+         "5:1: semantic: 'functor K': cannot compose I after J: boundary mismatch"),
+        ("constant-diagram-none", "diagram F on C = constant()", "3:1: syntax: expected constant(B), got constant()"),
+        ("constant-diagram-two", "diagram F on C = constant(D, I)",
+         "3:1: syntax: expected constant(B), got constant(D, I)"),
+    ]},
     # constant(B) acts by the identity, so a declared __id_B must be the identity of B
     "constant-foreign-identity": (
         "category A = walking_arrow()\ncategory B = walking_arrow()\n"
@@ -443,3 +470,95 @@ def test_parsing_compiles_and_looks_up_no_pattern():
             except WorkspaceParseError:
                 assert name == "broken_assoc.cat"
         assert parse_workspace(printed).get("category", "F_total").tables_equal(ws.get("category", "F_total"))
+
+
+class TestBuilderShorthand:
+    """Each builder of the shorthand gives the library builder's tables under the declared name."""
+
+    PRELUDE = ("category C = walking_arrow()\ncategory D = discrete(2)\ncategory OC = opposite(C)\n"
+               "functor G = identity(C)\n")
+    CASES = {  # (kind, builder): (declaration of X, the library's value from the prelude's workspace)
+        ("category", "discrete"): ("category X = discrete(3)", lambda ws: build.discrete(3)),
+        ("category", "terminal"): ("category X = terminal()", lambda ws: build.terminal()),
+        ("category", "walking_arrow"): ("category X = walking_arrow()", lambda ws: build.walking_arrow()),
+        ("category", "walking_iso"): ("category X = walking_iso()", lambda ws: build.walking_iso()),
+        ("category", "chain"): ("category X = chain(3)", lambda ws: build.chain(3)),
+        ("category", "poset"): ("category X = poset(p q r : p<q q<r)",
+                                lambda ws: build.poset(["p", "q", "r"], [("p", "q"), ("q", "r")])),
+        ("category", "delooping"): ("category X = delooping(e a : a.a=e)",
+                                    lambda ws: build.delooping(["e", "a"], {("a", "a"): "e"})),
+        ("category", "product"): ("category X = product(C, D)",
+                                  lambda ws: build.product(ws.get("category", "C"), ws.get("category", "D"))),
+        ("category", "opposite"): ("category X = opposite(C)", lambda ws: build.opposite(ws.get("category", "C"))),
+        ("category", "slice"): ("category X = slice(C, b)",
+                                lambda ws: build.slice_category(ws.get("category", "C"), "b")),
+        ("category", "coslice"): ("category X = coslice(C, a)",
+                                  lambda ws: build.coslice_category(ws.get("category", "C"), "a")),
+        ("functor", "identity"): ("functor X = identity(C)", lambda ws: identity_functor(ws.get("category", "C"))),
+        ("functor", "compose"): ("functor X = compose(G, G)",
+                                 lambda ws: compose_functors(ws.get("functor", "G"), ws.get("functor", "G"))),
+        ("functor", "constant"): ("functor X = constant(C, D, x1)",
+                                  lambda ws: build.constant_functor(ws.get("category", "C"),
+                                                                    ws.get("category", "D"), "x1")),
+        ("diagram", "constant"): ("diagram X on C = constant(D)",
+                                  lambda ws: build.constant_diagram(ws.get("category", "C"), ws.get("category", "D"))),
+        ("diagram", "representable"): ("diagram X on OC = representable(C, b)",
+                                       lambda ws: build.representable_diagram(ws.get("category", "C"), "b")[1]),
+    }
+
+    def test_every_builder_name(self):
+        assert set(self.CASES) == set(_BUILDERS)
+        for (kind, builder), (line, library) in self.CASES.items():
+            ws = parse_workspace(self.PRELUDE + line + "\n")
+            built = ws.get(kind, "X")
+            assert built.name == "X", builder
+            assert built.tables_equal(library(ws)), builder
+            printed = print_workspace(ws)
+            assert print_workspace(parse_workspace(printed)) == printed, builder
+
+    @pytest.mark.parametrize("kind", ["category", "functor", "diagram"])
+    def test_unknown_builder_rejected(self, kind):
+        header = "diagram X on C" if kind == "diagram" else f"{kind} X"
+        with pytest.raises(WorkspaceParseError) as err:
+            parse_workspace(f"{self.PRELUDE}{header} = mystery()\n", "m.cat")
+        assert [d.describe() for d in err.value.diagnostics] == [f"m.cat:5:1: syntax: unknown {kind} builder 'mystery'"]
+
+    def test_unknown_reference_rejected(self):
+        with pytest.raises(WorkspaceParseError) as err:
+            parse_workspace("category X = opposite(missing)\n", "m.cat")
+        assert [d.describe() for d in err.value.diagnostics] == ["m.cat:1:1: reference: unknown category 'missing'"]
+
+
+def test_documented_builders_are_the_table():
+    """The builder list of the dsl docstring names every builder of the table, with its arguments."""
+    documented = set()
+    for line in dsl.__doc__.splitlines():
+        m = re.match(r"\s+(category|functor|diagram) NAME (?:on BASE )?= (.*)", line)
+        if m:
+            documented |= {(m[1], usage) for usage in re.findall(r"\w+\([^)]*\)", m[2].partition("#")[0])}
+    assert documented == {(kind, sig.usage) for (kind, _), sig in _BUILDERS.items()}
+    assert all(sig.usage.startswith(builder + "(") for (_, builder), sig in _BUILDERS.items())
+
+
+# Builder lines drawn from the table's builders and from unknown names, with reference, count,
+# object and element-list tokens as arguments.
+_BUILDER_PRELUDE = ("category A = walking_arrow()\ncategory B = chain(2)\ncategory OB = opposite(B)\n"
+                    "functor G = identity(A)\nfunctor H = identity(B)\n")
+_ARGUMENT = st.sampled_from(["A", "B", "OB", "G", "H", "nosuch", "(A)", "a", "b", "0", "1", "x0", "2", "\u00b2", "-1",
+                             "", ":", "a<b", "b<a", "e", "a.a=e", "e.a"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["category", "functor", "diagram", "cleavage"]), st.sampled_from(["X", "A", "G", "X|Y"]),
+       st.sampled_from(["A", "B", "OB", "nosuch"]), st.sampled_from(sorted({b for _, b in _BUILDERS}) + ["frob"]),
+       st.lists(_ARGUMENT, max_size=4), st.sampled_from([", ", " "]))
+def test_builder_lines_are_declared_or_diagnosed(kind, name, base, builder, args, sep):
+    header = f"diagram {name} on {base}" if kind == "diagram" else f"{kind} {name}"
+    try:
+        ws = parse_workspace(f"{_BUILDER_PRELUDE}{header} = {builder}({sep.join(args)})\n", "m.cat")
+    except WorkspaceParseError as err:
+        assert err.diagnostics and {d.line for d in err.diagnostics} == {6}
+        return
+    assert ws.has(kind, name)
+    printed = print_workspace(ws)
+    assert print_workspace(parse_workspace(printed)) == printed

@@ -216,31 +216,3 @@ class TestBuilderProperties:
         sl = build.slice_category(c, target)
         assert associativity_witnesses(sl) == []
 
-
-class TestBuildCategoryDispatcher:
-    def test_every_builder_name(self):
-        named = {"C": build.walking_arrow(), "D": build.discrete(2)}
-        cases = {
-            "discrete": [3],
-            "terminal": [],
-            "walking_arrow": [],
-            "walking_iso": [],
-            "chain": [2],
-            "poset": [["p", "q"], [("p", "q")]],
-            "delooping": [["e", "a"], {("a", "a"): "e"}],
-            "product": ["C", "D"],
-            "opposite": ["C"],
-            "slice": ["C", "b"],
-            "coslice": ["C", "a"],
-        }
-        for spec, args in cases.items():
-            c = build.build_category(spec, args, named, f"built_{spec}")
-            assert c.name == f"built_{spec}"
-
-    def test_unknown_builder_rejected(self):
-        with pytest.raises(ValueError):
-            build.build_category("mystery", [], {}, "x")
-
-    def test_unknown_reference_raises_key_error(self):
-        with pytest.raises(KeyError):
-            build.build_category("opposite", ["missing"], {}, "x")
