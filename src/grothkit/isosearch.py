@@ -6,8 +6,10 @@ that every isomorphism preserves (counts, hom-set sizes, then refined object
 and morphism classes); a class of different sizes on the two sides proves
 absence outright, and otherwise only candidates of equal colour are tried.
 This removes no isomorphism, so a search that runs dry is still a proof of
-absence.  Budgets count search nodes, not the colouring work, and are shared
-across the components of compound searches.
+absence.  A node is one candidate tried for an object or for a morphism with
+two or more candidates of its colour; the other morphisms are forced moves.
+Budgets count nodes, not the colouring work or the forced moves, and are
+shared across the components of compound searches.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterator
 
 from .fincat import (
@@ -29,6 +32,7 @@ from .fincat import (
     verify_category_iso,
     verify_natural_iso,
 )
+from .report import UsageError
 
 DEFAULT_BUDGET = 200_000
 
@@ -65,14 +69,24 @@ class SearchResult:
         return self.status == FOUND
 
 
-def _power_cycle(c: FinCat, m: str) -> tuple[int, int]:
-    """(index, period) of the powers m, m∘m, m∘m∘m, … of an endomorphism m."""
-    seen: dict[str, int] = {}
-    p = m
-    while p not in seen:
-        seen[p] = len(seen)
-        p = c.comp[(m, p)]
-    return seen[p], len(seen) - seen[p]
+def _power_cycles(c: FinCat) -> dict[str, tuple[int, int]]:
+    """(index, period) of the powers m, m∘m, m∘m∘m, … of every endomorphism m.
+
+    An identity's is (0, 1).  One walk of m gives those of all its powers:
+    if m has index i and period r, m^k has index ⌊i/k⌋ and period r/gcd(r, k).
+    """
+    cycles = {m: (0, 1) for m in c.identity.values()}
+    for m in c.mors:
+        if m not in cycles and c.src[m] == c.tgt[m]:
+            seen: dict[str, int] = {}  # m^k -> k - 1
+            p = m
+            while p not in seen:
+                seen[p] = len(seen)
+                p = c.comp[(m, p)]
+            i, r = seen[p], len(seen) - seen[p]
+            for k, p in enumerate(seen, 1):
+                cycles.setdefault(p, (i // k, r // gcd(r, k)))
+    return cycles
 
 
 def _into(c: FinCat) -> dict[str, list[str]]:
@@ -83,78 +97,75 @@ def _into(c: FinCat) -> dict[str, list[str]]:
     return into
 
 
-def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
+def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None, tuple | None]:
     """Colour the objects and morphisms of c and d on one shared palette.
 
-    Returns (refuted_by, colours).  `refuted_by` names the first invariant
-    that tells c and d apart, or is None; then `colours` is
+    Returns (refuted_by, colours, links).  `refuted_by` names the first
+    invariant that tells c and d apart, or is None; then `colours` is
     ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
-    map to palette indices that every isomorphism c -> d preserves.
+    map to palette indices that every isomorphism c -> d preserves, and
+    `links` maps each object x of c, and of d, to {y: (|hom(x,y)|, |hom(y,x)|)}
+    over the y with a morphism either way.
 
     Object colours start from |hom(x,x)| and are refined, in rounds, by the
-    multiset of (colour y, |hom(x,y)|, |hom(y,x)|) over the objects y with a
-    morphism either way, until the number of classes stops growing.  A
+    multiset of (colour y, |hom(x,y)|, |hom(y,x)|) over x's links, until the
+    number of classes stops growing or every object has its own colour.  A
     morphism's colour is whether it is an identity, the colours of its ends,
     its number of factorizations and, for an endomorphism, the index and
     period of its powers.  A class of different sizes on the two sides
     refutes the pair.
     """
     if len(c.objects) != len(d.objects):
-        return "object count", None
+        return "object count", None, None
     if len(c.mors) != len(d.mors):
-        return "morphism count", None
+        return "morphism count", None, None
     if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
-        return "hom-set sizes", None
+        return "hom-set sizes", None, None
 
     sides = (c, d)
-    # per object, (y, |hom(x,y)|, |hom(y,x)|) for the y with a morphism either way
     links = []
     for cat in sides:
-        near: dict[str, dict[str, list[int]]] = {x: {} for x in cat.objects}
+        near: dict[str, dict[str, tuple[int, int]]] = {x: {} for x in cat.objects}
         for (x, y), ms in cat.hom_table.items():
-            near[x].setdefault(y, [0, 0])[0] = len(ms)
-            near[y].setdefault(x, [0, 0])[1] = len(ms)
-        links.append({x: [(y, out, into) for y, (out, into) in ys.items()] for x, ys in near.items()})
+            back = len(cat.hom(y, x))
+            near[x][y], near[y][x] = (len(ms), back), (back, len(ms))
+        links.append(near)
 
     obs = [{x: len(cat.hom(x, x)) for x in cat.objects} for cat in sides]
     classes = len(set(obs[0].values()) | set(obs[1].values()))
-    while True:
+    while classes < len(c.objects):
         palette: dict = {}
         obs = [
             {
                 x: palette.setdefault(
-                    (col[x], tuple(sorted((col[y], out, into) for y, out, into in link[x]))), len(palette)
+                    (col[x], tuple(sorted((col[y], sizes) for y, sizes in near[x].items()))), len(palette)
                 )
                 for x in col
             }
-            for col, link in zip(obs, links)
+            for col, near in zip(obs, links)
         ]
         if len(palette) == classes:
             break
         classes = len(palette)
     if Counter(obs[0].values()) != Counter(obs[1].values()):
-        return "object classes", None
+        return "object classes", None, None
+    if classes == len(c.objects):
+        # every object has its own colour, so a further round would split a
+        # class exactly when the one colour-preserving bijection breaks a link
+        image = {col: u for u, col in obs[1].items()}  # d's object of each colour
+        if any({image[obs[0][y]]: sizes for y, sizes in near.items()} != links[1][image[obs[0][x]]]
+               for x, near in links[0].items()):
+            return "object classes", None, None
 
     palette = {}
-    mors = [
-        {
-            m: palette.setdefault(
-                (
-                    cat.is_identity(m),
-                    col[cat.src[m]],
-                    col[cat.tgt[m]],
-                    len(cat.factorizations[m]),
-                    _power_cycle(cat, m) if cat.src[m] == cat.tgt[m] else None,
-                ),
-                len(palette),
-            )
-            for m in cat.mors
-        }
-        for cat, col in zip(sides, obs)
-    ]
+    mors = []
+    for cat, col in zip(sides, obs):
+        ids, cycles, src, tgt = set(cat.identity.values()), _power_cycles(cat), cat.src, cat.tgt
+        mors.append({m: palette.setdefault((m in ids, col[src[m]], col[tgt[m]], len(cat.factorizations[m]),
+                                            cycles.get(m)), len(palette)) for m in cat.mors})
     if Counter(mors[0].values()) != Counter(mors[1].values()):
-        return "morphism classes", None
-    return None, ((obs[0], mors[0]), (obs[1], mors[1]))
+        return "morphism classes", None, None
+    return None, ((obs[0], mors[0]), (obs[1], mors[1])), tuple(links)
 
 
 def _order(items: list, rng: random.Random | None) -> list:
@@ -215,15 +226,17 @@ def iter_iso_tables(
     The enumeration is exhaustive, so running the generator dry proves there
     is no isomorphism satisfying the filters; when an invariant of `_refine`
     proves it before the first node, `budget.refuted_by` names the invariant.
-    Objects are placed first, then the non-identity morphisms, starting from
-    the images of the identities.  Raises BudgetExceeded when the node budget
-    runs out.
+    Objects are placed first.  That fixes the identities' images and, as
+    forced moves, those of the morphisms with one candidate of their colour;
+    they are checked but take no node, so the work stays within the budget
+    times |mors|.  The other morphisms are backtracked over.  Raises
+    BudgetExceeded when the node budget runs out.
     """
-    refuted_by, colours = _refine(c, d)
+    refuted_by, colours, links = _refine(c, d)
     if refuted_by is not None:
         budget.refuted_by = refuted_by
         return
-    (ob_c, mor_c), (ob_d, mor_d) = colours
+    ((ob_c, mor_c), (ob_d, mor_d)), (near_c, near_d) = colours, links
     cand = {
         x: [u for u in d.objects if ob_d[u] == ob_c[x] and (ob_allowed is None or ob_allowed(x, u))]
         for x in c.objects
@@ -231,23 +244,21 @@ def iter_iso_tables(
     # an object without candidates comes first, so the search ends before its first node
     order = sorted(c.objects, key=lambda x: len(cand[x]))
 
-    non_ids = list(c.non_identity_mors())
+    non_ids = c.non_identity_mors()
     into = _into(c)
     ob_map: dict[str, str] = {}
+    placed: set[str] = set()  # the images of the placed objects but the newest
     mor_map: dict[str, str] = {}
     wide: set[str] = set()
 
     def hom_sizes_agree(x: str) -> bool:
-        # the pair (x, u) itself agrees by its colour
-        u = ob_map[x]
-        return all(
-            len(c.hom(x, y)) == len(d.hom(u, v)) and len(c.hom(y, x)) == len(d.hom(v, u))
-            for y, v in ob_map.items()
-        )
-
-    def targets(m: str) -> list[str]:
-        colour = mor_c[m]
-        return _order([n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == colour], rng)
+        # |hom| both ways between x and each placed y must equal that between
+        # their images u and v.  Checked over x's links; a placed y that is no
+        # link of x then goes to no link of u when both have as many placed
+        # links (u, not yet in `placed`, is one of its own)
+        near_u = near_d[ob_map[x]]
+        pairs = [(near_u.get(ob_map[y]), sizes) for y, sizes in near_c[x].items() if y in ob_map]
+        return all(a == b for a, b in pairs) and len(pairs) == 1 + sum(v in placed for v in near_u)
 
     def consistent(m: str) -> bool:
         # check every composition constraint whose three participants are now
@@ -276,13 +287,29 @@ def iter_iso_tables(
         return True
 
     fits = consistent if mor_allowed is None else lambda m: mor_allowed(m, mor_map[m]) and consistent(m)
-    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, set()):
+    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, placed):
         mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
         if mor_allowed is not None and not all(mor_allowed(m, n) for m, n in mor_map.items()):
             continue
         wide = {x for x, u in ob_map.items() if u in d.wide_sources}
-        for _ in _backtrack(non_ids, targets, fits, budget, mor_map, set(mor_map.values())):
-            yield dict(ob_map), dict(mor_map)
+        # with no wide image and no filter every constraint holds by its boundary
+        check = bool(wide) or mor_allowed is not None
+        used = set(mor_map.values())
+        branching: dict[str, list[str]] = {}
+        for m in non_ids:
+            options = [n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == mor_c[m]]
+            if len(options) > 1:
+                branching[m] = options
+                continue
+            if not options or options[0] in used:
+                break
+            n = mor_map[m] = options[0]  # a forced move
+            if check and not fits(m):
+                break
+            used.add(n)
+        else:
+            for _ in _backtrack(list(branching), lambda m: _order(branching[m], rng), fits, budget, mor_map, used):
+                yield dict(ob_map), dict(mor_map)
 
 
 def _first(budget: Budget, solutions: Iterator, witness: Callable[[object], IsoWitness]) -> SearchResult:
@@ -352,8 +379,10 @@ def over_base_iso_search(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Search for a strict iso of total categories commuting with the projections."""
+    if not (proj1.dom.tables_equal(total1) and proj2.dom.tables_equal(total2)):
+        raise UsageError("a projection does not start at its total")
     if not proj1.cod.tables_equal(proj2.cod):
-        raise ValueError("projections do not share a base")
+        raise UsageError("projections do not share a base")
     b = Budget(budget)
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
     mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]

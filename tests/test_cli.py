@@ -626,7 +626,7 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
         ]
         # where no shipped example has the entities, name missing ones
         runs += found or [command.split() + ["-i", files[0][0]] + ["nosuch"] * len(signatures[0])]
-    # chain(8)² has more slots than Python's recursion limit; its search takes 1,324 nodes
+    # chain(8)² has more slots than Python's recursion limit; its search takes 92 nodes, all placing objects
     deep = tmp_path / "deep.cat"
     deep.write_text("category C = chain(8)\ncategory P = product(C, C)\ncategory Q = product(C, C)\n")
     runs += [["iso", "-i", str(deep), "P", "Q"]] * 2
@@ -644,3 +644,6 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
     assert outs[tuple(deep_iso)] == (0, "P and Q are isomorphic\n")
     rc, out = outs[tuple(deep_iso + ["--json"])]
     assert rc == 0 and json.loads(out)["witnesses"]
+    # forced moves take no node, but placing an object does
+    assert run_command(["iso", "-i", str(deep), "P", "Q", "--budget", "0"]) == 3
+    assert capsys.readouterr().out == "budget exceeded\n"

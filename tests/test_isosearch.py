@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothkit import build
@@ -17,6 +18,7 @@ from grothkit.isosearch import (
     FOUND,
     NONE,
     Budget,
+    _power_cycles,
     _refine,
     diagram_iso_search,
     iter_iso_tables,
@@ -24,7 +26,7 @@ from grothkit.isosearch import (
     nat_iso_search,
     over_base_iso_search,
 )
-from grothkit.report import ValidationError
+from grothkit.report import UsageError, ValidationError
 
 from helpers import (
     all_functor_tables,
@@ -48,7 +50,7 @@ def bs3():
     return build.delooping(elems, table, name="BS3")
 
 
-NODES_Z12_RELABELLED = 21
+NODES_Z12_RELABELLED = 20
 
 
 class TestIsoSearch:
@@ -109,6 +111,29 @@ class TestIsoSearch:
         assert res.refuted_by is None
         assert res.nodes == NODES_Z12_RELABELLED  # node counts repeat exactly
 
+    def test_discrete_colours_still_refute_by_object_classes(self):
+        # after one round every object has its own colour, the same seven on
+        # both sides, and the bijection they fix breaks links: it sends p1 to
+        # p1 and p2 to p5, but p1 <= p2 holds in c and p1 <= p5 fails in d
+        elements = [f"p{i}" for i in range(7)]
+        relation = [("p0", "p3"), ("p0", "p5"), ("p0", "p6"), ("p1", "p2"), ("p1", "p3"), ("p4", "p6")]
+        c = build.poset(elements, relation + [("p2", "p3")], name="c")
+        d = build.poset(elements, relation + [("p5", "p6")], name="d")
+        assert len(c.mors) == len(d.mors)
+        res = iso_search(c, d)
+        assert res.status == NONE
+        assert (res.nodes, res.refuted_by) == (0, "object classes")
+
+    def test_placed_links_are_counted_on_both_sides(self):
+        # b2 is placed first; a1 -> a2 then keeps every placed link of a1 (it
+        # has none), but a2's link to b2 is placed, so the count rejects it
+        arrows = [("f1", "a1", "b1"), ("f2", "a2", "b2")]
+        c = make_category("c", ["b2", "a1", "a2", "b1"], arrows, {})
+        d = make_category("d", ["b2", "a2", "a1", "b1"], arrows, {})
+        res = iso_search(c, d)
+        assert res.status == FOUND
+        assert res.nodes == 6  # 8 without the count
+
     def test_budget_exceeded_is_distinct(self):
         z6 = bz(6)
         res = iso_search(z6, bz(6), budget=3)
@@ -130,24 +155,45 @@ class TestIsoSearch:
         assert compose_functors(fwd, bwd).is_identity_functor()
 
 
-# Deeper than Python's recursion limit: chain(8)² has 64 objects and 1,260
-# non-identity morphisms, each a slot of the search.
-NODES_CHAIN8_SQUARED = 1324
+# Deeper than Python's recursion limit: chain(8)² has 64 objects and 1,232
+# non-identity morphisms.
+NODES_CHAIN8_SQUARED = 92
+# chain(n)² against a shuffled copy, n = 4..8: every hom-set has at most one
+# morphism, so every morphism is a forced move and only object placements take nodes
+NODES_CHAIN_SQUARED = {4: 22, 5: 35, 6: 51, 7: 70, 8: NODES_CHAIN8_SQUARED}
+
+
+def _chain_squared_and_shuffled(n):
+    c = build.chain(n)
+    p = build.product(c, c)
+    obs, mors = list(p.objects), list(p.mors)
+    random.Random(n).shuffle(obs)
+    random.Random(n).shuffle(mors)
+    return p, relabelled(p, obs, mors)[0]
 
 
 class TestDepth:
     def test_chain8_squared_against_itself_and_a_relabelled_copy(self):
-        c = build.chain(8)
-        p = build.product(c, c)
-        obs, mors = list(p.objects), list(p.mors)
-        random.Random(8).shuffle(obs)
-        random.Random(8).shuffle(mors)
-        copy, _, _ = relabelled(p, obs, mors)
+        p, copy = _chain_squared_and_shuffled(8)
         for d in (p, copy):
             res = iso_search(p, d)
             assert res.status == FOUND
             assert compose_functors(res.witness.backward, res.witness.forward).is_identity_functor()
-            assert res.nodes == NODES_CHAIN8_SQUARED  # every hom-set has one morphism, so no node branches
+            assert res.nodes == NODES_CHAIN8_SQUARED  # every node places an object
+
+    def test_chain_squared_node_counts(self):
+        for n, nodes in NODES_CHAIN_SQUARED.items():
+            res = iso_search(*_chain_squared_and_shuffled(n))
+            assert res.status == FOUND
+            assert res.nodes == nodes, n
+        assert NODES_CHAIN_SQUARED[6] < 60
+
+    def test_forced_moves_take_no_budget(self):
+        # a forced move is no node, so the budget still bounds the work: each
+        # object placement leads to at most |mors| forced moves
+        res = iso_search(*_chain_squared_and_shuffled(8), budget=10)
+        assert res.status == BUDGET
+        assert res.witness is None
 
     def test_nat_iso_over_many_objects(self):
         t = identity_functor(build.discrete(1100))
@@ -205,6 +251,13 @@ class TestStructuredSearches:
         fwd = res.witness.forward
         assert all(fst.ob_map[fwd.ob_map[x]] == fst.ob_map[x] for x in p.objects)
 
+    def test_over_base_refuses_a_projection_from_another_total(self):
+        wa, d2 = build.walking_arrow(), build.discrete(2)
+        _, fst, _ = build.product_projections(wa, d2)
+        q = build.product(d2, wa)
+        with pytest.raises(UsageError, match="a projection does not start at its total"):
+            over_base_iso_search(q, fst, q, fst)
+
     def test_diagram_iso_constant_vs_constant(self):
         base = build.chain(3)
         d1 = build.constant_diagram(base, build.walking_iso())
@@ -238,10 +291,21 @@ def _fork(f_first: bool):
     )
 
 
+def _monoid(size, index):
+    """The one-object monoid {1, a, …, a^size} with a^(size+1) = a^index."""
+    period = size + 1 - index
+    power = lambda k: "a" * (k if k <= size else index + (k - index) % period)
+    elems = [power(k) for k in range(1, size + 1)]
+    return make_category(f"monoid_a{size + 1}_a{index}", ["*"], [(e, "*", "*") for e in elems],
+                         {(g, f): power(len(g) + len(f)) for g in elems for f in elems})
+
+
 def _stock():
     wa, wi, d2 = build.walking_arrow(), build.walking_iso(), build.discrete(2)
     small = [build.terminal(), wa, wi, d2, build.discrete(3), build.chain(3), build.commuting_square_poset(),
-             _fork(True), _fork(False)]
+             _fork(True), _fork(False),
+             # a³ = a² and a⁴ = a²: powers with an index, not only a period
+             _monoid(2, 2), _monoid(3, 2)]
     products = [build.product(a, b) for a, b in itertools.product([wa, wi, d2], repeat=2)]
     groups = [bz(n) for n in range(2, 7)] + [bs3()]
     return small + products + groups
@@ -262,7 +326,22 @@ def _over(p1, p2):
     return (lambda x, u: p1.ob_map[x] == p2.ob_map[u]), (lambda m, n: p1.mor_map[m] == p2.mor_map[n])
 
 
+def _walked_cycle(c, m):
+    """(index, period) of the powers of m, walked from m itself."""
+    seen = {}
+    p = m
+    while p not in seen:
+        seen[p] = len(seen)
+        p = c.comp[(m, p)]
+    return seen[p], len(seen) - seen[p]
+
+
 class TestAgainstBruteForce:
+    def test_power_cycles_agree_with_a_direct_walk(self):
+        for c in STOCK:
+            endos = [m for m in c.mors if c.src[m] == c.tgt[m]]
+            assert _power_cycles(c) == {m: _walked_cycle(c, m) for m in endos}, c.name
+
     def test_all_stock_pairs(self):
         for c, d in itertools.product(STOCK, repeat=2):
             assert _searched(c, d) == brute_isos(c, d), (c.name, d.name)
@@ -286,7 +365,7 @@ class TestAgainstBruteForce:
         )
         assert _searched(c, copy) == brute_isos(c, copy)
         assert _searched(copy, c) == brute_isos(copy, c)
-        refuted_by, ((ob_c, mor_c), (ob_d, mor_d)) = _refine(c, copy)
+        refuted_by, ((ob_c, mor_c), (ob_d, mor_d)), _ = _refine(c, copy)
         assert refuted_by is None
         assert all(ob_c[x] == ob_d[ob[x]] for x in c.objects)
         assert all(mor_c[m] == mor_d[mor[m]] for m in c.mors)
@@ -309,15 +388,15 @@ class TestAgainstBruteForce:
 INVOLUTION = involution_arrow()
 MIXED = [INVOLUTION, build.product(build.chain(2), INVOLUTION), build.product(INVOLUTION, build.walking_arrow()),
          build.product(build.discrete(2), INVOLUTION), build.product(build.walking_iso(), INVOLUTION)]
-# (nodes to the first witness, witnesses, nodes to run dry) against a relabelled copy,
-# the same counts as before the skip
+# (nodes to the first witness, witnesses, nodes to run dry) against a relabelled copy;
+# a morphism with one candidate of its colour is a forced move and takes no node
 MIXED_NODES = [
-    (INVOLUTION, (4, 1, 4)),
-    (_fork(False), (13, 2, 25)),
-    (build.product(build.walking_arrow(), INVOLUTION), (13, 2, 18)),
-    (build.product(build.chain(3), INVOLUTION), (27, 4, 66)),
-    (build.product(INVOLUTION, INVOLUTION), (34, 8, 142)),
-    (build.product(build.commuting_square_poset(), INVOLUTION), (43, 16, 366)),
+    (INVOLUTION, (2, 1, 2)),
+    (_fork(False), (9, 2, 17)),
+    (build.product(build.walking_arrow(), INVOLUTION), (7, 2, 10)),
+    (build.product(build.chain(3), INVOLUTION), (15, 4, 40)),
+    (build.product(INVOLUTION, INVOLUTION), (28, 8, 110)),
+    (build.product(build.commuting_square_poset(), INVOLUTION), (25, 16, 230)),
 ]
 
 
