@@ -140,9 +140,10 @@ def validate_category(
     comp: Mapping[tuple[str, str], str],
     name: str = "category",
 ) -> FinCat:
-    """Check raw tables against every category law; raise with all violations.
+    """Check raw tables against every category law; raise with every violation
+    of the first law group that fails.
 
-    `arrows` lists (morphism, src, tgt) triples.  Each law class is checked
+    `arrows` lists (morphism, src, tgt) triples.  Each law group is checked
     exhaustively and the report names a concrete witness per violation.
     The composition and associativity laws walk an index of outgoing
     morphisms, so the cost is proportional to the number of composable
@@ -174,41 +175,53 @@ def validate_category(
         if src[i] != x or tgt[i] != x:
             rep.fail("identity-endo", f"identity {i} of {x} has boundary {src[i]} -> {tgt[i]}")
 
-    mor_set = set(mors)
-    for (g, f), h in comp.items():
-        if g not in mor_set or f not in mor_set or h not in mor_set:
-            rep.fail("dangling-identifier", f"compose entry ({g},{f}) = {h} uses undeclared morphism")
+    out: dict[str, list[str]] = {x: [] for x in objects}
+    hom: dict[tuple[str, str], list[str]] = {}
+    for m in mors:
+        out[src[m]].append(m)
+        hom.setdefault((src[m], tgt[m]), []).append(m)
+
+    # one pass over the composable pairs, f-major: then[f][g] = g∘f, fact[h] the pairs
+    # composing to h, failures (f, g, law, message) in scan order; comp itself is scanned
+    # only when the pass misses one of its entries or reaches an undeclared value
+    then: dict[str, dict[str, str]] = {}
+    fact: dict[str, list[tuple[str, str]]] = {m: [] for m in mors}
+    failures: list[tuple[str, str, str, str]] = []
+    complete = True
+    for f in mors:
+        row = then[f] = {}
+        src_f = src[f]
+        for g in out[tgt[f]]:
+            key = (g, f)
+            h = comp.get(key)
+            if h is None:
+                failures.append((f, g, "composition-total", f"missing composite {g}∘{f}"))
+                continue
+            row[g] = h
+            src_h = src.get(h)
+            if src_h is None:
+                complete = False
+            elif src_h != src_f or tgt[h] != tgt[g]:
+                failures.append((
+                    f, g, "composition-boundary",
+                    f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, expected {src[f]} -> {tgt[g]}",
+                ))
+            else:
+                fact[h].append(key)
+    complete = complete and sum(map(len, then.values())) == len(comp)
+    if not complete:
+        for (g, f), h in comp.items():
+            if g not in src or f not in src or h not in src:
+                rep.fail("dangling-identifier", f"compose entry ({g},{f}) = {h} uses undeclared morphism")
     if not rep.passed:
         raise ValidationError(rep)
 
-    comp = dict(comp)
-    out: dict[str, list[str]] = {x: [] for x in objects}
-    for m in mors:
-        out[src[m]].append(m)
-
-    # then[f][g] = g∘f for every g composable after f, in listing order;
-    # failures are (f-position, g-position, law, message), sorted so the
-    # report reads in the order of a scan over all pairs, f-major and g-minor
-    then: dict[str, dict[str, str]] = {}
-    failures: list[tuple[int, int, str, str]] = []
-    pos = {m: i for i, m in enumerate(mors)}
-    for f in mors:
-        row = then[f] = {}
-        for g in out[tgt[f]]:
-            h = comp.get((g, f))
-            if h is None:
-                failures.append((pos[f], pos[g], "composition-total", f"missing composite {g}∘{f}"))
-                continue
-            row[g] = h
-            if src[h] != src[f] or tgt[h] != tgt[g]:
-                failures.append((
-                    pos[f], pos[g], "composition-boundary",
-                    f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, expected {src[f]} -> {tgt[g]}",
-                ))
-    for g, f in comp:
-        if src[g] != tgt[f]:
-            failures.append((pos[f], pos[g], "composition-domain", f"entry for non-composable pair ({g},{f})"))
-    for _, _, law, message in sorted(failures):
+    if not complete:
+        pos = {m: i for i, m in enumerate(mors)}
+        failures += [(f, g, "composition-domain", f"entry for non-composable pair ({g},{f})")
+                     for g, f in comp if src[g] != tgt[f]]
+        failures.sort(key=lambda fail: (pos[fail[0]], pos[fail[1]]))
+    for _, _, law, message in failures:
         rep.fail(law, message)
     if not rep.passed:
         raise ValidationError(rep)
@@ -221,9 +234,6 @@ def validate_category(
         if right != f:
             rep.fail("identity-law", f"{f}∘{identity[src[f]]} = {right}, expected {f}")
 
-    hom: dict[tuple[str, str], list[str]] = {}
-    for m in mors:
-        hom.setdefault((src[m], tgt[m]), []).append(m)
     wide = frozenset(x for (x, _), ms in hom.items() if len(ms) > 1)
     for f in mors:
         if src[f] not in wide:
@@ -239,9 +249,6 @@ def validate_category(
     if not rep.passed:
         raise ValidationError(rep)
 
-    fact: dict[str, list[tuple[str, str]]] = {m: [] for m in mors}
-    for (g, f), h in comp.items():
-        fact[h].append((g, f))
     return FinCat(
         name=name,
         objects=tuple(objects),
@@ -249,7 +256,7 @@ def validate_category(
         src=src,
         tgt=tgt,
         identity=dict(identity),
-        comp=comp,
+        comp=dict(comp),
         hom_table={k: tuple(v) for k, v in hom.items()},
         out_table={x: tuple(v) for x, v in out.items()},
         factorizations={m: tuple(v) for m, v in fact.items()},
@@ -598,9 +605,11 @@ def validate_diagram(
         if not at_mor[base.identity[x]].is_identity_functor():
             rep.fail("strict-identity", f"functor at identity of {x} is not the identity functor")
     for g, f in base.composable_pairs():
-        both = compose_functors(at_mor[g], at_mor[f])
-        direct = at_mor[base.comp[(g, f)]]
-        if first_disagreement(both, direct) is not None:
+        # Z(g)∘Z(f) against Z(g∘f), entry by entry, objects first
+        first, then, direct = at_mor[f], at_mor[g], at_mor[base.comp[(g, f)]]
+        if any(then.ob_map[first.ob_map[x]] != direct.ob_map[x] for x in first.dom.objects) or any(
+            then.mor_map[first.mor_map[m]] != direct.mor_map[m] for m in first.dom.mors
+        ):
             rep.fail("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
     if not rep.passed:
         raise ValidationError(rep)

@@ -105,17 +105,19 @@ def _unique_fill_in(p: FunctorData, lift: str, over: str, target: str, what: str
 
 
 def _cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | None:
-    """Full universal property: unique fill-in v for every commuting (e, w) pair."""
+    """Full universal property: unique fill-in v for every commuting (e, w) pair, counted
+    for all pairs at once, since each v out of tgt(lift) fills in (v∘lift, p(v)) alone."""
     total, base = p.dom, p.cod
     c = base.tgt[f]
+    fills: dict[tuple[str, str], int] = {}
+    for v in total.out(total.tgt[lift_mor]):
+        key = (total.comp[(v, lift_mor)], p.mor_map[v])
+        fills[key] = fills.get(key, 0) + 1
     for e in total.out(total.src[lift_mor]):
         for w in base.hom(c, p.ob_map[total.tgt[e]]):
-            if base.comp[(w, f)] != p.mor_map[e]:
-                continue
-            fills = _fill_ins(p, lift_mor, w, e)
-            if len(fills) != 1:
+            if base.comp[(w, f)] == p.mor_map[e] and fills.get((e, w)) != 1:
                 return (
-                    f"lift {lift_mor} of {f}: {len(fills)} fill-ins for "
+                    f"lift {lift_mor} of {f}: {fills.get((e, w), 0)} fill-ins for "
                     f"(e={e}, w={w}), expected exactly one"
                 )
     return None
@@ -184,8 +186,11 @@ def check_discrete_opfib(p: FunctorData) -> Report:
     total, base = p.dom, p.cod
     fail = None
     for e in total.objects:
+        by_image: dict[str, list[str]] = {}
+        for m in total.out(e):
+            by_image.setdefault(p.mor_map[m], []).append(m)
         for f in base.out(p.ob_map[e]):
-            lifts = [m for m in total.out(e) if p.mor_map[m] == f]
+            lifts = by_image.get(f, [])
             if len(lifts) != 1:
                 fail = f"object {e}, morphism {f}: {len(lifts)} lifts {lifts}"
                 break

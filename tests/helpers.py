@@ -8,7 +8,16 @@ from __future__ import annotations
 
 import itertools
 
-from grothkit.fincat import CatDiagram, FinCat, FunctorData, id_name, make_category, validate_category
+from grothkit.fincat import (
+    CatDiagram,
+    FinCat,
+    FunctorData,
+    compose_functors,
+    first_disagreement,
+    id_name,
+    make_category,
+    validate_category,
+)
 from grothkit.report import Report, ValidationError
 
 
@@ -115,6 +124,45 @@ def reference_category_violations(objects, arrows, identity, comp) -> list[tuple
                 if left != right:
                     out.append(("associativity", f"({h}∘{g})∘{f} = {left} but {h}∘({g}∘{f}) = {right}"))
     return out
+
+
+def reference_derived_tables(objects, arrows, comp):
+    """hom_table, out_table, wide_sources and sorted factorizations, by scans over the raw tables."""
+    hom: dict[tuple[str, str], list[str]] = {}
+    for m, s, t in arrows:
+        hom.setdefault((s, t), []).append(m)
+    out = {x: tuple(m for m, s, _ in arrows if s == x) for x in objects}
+    wide = frozenset(x for (x, _), ms in hom.items() if len(ms) > 1)
+    fact = {m: sorted(k for k, h in comp.items() if h == m) for m, _, _ in arrows}
+    return {k: tuple(v) for k, v in hom.items()}, out, wide, fact
+
+
+def reference_cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | None:
+    """The universal property pair by pair: for every commuting (e, w), one scan of
+    hom(tgt lift, tgt e) for the v over w with v∘lift = e, which must be unique."""
+    total, base = p.dom, p.cod
+    for e in total.out(total.src[lift_mor]):
+        for w in base.hom(base.tgt[f], p.ob_map[total.tgt[e]]):
+            if base.comp[(w, f)] != p.mor_map[e]:
+                continue
+            fills = [
+                v
+                for v in total.hom(total.tgt[lift_mor], total.tgt[e])
+                if p.mor_map[v] == w and total.comp[(v, lift_mor)] == e
+            ]
+            if len(fills) != 1:
+                return f"lift {lift_mor} of {f}: {len(fills)} fill-ins for (e={e}, w={w}), expected exactly one"
+    return None
+
+
+def reference_strict_composition(base: FinCat, at_mor) -> list[tuple[str, str]]:
+    """The strict-composition lines of a diagram, by building every composite Z(g)∘Z(f)
+    with compose_functors and comparing it with Z(g∘f) by first_disagreement."""
+    return [
+        ("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
+        for g, f in brute_composable_pairs(base)
+        if first_disagreement(compose_functors(at_mor[g], at_mor[f]), at_mor[base.comp[(g, f)]]) is not None
+    ]
 
 
 def reference_functor_violations(dom: FinCat, cod: FinCat, ob_map, mor_map) -> list[tuple[str, str]]:

@@ -193,13 +193,21 @@ class TestRefutation:
         assert payload["budget"] == {"used": 0, "limit": DEFAULT_BUDGET}
 
 
-def _fresh_process(argv, cwd):
+def _fresh_process(argv, cwd, launch=("-c", "from grothkit.cli import main; main()")):
     """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(grothkit.__file__))
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", "from grothkit.cli import main; main()", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+    proc = subprocess.run([sys.executable, *launch, *argv], capture_output=True, text=True, env=env, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(exdir, capsys):
+    """`python -m grothkit` answers as `run_command` does, exit code and output."""
+    argv = ["validate", "-i", path(exdir, "broken_assoc.cat")]
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and "associativity" in captured.out
+    assert _fresh_process(argv, str(exdir), launch=("-m", "grothkit")) == (rc, captured.out, captured.err)
 
 
 def test_parser_reused_across_calls(exdir, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build
+from grothkit import build, examples
 from grothkit.fincat import (
+    FunctorData,
     id_name,
     identity_functor,
     make_category,
@@ -13,7 +14,7 @@ from grothkit.fincat import (
 )
 from grothkit.report import ValidationError
 
-from helpers import associativity_witnesses, group_axiom_failures
+from helpers import associativity_witnesses, group_axiom_failures, reference_strict_composition
 
 
 def z3_arrows_and_comp(mutate=None):
@@ -157,6 +158,36 @@ class TestValidators:
         bad = err.value.report.first_failure()
         assert bad.name == "strict-composition"
         assert "le(0,2)" in bad.counterexample
+
+    def test_strict_composition_lines_match_reference(self):
+        """One functor of a valid diagram is replaced by an unvalidated copy that differs
+        at one object, then at one morphism; the lines match a composite-building scan."""
+        failing = 0
+        for d in examples.corpus_diagrams():
+            base = d.base
+            if all(base.is_identity(g) or base.is_identity(f) for g, f in base.composable_pairs()):
+                continue
+            for h in base.non_identity_mors():
+                t = d.at_mor[h]
+                x, m = t.dom.objects[0], t.dom.mors[0]
+                other_ob = next((y for y in t.cod.objects if y != t.ob_map[x]), None)
+                other_mor = next((n for n in t.cod.mors if n != t.mor_map[m]), None)
+                copies = []
+                if other_ob is not None:
+                    copies.append(FunctorData("copy", t.dom, t.cod, {**t.ob_map, x: other_ob}, t.mor_map))
+                if other_mor is not None:
+                    copies.append(FunctorData("copy", t.dom, t.cod, t.ob_map, {**t.mor_map, m: other_mor}))
+                for copy in copies:
+                    at_mor = {**d.at_mor, h: copy}
+                    expected = reference_strict_composition(base, at_mor)
+                    try:
+                        validate_diagram(base, d.at_ob, at_mor)
+                        lines = []
+                    except ValidationError as err:
+                        lines = [(c.name, c.counterexample) for c in err.report.checks]
+                    assert [line for line in lines if line[0] == "strict-composition"] == expected
+                    failing += bool(expected)
+        assert failing > 0
 
     def test_nat_trans_naturality_violation(self):
         wa = build.walking_arrow()

@@ -6,6 +6,7 @@ from grothkit.groth import groth, groth_map
 from grothkit.isosearch import FOUND, diagram_iso_search, over_base_iso_search
 from grothkit.fincat import validate_diagram_mor
 from grothkit.opfib import (
+    _cartesian_failure,
     check_cleavage_preserving,
     check_discrete_opfib,
     check_split_opfib,
@@ -14,7 +15,10 @@ from grothkit.opfib import (
     find_cartesian_lifts,
     pullback_opfib,
 )
-from grothkit.report import ValidationError
+from grothkit.report import Check, ValidationError
+
+from helpers import reference_cartesian_failure
+from test_messages import two_fill_in_functor
 
 
 def identity_opfib(c):
@@ -86,6 +90,48 @@ class TestCheckSplitOpfib:
         assert q.split_report is not None and q.split_report.passed
 
 
+def cleavage_cases():
+    """(projection, cleavage) for the canonical cleavage of every corpus total, for each
+    copy with the lift at one (e, f) swapped for another morphism over f, and for the
+    lift of two_fill_in_functor with two fill-ins."""
+    cases = []
+    for d in examples.corpus_diagrams():
+        gt = groth(d)
+        cases.append((gt.projection, dict(gt.lifts)))
+        for (e, f), m in sorted(gt.lifts.items()):
+            for other in gt.total.out(e):
+                if other != m and gt.projection.mor_map[other] == f:
+                    cases.append((gt.projection, {**gt.lifts, (e, f): other}))
+    lifts = {("u", "id_a"): "id_u", ("u", "f"): "m", ("v", "id_b"): "id_v", ("t", "id_b"): "id_t"}
+    cases.append((two_fill_in_functor(), lifts))
+    return cases
+
+
+class TestCartesianAgainstReference:
+    """The one-pass count of fill-ins against a scan of one hom-set per (e, w) pair."""
+
+    def test_cartesian_failure_and_split_check(self):
+        failures = []
+        for p, lifts in cleavage_cases():
+            expected = None
+            for (e, f), m in sorted(lifts.items()):
+                ref = reference_cartesian_failure(p, m, f)
+                assert _cartesian_failure(p, m, f) == ref
+                if ref is not None:
+                    failures.append(ref)
+                    expected = expected or f"at ({e},{f}): {ref}"
+            rep = check_split_opfib(cleaved_opfib(p, lifts))
+            assert rep.checks[0] == Check("lifts-cartesian", expected is None, expected)
+        # both ways to fail occur
+        assert any(": 0 fill-ins" in r for r in failures) and any(": 2 fill-ins" in r for r in failures)
+
+    def test_find_cartesian_lifts(self):
+        for p, lifts in {id(p): (p, lifts) for p, lifts in cleavage_cases()}.values():
+            for e, f in lifts:
+                ref = [m for m in p.dom.out(e) if p.mor_map[m] == f and reference_cartesian_failure(p, m, f) is None]
+                assert find_cartesian_lifts(p, e, f) == ref
+
+
 class TestCheckDiscreteOpfib:
     def test_groth_of_set_valued_diagram_is_discrete(self):
         d = [x for x in examples.corpus_diagrams() if x.name == "z2_swap_sets"][0]
@@ -99,7 +145,12 @@ class TestCheckDiscreteOpfib:
         p, fst, _ = build.product_projections(wa, wa)
         rep = check_discrete_opfib(fst)
         assert not rep.passed
-        assert "2 lifts" in rep.first_failure().counterexample
+        assert rep.first_failure().counterexample == "object (a,a), morphism id_a: 2 lifts ['id_(a,a)', '(id_a,f)']"
+
+    def test_object_without_lift_not_discrete(self):
+        wa, one = build.walking_arrow(), build.discrete(1)
+        p = validate_functor(one, wa, {"x0": "a"}, {id_name("x0"): id_name("a")})
+        assert check_discrete_opfib(p).first_failure().counterexample == "object x0, morphism f: 0 lifts []"
 
 
 class TestCheckCleavagePreserving:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import grothkit
@@ -24,6 +25,7 @@ from helpers import (
     brute_composable_pairs,
     involution_arrow,
     reference_category_violations,
+    reference_derived_tables,
     reference_functor_violations,
     reference_poset,
 )
@@ -75,6 +77,43 @@ def test_stock_categories_validate_and_pairs_match():
     for c in stock():
         assert assert_same(*raw(c)) == []
         assert list(c.composable_pairs()) == brute_composable_pairs(c)
+
+
+def derived_tables(c: FinCat):
+    """The lookups validate_category derives; factorizations sorted, since their order follows the scan."""
+    fact = {m: sorted(pairs) for m, pairs in c.factorizations.items()}
+    return dict(c.hom_table), dict(c.out_table), c.wide_sources, fact
+
+
+def test_stock_derived_tables_match_reference():
+    for c in stock():
+        objects, arrows, _, comp = raw(c)
+        assert derived_tables(c) == reference_derived_tables(objects, arrows, comp), c.name
+
+
+def report_of(objects, arrows, identity, comp) -> str:
+    with pytest.raises(ValidationError) as err:
+        validate_category(objects, arrows, identity, comp)
+    return err.value.report.describe()
+
+
+def test_report_of_one_non_composable_entry():
+    objects, arrows, identity, comp = raw(build.walking_arrow())
+    comp[("f", "f")] = "f"
+    assert report_of(objects, arrows, identity, comp) == (
+        "validate category category: fail\n"
+        "  [FAIL] composition-domain -- entry for non-composable pair (f,f)"
+    )
+
+
+def test_undeclared_composite_reported_before_missing_composite():
+    objects, arrows, identity, comp = raw(build.chain(3))
+    del comp[("le(1,2)", "le(0,1)")]
+    comp[("le(0,2)", "id_0")] = "nosuch"
+    assert report_of(objects, arrows, identity, comp) == (
+        "validate category category: fail\n"
+        "  [FAIL] dangling-identifier -- compose entry (le(0,2),id_0) = nosuch uses undeclared morphism"
+    )
 
 
 def square():
@@ -172,6 +211,7 @@ def test_random_tables_match_reference(t):
     if not assert_same(objects, arrows, identity, comp):
         c = validate_category(objects, arrows, identity, comp)
         assert list(c.composable_pairs()) == brute_composable_pairs(c)
+        assert derived_tables(c) == reference_derived_tables(objects, arrows, comp)
 
 
 def test_tables_equal_agrees_with_canonical_key():
