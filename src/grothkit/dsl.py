@@ -56,7 +56,7 @@ from .fincat import (
     validate_nat_trans,
 )
 from .groth import LaxCocone, validate_lax_cocone
-from .indexed import DiagramOpfib, diagram_opfib
+from .indexed import DiagramOpfib, _validate_fibration_lifts, diagram_opfib
 from .opfib import Cleavage, cleaved_opfib
 from .report import UsageError, ValidationError
 
@@ -615,8 +615,6 @@ class _Parser:
         try:
             value = cleaved_opfib(p, lifts).cleavage
         except ValidationError:
-            from .indexed import _validate_fibration_lifts
-
             bad = _validate_fibration_lifts(p, lifts)
             if bad is not None:
                 raise

@@ -311,15 +311,11 @@ class FunctorData:
         return (
             self.dom.tables_equal(other.dom)
             and self.cod.tables_equal(other.cod)
-            and first_disagreement(self, other) is None
+            and first_disagreement((self,), (other,)) is None
         )
 
     def is_identity_functor(self) -> bool:
-        return (
-            self.dom.tables_equal(self.cod)
-            and all(self.ob_map[x] == x for x in self.dom.objects)
-            and all(self.mor_map[m] == m for m in self.dom.mors)
-        )
+        return self.dom.tables_equal(self.cod) and first_disagreement((self,), ()) is None
 
     def __repr__(self) -> str:
         return f"FunctorData({self.name!r}: {self.dom.name} -> {self.cod.name})"
@@ -374,17 +370,30 @@ def validate_functor(
     return FunctorData(name, dom, cod, dict(ob_map), dict(mor_map))
 
 
-def first_disagreement(f: FunctorData, g: FunctorData) -> tuple[str, str] | None:
-    """Where two parallel functors first differ, in the listing order of f's domain:
-    ("object", x) or ("morphism", m); None when they agree."""
-    if f.ob_map == g.ob_map and f.mor_map == g.mor_map:
+def first_disagreement(left: Sequence[FunctorData], right: Sequence[FunctorData]) -> tuple[str, str] | None:
+    """Where the composites of two parallel paths of functors first differ, in the
+    listing order of the domain of the functor that `left` applies first:
+    ("object", x) or ("morphism", m); None when they agree.
+
+    A path lists its functors in composition order, so g∘f is (g, f) and () is
+    the identity.  Raises UsageError on a path that does not compose.
+    """
+    if len(left) == len(right) == 1 and left[0].ob_map == right[0].ob_map and left[0].mor_map == right[0].mor_map:
         return None
-    for x in f.dom.objects:
-        if f.ob_map[x] != g.ob_map[x]:
-            return "object", x
-    for m in f.dom.mors:
-        if f.mor_map[m] != g.mor_map[m]:
-            return "morphism", m
+    if not (left or right):
+        return None
+    dom = (left or right)[-1].dom
+    images = []
+    for path in (left, right):
+        obs, mors, inner = dom.objects, dom.mors, None
+        for f in reversed(path):
+            if inner is not None and not f.dom.tables_equal(inner.cod):
+                raise UsageError(f"cannot compose {f.name} after {inner.name}: boundary mismatch")
+            obs, mors, inner = map(f.ob_map.__getitem__, obs), map(f.mor_map.__getitem__, mors), f
+        images.append((list(obs), list(mors)))
+    for kind, entries, one, other in zip(("object", "morphism"), (dom.objects, dom.mors), *images):
+        if one != other:
+            return kind, next(x for x, a, b in zip(entries, one, other) if a != b)
     return None
 
 
@@ -572,7 +581,7 @@ class CatDiagram:
             return False
         if not all(self.at_ob[x].tables_equal(other.at_ob[x]) for x in self.base.objects):
             return False
-        return all(first_disagreement(self.at_mor[f], other.at_mor[f]) is None for f in self.base.mors)
+        return all(first_disagreement((self.at_mor[f],), (other.at_mor[f],)) is None for f in self.base.mors)
 
     def __repr__(self) -> str:
         return f"CatDiagram({self.name!r} on {self.base.name})"
@@ -604,12 +613,10 @@ def validate_diagram(
     for x in base.objects:
         if not at_mor[base.identity[x]].is_identity_functor():
             rep.fail("strict-identity", f"functor at identity of {x} is not the identity functor")
+    # once every Z(id) is the identity functor, a pair with an identity composes strictly
+    ids = set(base.identity.values()) if rep.passed else ()
     for g, f in base.composable_pairs():
-        # Z(g)∘Z(f) against Z(g∘f), entry by entry, objects first
-        first, then, direct = at_mor[f], at_mor[g], at_mor[base.comp[(g, f)]]
-        if any(then.ob_map[first.ob_map[x]] != direct.ob_map[x] for x in first.dom.objects) or any(
-            then.mor_map[first.mor_map[m]] != direct.mor_map[m] for m in first.dom.mors
-        ):
+        if g not in ids and f not in ids and first_disagreement((at_mor[g], at_mor[f]), (at_mor[base.comp[(g, f)]],)):
             rep.fail("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
     if not rep.passed:
         raise ValidationError(rep)
@@ -658,9 +665,7 @@ def validate_diagram_mor(
 
     for h in dom.base.mors:
         a, b = dom.base.src[h], dom.base.tgt[h]
-        left = compose_functors(cod.at_mor[h], components[a])
-        right = compose_functors(components[b], dom.at_mor[h])
-        if first_disagreement(left, right) is not None:
+        if first_disagreement((cod.at_mor[h], components[a]), (components[b], dom.at_mor[h])) is not None:
             rep.fail("naturality", f"square at {h} does not commute strictly")
     if not rep.passed:
         raise ValidationError(rep)
@@ -680,7 +685,7 @@ def compose_diagram_mors(g: DiagramMor, f: DiagramMor, name: str | None = None) 
 def reindex(d: CatDiagram, h: FunctorData, name: str | None = None) -> CatDiagram:
     """Precompose a diagram on A with a functor h: B -> A, giving a diagram on B."""
     if not h.cod.tables_equal(d.base):
-        raise ValueError("reindexing functor does not land in the diagram base")
+        raise UsageError("reindexing functor does not land in the diagram base")
     return validate_diagram(
         h.dom,
         {b: d.at_ob[h.ob_map[b]] for b in h.dom.objects},
@@ -709,13 +714,20 @@ class IsoWitness:
 def verify_category_iso(fwd: FunctorData, bwd: FunctorData, flavor: str = "category-iso") -> IsoWitness:
     """Re-check that two functors compose to identities both ways."""
     rep = Report("verify category iso")
-    if not compose_functors(bwd, fwd).is_identity_functor():
-        rep.fail("backward∘forward", "composite is not the identity functor")
-    if not compose_functors(fwd, bwd).is_identity_functor():
-        rep.fail("forward∘backward", "composite is not the identity functor")
+    for law, composite in (("backward∘forward", (bwd, fwd)), ("forward∘backward", (fwd, bwd))):
+        if first_disagreement(composite, ()) is not None:
+            rep.fail(law, "composite is not the identity functor")
     if not rep.passed:
         raise ValidationError(rep)
     return IsoWitness(fwd, bwd, flavor)
+
+
+def category_iso_of_tables(c: FinCat, d: FinCat, ob_map: Mapping[str, str], mor_map: Mapping[str, str],
+                           flavor: str, names: tuple[str, str]) -> IsoWitness:
+    """Validate (ob_map, mor_map) as a functor c -> d named names[0], invert it as
+    names[1], and verify that the two compose to identities both ways."""
+    fwd = validate_functor(c, d, ob_map, mor_map, name=names[0])
+    return verify_category_iso(fwd, inverse_functor(fwd, names[1]), flavor)
 
 
 def verify_natural_iso(fwd: NatTransData, bwd: NatTransData) -> IsoWitness:
@@ -731,18 +743,6 @@ def verify_natural_iso(fwd: NatTransData, bwd: NatTransData) -> IsoWitness:
     return IsoWitness(fwd, bwd, "natural-iso")
 
 
-def verify_diagram_iso(fwd: DiagramMor, bwd: DiagramMor) -> IsoWitness:
-    rep = Report("verify diagram iso")
-    for x in fwd.dom.base.objects:
-        if not compose_functors(bwd.components[x], fwd.components[x]).is_identity_functor():
-            rep.fail("backward∘forward", f"component at {x} is not inverted")
-        if not compose_functors(fwd.components[x], bwd.components[x]).is_identity_functor():
-            rep.fail("forward∘backward", f"component at {x} is not inverted")
-    if not rep.passed:
-        raise ValidationError(rep)
-    return IsoWitness(fwd, bwd, "diagram-iso")
-
-
 def diagram_iso_of_tables(
     z1: CatDiagram,
     z2: CatDiagram,
@@ -750,15 +750,24 @@ def diagram_iso_of_tables(
 ) -> IsoWitness:
     """Verify per-object (ob_map, mor_map) tables as a strict natural isomorphism z1 -> z2.
 
-    Each component must be a functor with a validated inverse, both families
-    must be natural, and the composites must be identities; otherwise
-    ValidationError names the first law that fails.
+    Each component must be a category iso (category_iso_of_tables) and both
+    families must be natural; otherwise ValidationError names the first law
+    that fails, and every component that is not inverted by its base object.
     """
-    fwd_comps = {
-        v: validate_functor(z1.at_ob[v], z2.at_ob[v], ob, mor, name=f"iso@{v}")
-        for v, (ob, mor) in tables.items()
-    }
-    bwd_comps = {v: inverse_functor(fwd, f"osi@{v}") for v, fwd in fwd_comps.items()}
+    rep = Report("verify diagram iso")
+    fwd_comps, bwd_comps = {}, {}
+    for v, (ob, mor) in tables.items():
+        try:
+            iso = category_iso_of_tables(z1.at_ob[v], z2.at_ob[v], ob, mor, "category-iso", (f"iso@{v}", f"osi@{v}"))
+        except ValidationError as err:
+            if err.report.title != "verify category iso":
+                raise
+            for check in err.report.checks:
+                rep.fail(check.name, f"component at {v} is not inverted")
+            continue
+        fwd_comps[v], bwd_comps[v] = iso.forward, iso.backward
+    if not rep.passed:
+        raise ValidationError(rep)
     fwd = validate_diagram_mor(z1, z2, fwd_comps, name=f"diso[{z1.name}->{z2.name}]")
     bwd = validate_diagram_mor(z2, z1, bwd_comps, name=f"diso[{z2.name}->{z1.name}]")
-    return verify_diagram_iso(fwd, bwd)
+    return IsoWitness(fwd, bwd, "diagram-iso")

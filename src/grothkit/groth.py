@@ -23,17 +23,16 @@ from .fincat import (
     FunctorData,
     IsoWitness,
     NatTransData,
+    category_iso_of_tables,
     compose_functors,
     first_disagreement,
     id_name,
     identity_functor,
-    inverse_functor,
     make_category,
     pair_id,
     reindex,
     validate_functor,
     validate_nat_trans,
-    verify_category_iso,
 )
 from .opfib import CleavedOpfib, PullbackOpfib, check_cleavage_preserving, cleaved_opfib, pullback_opfib
 from .report import Report, UsageError, ValidationError
@@ -278,7 +277,7 @@ def cocone_factorize(sigma: LaxCocone, g: GrothTotal | None = None) -> FunctorDa
 
     inc = inc_cocone(sigma.diagram, gt)
     for c in base.objects:
-        if first_disagreement(compose_functors(s, inc.legs[c]), sigma.legs[c]) is not None:
+        if first_disagreement((s, inc.legs[c]), (sigma.legs[c],)) is not None:
             raise ValueError(f"factorization does not restrict to the leg at {c}")
     for f in base.mors:
         for x, m in inc.cells[f].components.items():
@@ -314,18 +313,18 @@ def base_change(h: FunctorData, d: CatDiagram) -> BaseChange:
     mor_map = {}
     for m, (u, alpha, x) in gfh.mor_pair.items():
         mor_map[m] = pb.mor_of[(u, gf.mor_of[(h.mor_map[u], alpha, x)])]
-    fwd = validate_functor(gfh.total, pb.opfib.total, ob_map, mor_map, name="base_change")
-    bwd = inverse_functor(fwd, "base_change_inv")
-    witness = verify_category_iso(fwd, bwd, flavor="over-base-iso")
+    witness = category_iso_of_tables(
+        gfh.total, pb.opfib.total, ob_map, mor_map, "over-base-iso", ("base_change", "base_change_inv")
+    )
 
+    # the square of check_cleavage_preserving is the over-base equation pb.p∘fwd = gfh.p
     rep = Report("base change verification")
-    if first_disagreement(compose_functors(pb.opfib.p, fwd), gfh.projection) is not None:
-        rep.fail("over-base", "comparison does not commute with the projections")
     ident = identity_functor(h.dom)
-    sub = check_cleavage_preserving(fwd, ident, gfh.opfib(), pb.opfib)
+    q = gfh.opfib()
+    sub = check_cleavage_preserving(witness.forward, ident, q, pb.opfib)
     if not sub.passed:
         rep.fail("cleavage-preserving-forward", str(sub.first_failure().counterexample))
-    sub = check_cleavage_preserving(bwd, ident, pb.opfib, gfh.opfib())
+    sub = check_cleavage_preserving(witness.backward, ident, pb.opfib, q)
     if not sub.passed:
         rep.fail("cleavage-preserving-backward", str(sub.first_failure().counterexample))
     if not rep.passed:

@@ -27,7 +27,6 @@ from .fincat import (
     FunctorData,
     IsoWitness,
     NatTransData,
-    compose_functors,
     diagram_iso_of_tables,
     first_disagreement,
     identity_functor,
@@ -185,9 +184,7 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
     base = phi.base
     for h in base.mors:
         a, b = base.src[h], base.tgt[h]
-        left = compose_functors(phi.components[b], phi.total.at_mor[h])
-        right = compose_functors(phi.over.at_mor[h], phi.components[a])
-        bad = first_disagreement(left, right)
+        bad = first_disagreement((phi.components[b], phi.total.at_mor[h]), (phi.over.at_mor[h], phi.components[a]))
         rep.record(f"naturality@{h}", None if bad is None else f"on {bad[0]} {bad[1]}")
     if not rep.passed:
         return rep
@@ -229,16 +226,14 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
     phi, psi = xi.dom, xi.cod
     base = phi.base
     for a in base.objects:
-        bad = first_disagreement(phi.components[a], compose_functors(psi.components[a], xi.components[a]))
+        bad = first_disagreement((phi.components[a],), (psi.components[a], xi.components[a]))
         rep.record(f"triangle@{a}", None if bad is None else f"on {bad[0]} {bad[1]}")
     if not rep.passed:
         return rep
 
     for h in base.mors:
         a, b = base.src[h], base.tgt[h]
-        left = compose_functors(xi.components[b], phi.total.at_mor[h])
-        right = compose_functors(psi.total.at_mor[h], xi.components[a])
-        bad = first_disagreement(left, right)
+        bad = first_disagreement((xi.components[b], phi.total.at_mor[h]), (psi.total.at_mor[h], xi.components[a]))
         rep.record(f"naturality@{h}", None if bad is None else "square of totals does not commute")
 
     for a in base.objects:

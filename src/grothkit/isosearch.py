@@ -25,11 +25,9 @@ from .fincat import (
     FinCat,
     FunctorData,
     IsoWitness,
+    category_iso_of_tables,
     diagram_iso_of_tables,
-    inverse_functor,
-    validate_functor,
     validate_nat_trans,
-    verify_category_iso,
     verify_natural_iso,
 )
 from .report import UsageError
@@ -323,11 +321,6 @@ def _first(budget: Budget, solutions: Iterator, witness: Callable[[object], IsoW
     return SearchResult(FOUND, witness(solution), budget.used)
 
 
-def _wrap_category_witness(c: FinCat, d: FinCat, ob_map: dict, mor_map: dict, flavor: str) -> IsoWitness:
-    fwd = validate_functor(c, d, ob_map, mor_map, name=f"iso[{c.name}->{d.name}]")
-    return verify_category_iso(fwd, inverse_functor(fwd, f"iso[{d.name}->{c.name}]"), flavor=flavor)
-
-
 def iso_search(
     c: FinCat,
     d: FinCat,
@@ -336,16 +329,17 @@ def iso_search(
 ) -> SearchResult:
     """Search for a strict isomorphism of categories; witnesses are machine-checked."""
     b = Budget(budget)
+    names = f"iso[{c.name}->{d.name}]", f"iso[{d.name}->{c.name}]"
     return _first(b, iter_iso_tables(c, d, b, rng=rng),
-                  lambda tables: _wrap_category_witness(c, d, *tables, "category-iso"))
+                  lambda tables: category_iso_of_tables(c, d, *tables, "category-iso", names))
 
 
 def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Search for an invertible natural transformation between parallel functors."""
     if not f.dom.tables_equal(g.dom):
-        raise ValueError("functors do not share a domain")
+        raise UsageError("functors do not share a domain")
     if not f.cod.tables_equal(g.cod):
-        raise ValueError("functors do not share a codomain")
+        raise UsageError("functors do not share a codomain")
     b = Budget(budget)
     cat, target = f.dom, f.cod
     cand = {x: [m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
@@ -386,8 +380,9 @@ def over_base_iso_search(
     b = Budget(budget)
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
     mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]
+    names = f"iso[{total1.name}->{total2.name}]", f"iso[{total2.name}->{total1.name}]"
     return _first(b, iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed),
-                  lambda tables: _wrap_category_witness(total1, total2, *tables, "over-base-iso"))
+                  lambda tables: category_iso_of_tables(total1, total2, *tables, "over-base-iso", names))
 
 
 def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -397,7 +392,7 @@ def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUD
     backtracks across the base checking every naturality square strictly.
     """
     if not z1.base.tables_equal(z2.base):
-        raise ValueError("diagrams do not share a base")
+        raise UsageError("diagrams do not share a base")
     base = z1.base
     b = Budget(budget)
     into = _into(base)

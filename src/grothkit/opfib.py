@@ -16,7 +16,6 @@ from .fincat import (
     FinCat,
     FunctorData,
     NatTransData,
-    compose_functors,
     first_disagreement,
     make_category,
     pair_category,
@@ -127,7 +126,7 @@ def find_cartesian_lifts(p: FunctorData, e: str, f: str) -> list[str]:
     """All cartesian morphisms out of `e` lying over `f`; empty means no lift exists."""
     base = p.cod
     if base.src[f] != p.ob_map[e]:
-        raise ValueError(f"{f} does not start at p({e}) = {p.ob_map[e]}")
+        raise UsageError(f"{f} does not start at p({e}) = {p.ob_map[e]}")
     out = []
     for m in p.dom.out(e):
         if p.mor_map[m] == f and _cartesian_failure(p, m, f) is None:
@@ -211,14 +210,12 @@ def check_cleavage_preserving(
             and k.dom.tables_equal(q1.base) and k.cod.tables_equal(q2.base)):
         raise UsageError(f"({h.name},{k.name}) is not a square from {q1.p.name} to {q2.p.name}")
     rep = Report(f"cleavage preservation for ({h.name},{k.name})")
-    left = compose_functors(q2.p, h)
-    right = compose_functors(k, q1.p)
     square_fail = None
-    bad = first_disagreement(right, left)  # in the listing order of q1's total, right's domain
+    bad = first_disagreement((k, q1.p), (q2.p, h))  # in the listing order of q1's total
     if bad is not None:
         kind, x = bad
-        lhs, rhs = (left.ob_map, right.ob_map) if kind == "object" else (left.mor_map, right.mor_map)
-        square_fail = f"on {kind} {x}: {lhs[x]} != {rhs[x]}"
+        at = FunctorData.ob if kind == "object" else FunctorData.mor
+        square_fail = f"on {kind} {x}: {at(q2.p, at(h, x))} != {at(k, at(q1.p, x))}"
     rep.record("square-commutes", square_fail)
     if square_fail is not None:
         return rep

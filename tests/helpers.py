@@ -13,8 +13,8 @@ from grothkit.fincat import (
     FinCat,
     FunctorData,
     compose_functors,
-    first_disagreement,
     id_name,
+    identity_functor,
     make_category,
     validate_category,
 )
@@ -155,13 +155,35 @@ def reference_cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | 
     return None
 
 
+def reference_first_disagreement(left, right) -> tuple[str, str] | None:
+    """first_disagreement of two paths of functors, by building each composite with
+    compose_functors and comparing the two entry by entry, objects first."""
+    if not (left or right):
+        return None
+    dom = (left or right)[-1].dom
+    composites = []
+    for path in (left, right):
+        composite = identity_functor(dom)
+        for g in reversed(path):
+            composite = compose_functors(g, composite)
+        composites.append(composite)
+    one, other = composites
+    for x in dom.objects:
+        if one.ob_map[x] != other.ob_map[x]:
+            return "object", x
+    for m in dom.mors:
+        if one.mor_map[m] != other.mor_map[m]:
+            return "morphism", m
+    return None
+
+
 def reference_strict_composition(base: FinCat, at_mor) -> list[tuple[str, str]]:
     """The strict-composition lines of a diagram, by building every composite Z(g)∘Z(f)
-    with compose_functors and comparing it with Z(g∘f) by first_disagreement."""
+    and comparing it with Z(g∘f) by reference_first_disagreement."""
     return [
         ("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
         for g, f in brute_composable_pairs(base)
-        if first_disagreement(compose_functors(at_mor[g], at_mor[f]), at_mor[base.comp[(g, f)]]) is not None
+        if reference_first_disagreement((at_mor[g], at_mor[f]), (at_mor[base.comp[(g, f)]],)) is not None
     ]
 
 

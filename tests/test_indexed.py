@@ -675,8 +675,8 @@ class TestCanonicalComparisons:
             psi2, eps_psi = _opfib_comparison(xi.cod, gtc)
             back = indexed_groth_map(indexed_fibres_map(xi, gtc), coll, phi2, psi2, gtc)
             for a in coll.base.objects:
-                left = compose_functors(xi.components[a], eps_phi.components[a])
-                right = compose_functors(eps_psi.components[a], back.components[a])
+                left = (xi.components[a], eps_phi.components[a])
+                right = (eps_psi.components[a], back.components[a])
                 assert first_disagreement(left, right) is None, (zeta.name, a)
 
     def test_diagram_comparison_natural_along_morphisms(self):
@@ -687,8 +687,8 @@ class TestCanonicalComparisons:
             eta_cod = _diagram_comparison(zeta.cod, coll, gtc)
             back = indexed_fibres_map(indexed_groth_map(zeta, coll, gt=gtc), gtc)
             for v in gtc.total.objects:
-                left = compose_functors(zeta.components[v], eta_dom.components[v])
-                right = compose_functors(eta_cod.components[v], back.components[v])
+                left = (zeta.components[v], eta_dom.components[v])
+                right = (eta_cod.components[v], back.components[v])
                 assert first_disagreement(left, right) is None, (zeta.name, v)
 
     def test_verdicts_agree_with_search_on_corpus(self):

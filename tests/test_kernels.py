@@ -1,12 +1,23 @@
 """The shared kernels: cartesian fill-ins, functor comparison, inverse functors, pair names,
 categories of pairs and report summaries."""
 
-from grothkit import build
-from grothkit.fincat import first_disagreement, identity_functor, inverse_functor, pair_mor_id, validate_functor
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grothkit import build, examples
+from grothkit.fincat import (
+    FunctorData,
+    first_disagreement,
+    identity_functor,
+    inverse_functor,
+    pair_mor_id,
+    validate_functor,
+)
 from grothkit.groth import groth
 from grothkit.opfib import _fill_ins, pullback_opfib
-from grothkit.report import Report
+from grothkit.report import Report, UsageError
 
+from helpers import all_functor_tables, reference_first_disagreement
 from test_messages import inversion3, swap2, two_fill_in_functor
 
 
@@ -27,16 +38,48 @@ class TestFillIns:
 class TestFirstDisagreement:
     def test_equal_functors(self):
         bz3, inv = inversion3()
-        assert first_disagreement(inv, inv) is None
-        assert first_disagreement(identity_functor(bz3), identity_functor(bz3)) is None
+        assert first_disagreement((inv,), (inv,)) is None
+        assert first_disagreement((identity_functor(bz3),), (identity_functor(bz3),)) is None
 
     def test_object_before_morphism(self):
         d2, swap = swap2()
-        assert first_disagreement(swap, identity_functor(d2)) == ("object", "x0")
+        assert first_disagreement((swap,), (identity_functor(d2),)) == ("object", "x0")
 
     def test_morphism_in_listing_order(self):
         bz3, inv = inversion3()
-        assert first_disagreement(inv, identity_functor(bz3)) == ("morphism", "r1")
+        assert first_disagreement((inv,), (identity_functor(bz3),)) == ("morphism", "r1")
+
+    def test_path_that_does_not_compose(self):
+        wa, one = build.walking_arrow(), build.terminal()
+        bang = validate_functor(wa, one, {"a": "*", "b": "*"}, {"id_a": "id_*", "id_b": "id_*", "f": "id_*"})
+        with pytest.raises(UsageError):
+            first_disagreement((bang, bang), (bang,))
+        with pytest.raises(UsageError):
+            first_disagreement((bang,), (bang, bang))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_paths_match_reference(self, data):
+        start, end = data.draw(st.integers(0, len(PATH_CATS) - 1)), data.draw(st.integers(0, len(PATH_CATS) - 1))
+        left, right = data.draw(functor_paths(start, end)), data.draw(functor_paths(start, end))
+        assert first_disagreement(left, right) == reference_first_disagreement(left, right)
+
+
+# small categories with few functors between each pair, so that random paths often agree
+PATH_CATS = [build.terminal(), build.discrete(2), build.walking_arrow(), build.walking_iso(), examples.bz(2)]
+PATH_TABLES = {(i, j): all_functor_tables(c, d) for i, c in enumerate(PATH_CATS) for j, d in enumerate(PATH_CATS)}
+
+
+@st.composite
+def functor_paths(draw, start: int, end: int):
+    """A path of 0 to 3 functors from PATH_CATS[start] to PATH_CATS[end], in composition order."""
+    length = draw(st.integers(0 if start == end else 1, 3))
+    stops = [start] + [draw(st.integers(0, len(PATH_CATS) - 1)) for _ in range(length - 1)] + [end]
+    functors = [
+        FunctorData(f"F{k}", PATH_CATS[i], PATH_CATS[j], *draw(st.sampled_from(PATH_TABLES[(i, j)])))
+        for k, (i, j) in enumerate(zip(stops[:length], stops[1:]))
+    ]
+    return tuple(reversed(functors))
 
 
 class TestInverseFunctor:

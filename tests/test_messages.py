@@ -5,8 +5,10 @@ several checkers call; these tests pin what the reports say, so a change of
 kernel cannot change a message.
 """
 
+import pytest
+
 from grothkit import build, examples
-from grothkit.fincat import id_name, identity_functor, make_category, validate_functor
+from grothkit.fincat import diagram_iso_of_tables, id_name, identity_functor, make_category, validate_functor
 from grothkit.groth import groth
 from grothkit.indexed import (
     DiagramOpfibMor,
@@ -16,6 +18,7 @@ from grothkit.indexed import (
     identity_diagram_opfib,
 )
 from grothkit.opfib import _cartesian_failure, check_cleavage_preserving, check_split_opfib, cleaved_opfib
+from grothkit.report import ValidationError
 
 
 def identity_opfib(c):
@@ -116,6 +119,18 @@ class TestPinnedMessages:
             ("naturality@f", "square of totals does not commute"),
             ("cleavage-preserving@a", None),
             ("cleavage-preserving@b", None),
+        ]
+
+    def test_diagram_iso_component_not_inverted(self):
+        wa = build.walking_arrow()
+        z1, z2 = build.constant_diagram(wa, build.discrete(2)), build.constant_diagram(wa, build.terminal())
+        to_point = ({"x0": "*", "x1": "*"}, {"id_x0": "id_*", "id_x1": "id_*"})
+        with pytest.raises(ValidationError) as err:
+            diagram_iso_of_tables(z1, z2, {"a": to_point, "b": to_point})
+        assert err.value.report.title == "verify diagram iso"
+        assert checks(err.value.report) == [
+            ("backward∘forward", "component at a is not inverted"),
+            ("backward∘forward", "component at b is not inverted"),
         ]
 
     def test_cartesian_failure_no_fill_in(self):

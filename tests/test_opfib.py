@@ -15,7 +15,7 @@ from grothkit.opfib import (
     find_cartesian_lifts,
     pullback_opfib,
 )
-from grothkit.report import Check, ValidationError
+from grothkit.report import Check, UsageError, ValidationError
 
 from helpers import reference_cartesian_failure
 from test_messages import two_fill_in_functor
@@ -50,7 +50,7 @@ class TestFindCartesianLifts:
         wa = build.walking_arrow()
         one = build.discrete(1)
         p = validate_functor(one, wa, {"x0": "b"}, {id_name("x0"): id_name("b")})
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             find_cartesian_lifts(p, "x0", "f")
 
     def test_discrete_opfibration_has_exactly_one_lift(self):
