@@ -702,9 +702,9 @@ def reindex(d: CatDiagram, h: FunctorData, name: str | None = None) -> CatDiagra
 class IsoWitness:
     """A machine-verified invertible comparison; `flavor` says at which level."""
 
-    forward: object  # FunctorData | NatTransData | DiagramMor
+    forward: object  # FunctorData | DiagramMor
     backward: object
-    flavor: str  # "category-iso" | "natural-iso" | "over-base-iso" | "diagram-iso"
+    flavor: str  # "category-iso" | "over-base-iso" | "diagram-iso"
 
     def describe(self) -> str:
         fwd = getattr(self.forward, "name", "forward")
@@ -728,19 +728,6 @@ def category_iso_of_tables(c: FinCat, d: FinCat, ob_map: Mapping[str, str], mor_
     names[1], and verify that the two compose to identities both ways."""
     fwd = validate_functor(c, d, ob_map, mor_map, name=names[0])
     return verify_category_iso(fwd, inverse_functor(fwd, names[1]), flavor)
-
-
-def verify_natural_iso(fwd: NatTransData, bwd: NatTransData) -> IsoWitness:
-    rep = Report("verify natural iso")
-    cat = fwd.dom.cod
-    for x in fwd.dom.dom.objects:
-        back_forth = cat.comp[(bwd.components[x], fwd.components[x])]
-        forth_back = cat.comp[(fwd.components[x], bwd.components[x])]
-        if not cat.is_identity(back_forth) or not cat.is_identity(forth_back):
-            rep.fail("componentwise-invertible", f"components at {x} do not invert each other")
-    if not rep.passed:
-        raise ValidationError(rep)
-    return IsoWitness(fwd, bwd, "natural-iso")
 
 
 def diagram_iso_of_tables(

@@ -1,4 +1,4 @@
-"""Backtracking search for strict isomorphisms at category, functor and diagram level.
+"""Backtracking search for strict isomorphisms of categories, over a base, and of diagrams.
 
 Outcomes are tri-state: a verified witness, a proof of absence, or a budget
 overrun.  Before the first node, both categories are coloured by invariants
@@ -15,7 +15,6 @@ shared across the components of compound searches.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
@@ -27,8 +26,6 @@ from .fincat import (
     IsoWitness,
     category_iso_of_tables,
     diagram_iso_of_tables,
-    validate_nat_trans,
-    verify_natural_iso,
 )
 from .report import UsageError
 
@@ -95,75 +92,83 @@ def _into(c: FinCat) -> dict[str, list[str]]:
     return into
 
 
-def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None, tuple | None]:
+def _balanced(left, right, classes: int) -> bool:
+    """Whether each colour 0..classes-1 occurs as often in `left` as in `right`."""
+    count = [0] * classes
+    for a in left:
+        count[a] += 1
+    for b in right:
+        count[b] -= 1
+    return not any(count)
+
+
+def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
     """Colour the objects and morphisms of c and d on one shared palette.
 
-    Returns (refuted_by, colours, links).  `refuted_by` names the first
-    invariant that tells c and d apart, or is None; then `colours` is
+    Returns (refuted_by, colours).  `refuted_by` names the first invariant
+    that tells c and d apart, or is None; then `colours` is
     ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
-    map to palette indices that every isomorphism c -> d preserves, and
-    `links` maps each object x of c, and of d, to {y: (|hom(x,y)|, |hom(y,x)|)}
-    over the y with a morphism either way.
+    map to palette indices that every isomorphism c -> d preserves.
 
+    The objects of c and of d are the indices 0..n-1 and n..2n-1 of one
+    union.  Each index keeps its links: one (index of y, code) for every y
+    with a morphism either way, x itself included, where the code is
+    |hom(x,y)| * span + |hom(y,x)| for a span above every hom-set size.
     Object colours start from |hom(x,x)| and are refined, in rounds, by the
-    multiset of (colour y, |hom(x,y)|, |hom(y,x)|) over x's links, until the
-    number of classes stops growing or every object has its own colour.  A
-    morphism's colour is whether it is an identity, the colours of its ends,
-    its number of factorizations and, for an endomorphism, the index and
-    period of its powers.  A class of different sizes on the two sides
-    refutes the pair.
+    sorted keys colour(y) * span² + code of x's links, until a round splits
+    no class or there are more classes than n.  So a discrete partition gets
+    one more round: when it is balanced, that round splits a class exactly
+    when the one colour-preserving bijection breaks a link, and more than n
+    classes leave some class with more members on one side.  A morphism's
+    colour is whether it is an identity, the colours of its ends, its
+    number of factorizations and, for an endomorphism, the index and period
+    of its powers.  A class with more members on one side refutes the pair.
     """
-    if len(c.objects) != len(d.objects):
-        return "object count", None, None
+    n = len(c.objects)
+    if n != len(d.objects):
+        return "object count", None
     if len(c.mors) != len(d.mors):
-        return "morphism count", None, None
+        return "morphism count", None
     if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
-        return "hom-set sizes", None, None
+        return "hom-set sizes", None
 
-    sides = (c, d)
-    links = []
-    for cat in sides:
-        near: dict[str, dict[str, tuple[int, int]]] = {x: {} for x in cat.objects}
-        for (x, y), ms in cat.hom_table.items():
-            back = len(cat.hom(y, x))
-            near[x][y], near[y][x] = (len(ms), back), (back, len(ms))
-        links.append(near)
+    span = 1 + max(map(len, c.hom_table.values()), default=0)  # above every hom-set size
+    links: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    palette: dict = {}
+    col: list[int] = []
+    for offset, cat in ((0, c), (n, d)):
+        at = {x: offset + i for i, x in enumerate(cat.objects)}
+        hom = cat.hom_table
+        for (x, y), ms in hom.items():
+            back = hom.get((y, x))
+            if back is None:
+                links[at[x]].append((at[y], len(ms) * span))
+                links[at[y]].append((at[x], len(ms)))
+            else:
+                links[at[x]].append((at[y], len(ms) * span + len(back)))
+        col += [palette.setdefault(len(hom[(x, x)]), len(palette)) for x in cat.objects]
 
-    obs = [{x: len(cat.hom(x, x)) for x in cat.objects} for cat in sides]
-    classes = len(set(obs[0].values()) | set(obs[1].values()))
-    while classes < len(c.objects):
-        palette: dict = {}
-        obs = [
-            {
-                x: palette.setdefault(
-                    (col[x], tuple(sorted((col[y], sizes) for y, sizes in near[x].items()))), len(palette)
-                )
-                for x in col
-            }
-            for col, near in zip(obs, links)
-        ]
+    square, classes = span * span, len(palette)
+    while classes <= n:
+        palette = {}
+        col = [palette.setdefault((col[i], tuple(sorted([col[j] * square + code for j, code in near]))), len(palette))
+               for i, near in enumerate(links)]
         if len(palette) == classes:
             break
         classes = len(palette)
-    if Counter(obs[0].values()) != Counter(obs[1].values()):
-        return "object classes", None, None
-    if classes == len(c.objects):
-        # every object has its own colour, so a further round would split a
-        # class exactly when the one colour-preserving bijection breaks a link
-        image = {col: u for u, col in obs[1].items()}  # d's object of each colour
-        if any({image[obs[0][y]]: sizes for y, sizes in near.items()} != links[1][image[obs[0][x]]]
-               for x, near in links[0].items()):
-            return "object classes", None, None
+    if not _balanced(col[:n], col[n:], classes):
+        return "object classes", None
 
     palette = {}
-    mors = []
-    for cat, col in zip(sides, obs):
-        ids, cycles, src, tgt = set(cat.identity.values()), _power_cycles(cat), cat.src, cat.tgt
-        mors.append({m: palette.setdefault((m in ids, col[src[m]], col[tgt[m]], len(cat.factorizations[m]),
-                                            cycles.get(m)), len(palette)) for m in cat.mors})
-    if Counter(mors[0].values()) != Counter(mors[1].values()):
-        return "morphism classes", None, None
-    return None, ((obs[0], mors[0]), (obs[1], mors[1])), tuple(links)
+    colours = []
+    for cat, obs in ((c, col[:n]), (d, col[n:])):
+        ob, cycles, src, tgt = dict(zip(cat.objects, obs)), _power_cycles(cat), cat.src, cat.tgt
+        ids, fact = set(cat.identity.values()), cat.factorizations
+        colours.append((ob, {m: palette.setdefault((m in ids, ob[src[m]], ob[tgt[m]], len(fact[m]), cycles.get(m)),
+                                                    len(palette)) for m in cat.mors}))
+    if not _balanced(colours[0][1].values(), colours[1][1].values(), len(palette)):
+        return "morphism classes", None
+    return None, tuple(colours)
 
 
 def _order(items: list, rng: random.Random | None) -> list:
@@ -224,39 +229,44 @@ def iter_iso_tables(
     The enumeration is exhaustive, so running the generator dry proves there
     is no isomorphism satisfying the filters; when an invariant of `_refine`
     proves it before the first node, `budget.refuted_by` names the invariant.
-    Objects are placed first.  That fixes the identities' images and, as
-    forced moves, those of the morphisms with one candidate of their colour;
+    Objects are placed first, each trying d's objects of its colour in
+    listing order, and kept when |hom| both ways to every placed object
+    equals that between the images.  That fixes the identities' images and,
+    as forced moves, those of the morphisms with one candidate of their colour;
     they are checked but take no node, so the work stays within the budget
     times |mors|.  The other morphisms are backtracked over.  Raises
     BudgetExceeded when the node budget runs out.
     """
-    refuted_by, colours, links = _refine(c, d)
+    refuted_by, colours = _refine(c, d)
     if refuted_by is not None:
         budget.refuted_by = refuted_by
         return
-    ((ob_c, mor_c), (ob_d, mor_d)), (near_c, near_d) = colours, links
-    cand = {
-        x: [u for u in d.objects if ob_d[u] == ob_c[x] and (ob_allowed is None or ob_allowed(x, u))]
-        for x in c.objects
-    }
+    (ob_c, mor_c), (ob_d, mor_d) = colours
+    of_colour: dict[int, list[str]] = {}  # d's objects of each colour, in listing order
+    for u in d.objects:
+        of_colour.setdefault(ob_d[u], []).append(u)
+    cand = {x: [u for u in of_colour[ob_c[x]] if ob_allowed is None or ob_allowed(x, u)] for x in c.objects}
     # an object without candidates comes first, so the search ends before its first node
     order = sorted(c.objects, key=lambda x: len(cand[x]))
 
-    non_ids = c.non_identity_mors()
-    into = _into(c)
+    ids = set(c.identity.values())
+    non_ids = [m for m in c.mors if m not in ids]
+    # only `consistent` reads it, and it runs only when d has a wide source or there is a filter
+    into = _into(c) if d.wide_sources or mor_allowed is not None else {}
+    hom_c, hom_d = c.hom_table, d.hom_table
     ob_map: dict[str, str] = {}
-    placed: set[str] = set()  # the images of the placed objects but the newest
     mor_map: dict[str, str] = {}
     wide: set[str] = set()
 
     def hom_sizes_agree(x: str) -> bool:
-        # |hom| both ways between x and each placed y must equal that between
-        # their images u and v.  Checked over x's links; a placed y that is no
-        # link of x then goes to no link of u when both have as many placed
-        # links (u, not yet in `placed`, is one of its own)
-        near_u = near_d[ob_map[x]]
-        pairs = [(near_u.get(ob_map[y]), sizes) for y, sizes in near_c[x].items() if y in ob_map]
-        return all(a == b for a, b in pairs) and len(pairs) == 1 + sum(v in placed for v in near_u)
+        # |hom| both ways between x and each placed y, x itself included, must
+        # equal that between their images u and v
+        u = ob_map[x]
+        for y, v in ob_map.items():
+            if (len(hom_c.get((x, y), ())) != len(hom_d.get((u, v), ()))
+                    or len(hom_c.get((y, x), ())) != len(hom_d.get((v, u), ()))):
+                return False
+        return True
 
     def consistent(m: str) -> bool:
         # check every composition constraint whose three participants are now
@@ -285,7 +295,7 @@ def iter_iso_tables(
         return True
 
     fits = consistent if mor_allowed is None else lambda m: mor_allowed(m, mor_map[m]) and consistent(m)
-    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, placed):
+    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, set()):
         mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
         if mor_allowed is not None and not all(mor_allowed(m, n) for m, n in mor_map.items()):
             continue
@@ -332,37 +342,6 @@ def iso_search(
     names = f"iso[{c.name}->{d.name}]", f"iso[{d.name}->{c.name}]"
     return _first(b, iter_iso_tables(c, d, b, rng=rng),
                   lambda tables: category_iso_of_tables(c, d, *tables, "category-iso", names))
-
-
-def nat_iso_search(f: FunctorData, g: FunctorData, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Search for an invertible natural transformation between parallel functors."""
-    if not f.dom.tables_equal(g.dom):
-        raise UsageError("functors do not share a domain")
-    if not f.cod.tables_equal(g.cod):
-        raise UsageError("functors do not share a codomain")
-    b = Budget(budget)
-    cat, target = f.dom, f.cod
-    cand = {x: [m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
-            for x in cat.objects}
-    order = sorted(cat.objects, key=lambda x: len(cand[x]))  # one without candidates ends the search at once
-    into = _into(cat)
-    comp: dict[str, str] = {}
-
-    def natural_so_far(x: str) -> bool:
-        # the squares of the morphisms out of and into x with both ends assigned
-        for m in (*cat.out(x), *into[x]):
-            a, z = cat.src[m], cat.tgt[m]
-            if a in comp and z in comp:
-                if target.comp[(comp[z], f.mor_map[m])] != target.comp[(g.mor_map[m], comp[a])]:
-                    return False
-        return True
-
-    def witness(comps: dict[str, str]) -> IsoWitness:
-        fwd = validate_nat_trans(f, g, comps, name=f"niso[{f.name}->{g.name}]")
-        inv = {x: target.inverse(m) for x, m in comps.items()}
-        return verify_natural_iso(fwd, validate_nat_trans(g, f, inv, name=f"niso[{g.name}->{f.name}]"))
-
-    return _first(b, _backtrack(order, cand.__getitem__, natural_so_far, b, comp), witness)
 
 
 def over_base_iso_search(

@@ -7,6 +7,7 @@ the code paths under test.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from grothkit.fincat import (
     CatDiagram,
@@ -428,3 +429,74 @@ def involution_arrow() -> FinCat:
     """
     return make_category("involution_arrow", ["a", "b"], [("s", "a", "a"), ("f", "a", "b")],
                          {("s", "s"): id_name("a"), ("f", "s"): "f"})
+
+
+def walked_cycle(c: FinCat, m: str) -> tuple[int, int]:
+    """(index, period) of the powers of the endomorphism m, walked from m itself."""
+    seen: dict[str, int] = {}
+    p = m
+    while p not in seen:
+        seen[p] = len(seen)
+        p = c.comp[(m, p)]
+    return seen[p], len(seen) - seen[p]
+
+
+def reference_refine(c: FinCat, d: FinCat):
+    """The colour refinement of the iso search, over per-object dicts of links.
+
+    Returns (refuted_by, colours) as `isosearch._refine` does.  Each object x
+    of c, and of d, keeps its links {y: (|hom(x,y)|, |hom(y,x)|)}; object
+    classes are refined by them until they stop growing or every object has
+    its own, and a discrete partition is then checked link by link through
+    the one colour-preserving bijection.
+    """
+    if len(c.objects) != len(d.objects):
+        return "object count", None
+    if len(c.mors) != len(d.mors):
+        return "morphism count", None
+    if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
+        return "hom-set sizes", None
+
+    sides = (c, d)
+    links = []
+    for cat in sides:
+        near: dict[str, dict[str, tuple[int, int]]] = {x: {} for x in cat.objects}
+        for (x, y), ms in cat.hom_table.items():
+            back = len(cat.hom(y, x))
+            near[x][y], near[y][x] = (len(ms), back), (back, len(ms))
+        links.append(near)
+
+    obs = [{x: len(cat.hom(x, x)) for x in cat.objects} for cat in sides]
+    classes = len(set(obs[0].values()) | set(obs[1].values()))
+    while classes < len(c.objects):
+        palette: dict = {}
+        obs = [
+            {
+                x: palette.setdefault(
+                    (col[x], tuple(sorted((col[y], sizes) for y, sizes in near[x].items()))), len(palette)
+                )
+                for x in col
+            }
+            for col, near in zip(obs, links)
+        ]
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    if Counter(obs[0].values()) != Counter(obs[1].values()):
+        return "object classes", None
+    if classes == len(c.objects):
+        image = {col: u for u, col in obs[1].items()}  # d's object of each colour
+        if any({image[obs[0][y]]: sizes for y, sizes in near.items()} != links[1][image[obs[0][x]]]
+               for x, near in links[0].items()):
+            return "object classes", None
+
+    palette = {}
+    mors = []
+    for cat, col in zip(sides, obs):
+        ids, src, tgt = set(cat.identity.values()), cat.src, cat.tgt
+        cycles = {m: walked_cycle(cat, m) for m in cat.mors if src[m] == tgt[m]}
+        mors.append({m: palette.setdefault((m in ids, col[src[m]], col[tgt[m]], len(cat.factorizations[m]),
+                                            cycles.get(m)), len(palette)) for m in cat.mors})
+    if Counter(mors[0].values()) != Counter(mors[1].values()):
+        return "morphism classes", None
+    return None, ((obs[0], mors[0]), (obs[1], mors[1]))

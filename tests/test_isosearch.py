@@ -2,12 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grothkit import build
 from grothkit.fincat import (
     compose_functors,
-    id_name,
     identity_functor,
     make_category,
     validate_diagram,
@@ -23,7 +22,6 @@ from grothkit.isosearch import (
     diagram_iso_search,
     iter_iso_tables,
     iso_search,
-    nat_iso_search,
     over_base_iso_search,
 )
 from grothkit.report import UsageError, ValidationError
@@ -35,8 +33,10 @@ from helpers import (
     freeze_tables,
     involution_arrow,
     quaternion_table,
+    reference_refine,
     relabelled,
     semidirect_table,
+    walked_cycle,
 )
 
 
@@ -51,6 +51,14 @@ def bs3():
 
 
 NODES_Z12_RELABELLED = 20
+
+
+def _link_breaking_posets():
+    """Two posets on p0..p6 whose objects get seven colours, the same on both sides."""
+    elements = [f"p{i}" for i in range(7)]
+    relation = [("p0", "p3"), ("p0", "p5"), ("p0", "p6"), ("p1", "p2"), ("p1", "p3"), ("p4", "p6")]
+    return (build.poset(elements, relation + [("p2", "p3")], name="c"),
+            build.poset(elements, relation + [("p5", "p6")], name="d"))
 
 
 class TestIsoSearch:
@@ -115,10 +123,7 @@ class TestIsoSearch:
         # after one round every object has its own colour, the same seven on
         # both sides, and the bijection they fix breaks links: it sends p1 to
         # p1 and p2 to p5, but p1 <= p2 holds in c and p1 <= p5 fails in d
-        elements = [f"p{i}" for i in range(7)]
-        relation = [("p0", "p3"), ("p0", "p5"), ("p0", "p6"), ("p1", "p2"), ("p1", "p3"), ("p4", "p6")]
-        c = build.poset(elements, relation + [("p2", "p3")], name="c")
-        d = build.poset(elements, relation + [("p5", "p6")], name="d")
+        c, d = _link_breaking_posets()
         assert len(c.mors) == len(d.mors)
         res = iso_search(c, d)
         assert res.status == NONE
@@ -163,13 +168,24 @@ NODES_CHAIN8_SQUARED = 92
 NODES_CHAIN_SQUARED = {4: 22, 5: 35, 6: 51, 7: 70, 8: NODES_CHAIN8_SQUARED}
 
 
+def _shuffled(c, seed):
+    """A copy of c under new names, listed in orders shuffled by the seed."""
+    obs, mors = list(c.objects), list(c.mors)
+    random.Random(seed).shuffle(obs)
+    random.Random(seed).shuffle(mors)
+    return relabelled(c, obs, mors)[0]
+
+
 def _chain_squared_and_shuffled(n):
     c = build.chain(n)
     p = build.product(c, c)
-    obs, mors = list(p.objects), list(p.mors)
-    random.Random(n).shuffle(obs)
-    random.Random(n).shuffle(mors)
-    return p, relabelled(p, obs, mors)[0]
+    return p, _shuffled(p, n)
+
+
+# chain(n) x chain(m) against chain(m) x chain(n), n < m: no automorphism, so the
+# stable partition is discrete and refinement ends with the round that checks
+# the one bijection its colours fix; every node places an object
+NODES_SWAPPED_CHAIN_PRODUCTS = {(3, 5): 15, (4, 5): 20}
 
 
 class TestDepth:
@@ -188,6 +204,16 @@ class TestDepth:
             assert res.nodes == nodes, n
         assert NODES_CHAIN_SQUARED[6] < 60
 
+    def test_swapped_chain_products_with_a_discrete_partition(self):
+        for (n, m), nodes in NODES_SWAPPED_CHAIN_PRODUCTS.items():
+            c, d = build.product(build.chain(n), build.chain(m)), build.product(build.chain(m), build.chain(n))
+            refuted_by, ((ob_c, _), (ob_d, _)) = _refine(c, d)
+            assert refuted_by is None
+            assert len(set(ob_c.values())) == len(c.objects)
+            res = iso_search(c, d)
+            assert res.status == FOUND
+            assert res.nodes == nodes, (n, m)
+
     def test_forced_moves_take_no_budget(self):
         # a forced move is no node, so the budget still bounds the work: each
         # object placement leads to at most |mors| forced moves
@@ -195,50 +221,11 @@ class TestDepth:
         assert res.status == BUDGET
         assert res.witness is None
 
-    def test_nat_iso_over_many_objects(self):
-        t = identity_functor(build.discrete(1100))
-        res = nat_iso_search(t, t)
-        assert res.status == FOUND
-        assert res.witness.forward.is_identity_nat()
-
     def test_diagram_iso_over_many_base_objects(self):
         z = build.constant_diagram(build.discrete(1100), build.terminal())
         res = diagram_iso_search(z, z)
         assert res.status == FOUND
         assert res.nodes == 2200  # one fibre iso per base object, then one node each
-
-
-class TestNatIsoSearch:
-    def test_identity_components(self):
-        t = identity_functor(build.chain(3))
-        res = nat_iso_search(t, t)
-        assert res.status == FOUND
-        assert res.witness.forward.is_identity_nat()
-
-    def test_constants_in_groupoid(self):
-        wi = build.walking_iso()
-        term = build.terminal()
-        at_a = validate_functor(term, wi, {"*": "a"}, {id_name("*"): id_name("a")})
-        at_b = validate_functor(term, wi, {"*": "b"}, {id_name("*"): id_name("b")})
-        res = nat_iso_search(at_a, at_b)
-        assert res.status == FOUND
-        assert res.witness.forward.components["*"] == "f"
-
-    def test_constants_with_empty_hom(self):
-        wa = build.walking_arrow()
-        term = build.terminal()
-        at_b = validate_functor(term, wa, {"*": "b"}, {id_name("*"): id_name("b")})
-        at_a = validate_functor(term, wa, {"*": "a"}, {id_name("*"): id_name("a")})
-        res = nat_iso_search(at_b, at_a)  # hom(b, a) is empty
-        assert res.status == NONE
-
-    def test_noninvertible_component_rejected(self):
-        wa = build.walking_arrow()
-        term = build.terminal()
-        at_a = validate_functor(term, wa, {"*": "a"}, {id_name("*"): id_name("a")})
-        at_b = validate_functor(term, wa, {"*": "b"}, {id_name("*"): id_name("b")})
-        res = nat_iso_search(at_a, at_b)  # only candidate f is not invertible
-        assert res.status == NONE
 
 
 class TestStructuredSearches:
@@ -326,21 +313,11 @@ def _over(p1, p2):
     return (lambda x, u: p1.ob_map[x] == p2.ob_map[u]), (lambda m, n: p1.mor_map[m] == p2.mor_map[n])
 
 
-def _walked_cycle(c, m):
-    """(index, period) of the powers of m, walked from m itself."""
-    seen = {}
-    p = m
-    while p not in seen:
-        seen[p] = len(seen)
-        p = c.comp[(m, p)]
-    return seen[p], len(seen) - seen[p]
-
-
 class TestAgainstBruteForce:
     def test_power_cycles_agree_with_a_direct_walk(self):
         for c in STOCK:
             endos = [m for m in c.mors if c.src[m] == c.tgt[m]]
-            assert _power_cycles(c) == {m: _walked_cycle(c, m) for m in endos}, c.name
+            assert _power_cycles(c) == {m: walked_cycle(c, m) for m in endos}, c.name
 
     def test_all_stock_pairs(self):
         for c, d in itertools.product(STOCK, repeat=2):
@@ -365,7 +342,7 @@ class TestAgainstBruteForce:
         )
         assert _searched(c, copy) == brute_isos(c, copy)
         assert _searched(copy, c) == brute_isos(copy, c)
-        refuted_by, ((ob_c, mor_c), (ob_d, mor_d)), _ = _refine(c, copy)
+        refuted_by, ((ob_c, mor_c), (ob_d, mor_d)) = _refine(c, copy)
         assert refuted_by is None
         assert all(ob_c[x] == ob_d[ob[x]] for x in c.objects)
         assert all(mor_c[m] == mor_d[mor[m]] for m in c.mors)
@@ -419,7 +396,67 @@ class TestMixedHomSets:
             assert (res.nodes, witnesses, b.used) == counts, c.name
 
 
-# The natural and diagram searches check, at each node, the morphisms into and
+def _joint_classes(colours):
+    """The object classes and the morphism classes of c ⊔ d, each a set of
+    classes of (side, name), so that palette numbers do not matter."""
+    out = []
+    for kind in (0, 1):
+        classes: dict = {}
+        for side, maps in enumerate(colours):
+            for name, colour in maps[kind].items():
+                classes.setdefault(colour, set()).add((side, name))
+        out.append({frozenset(members) for members in classes.values()})
+    return out
+
+
+def _agrees_with_reference(c, d) -> bool:
+    refuted_by, colours = _refine(c, d)
+    expected, reference = reference_refine(c, d)
+    return refuted_by == expected and (refuted_by is not None or _joint_classes(colours) == _joint_classes(reference))
+
+
+# factors with as many objects and morphisms as each other, so that their
+# products with posets of as many morphisms pass the counts
+SAME_SIZE_FACTORS = [[None], [INVOLUTION, build.walking_iso()], [bz(3), _monoid(2, 1), _monoid(2, 2)]]
+
+
+@st.composite
+def _poset_pairs(draw):
+    """A poset on a few elements times a small factor, against a shuffled copy or
+    against another such product with as many morphisms."""
+    n = draw(st.integers(0, 5))
+    factors = draw(st.sampled_from(SAME_SIZE_FACTORS))
+    pairs = st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=8)
+    elements = [f"p{i}" for i in range(n)]
+    c, d = (build.poset(elements, [(elements[min(p)], elements[max(p)]) for p in draw(pairs) if p[0] != p[1]])
+            for _ in range(2))
+    f, g = draw(st.sampled_from(factors)), draw(st.sampled_from(factors))
+    if f is not None:
+        c, d = build.product(c, f), build.product(d, g)
+    if draw(st.integers(0, 3)) == 0:
+        return c, _shuffled(c, draw(st.integers(0, 9)))
+    assume(len(c.mors) == len(d.mors))  # else the morphism count alone refutes the pair
+    return c, d
+
+
+class TestRefineAgainstReference:
+    def test_stock_mixed_and_relabelled_pairs(self):
+        pairs = [*itertools.product(STOCK, repeat=2), *itertools.product(MIXED, repeat=2)]
+        pairs += [(c, _shuffled(c, k)) for k, c in enumerate([*STOCK, *MIXED, *(c for c, _ in MIXED_NODES)])]
+        pairs += [_chain_squared_and_shuffled(n) for n in NODES_CHAIN_SQUARED]
+        pairs += [(build.product(build.chain(n), build.chain(m)), build.product(build.chain(m), build.chain(n)))
+                  for n, m in NODES_SWAPPED_CHAIN_PRODUCTS]
+        pairs.append(_link_breaking_posets())
+        for c, d in pairs:
+            assert _agrees_with_reference(c, d), (c.name, d.name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_poset_pairs())
+    def test_small_random_categories(self, pair):
+        assert _agrees_with_reference(*pair)
+
+
+# The diagram search checks, at each node, the morphisms into and
 # out of the newly assigned object.  On a chain the objects are assigned in
 # listing order, so every morphism points forward; on its opposite every one
 # points back, and the walking iso has both.
@@ -428,20 +465,6 @@ SHAPES = [build.chain(3), build.opposite(build.chain(3)), build.walking_iso()]
 
 def _functors(c, d):
     return [validate_functor(c, d, ob, mor) for ob, mor in all_functor_tables(c, d)]
-
-
-def _brute_nat_iso(f, g) -> bool:
-    cat, target = f.dom, f.cod
-    pools = [[m for m in target.hom(f.ob_map[x], g.ob_map[x]) if target.inverse(m) is not None]
-             for x in cat.objects]
-    for choice in itertools.product(*pools):
-        comp = dict(zip(cat.objects, choice))
-        if all(
-            target.comp[(comp[cat.tgt[m]], f.mor_map[m])] == target.comp[(g.mor_map[m], comp[cat.src[m]])]
-            for m in cat.mors
-        ):
-            return True
-    return False
 
 
 def _diagrams(base, fibre):
@@ -476,13 +499,6 @@ def _brute_diagram_iso(z1, z2) -> bool:
 
 
 class TestIndexedLoopsAgainstBruteForce:
-    def test_nat_iso_search(self):
-        for shape in SHAPES:
-            functors = _functors(shape, bz(3))
-            for f, g in itertools.product(functors, repeat=2):
-                res = nat_iso_search(f, g)
-                assert res.status == (FOUND if _brute_nat_iso(f, g) else NONE), (shape.name, f.mor_map, g.mor_map)
-
     def test_diagram_iso_search(self):
         for shape in SHAPES:
             diagrams = _diagrams(shape, build.discrete(2))
