@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grothkit import build
+from grothkit import build, examples
 from grothkit.fincat import (
     compose_functors,
     identity_functor,
@@ -12,6 +12,7 @@ from grothkit.fincat import (
     validate_diagram,
     validate_functor,
 )
+from grothkit.groth import groth
 from grothkit.isosearch import (
     BUDGET,
     FOUND,
@@ -24,6 +25,7 @@ from grothkit.isosearch import (
     iso_search,
     over_base_iso_search,
 )
+from grothkit.opfib import fibres
 from grothkit.report import UsageError, ValidationError
 
 from helpers import (
@@ -250,7 +252,25 @@ class TestStructuredSearches:
         d1 = build.constant_diagram(base, build.walking_iso())
         d2 = build.constant_diagram(base, build.walking_iso())
         res = diagram_iso_search(d1, d2)
-        assert res.status == FOUND
+        assert (res.status, res.nodes) == (FOUND, 21)
+
+    def test_diagram_iso_node_counts(self):
+        sd = examples.semidirect_diagram()
+        res = diagram_iso_search(fibres(groth(sd).opfib()), sd)
+        assert (res.status, res.nodes) == (FOUND, 8)
+        z = build.constant_diagram(build.chain(2), build.discrete(5))
+        res = diagram_iso_search(z, z)
+        assert (res.status, res.nodes) == (FOUND, 2062)  # every automorphism of each fibre is listed
+
+    def test_diagram_iso_absent_after_nodes(self):
+        # BZ/2 acting on discrete(2) trivially and by the swap: the fibres are isomorphic,
+        # so no invariant refutes the pair, but no fibre iso makes the square at s1 commute
+        base, d2 = examples.bz(2, prefix="s"), build.discrete(2)
+        ident = identity_functor(d2)
+        trivial = validate_diagram(base, {"*": d2}, {"id_*": ident, "s1": ident}, name="trivial")
+        swap = validate_diagram(base, {"*": d2}, {"id_*": ident, "s1": examples.swap_functor(d2)}, name="swap")
+        res = diagram_iso_search(trivial, swap)
+        assert (res.status, res.nodes, res.refuted_by) == (NONE, 8, None)
 
     def test_diagram_iso_refuted_on_fibre_mismatch(self):
         base = build.walking_arrow()

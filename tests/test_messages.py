@@ -8,7 +8,14 @@ kernel cannot change a message.
 import pytest
 
 from grothkit import build, examples
-from grothkit.fincat import diagram_iso_of_tables, id_name, identity_functor, make_category, validate_functor
+from grothkit.fincat import (
+    diagram_iso_of_tables,
+    id_name,
+    identity_functor,
+    make_category,
+    validate_diagram_mor,
+    validate_functor,
+)
 from grothkit.groth import groth
 from grothkit.indexed import (
     DiagramOpfibMor,
@@ -18,7 +25,7 @@ from grothkit.indexed import (
     identity_diagram_opfib,
 )
 from grothkit.opfib import _cartesian_failure, check_cleavage_preserving, check_split_opfib, cleaved_opfib
-from grothkit.report import ValidationError
+from grothkit.report import UsageError, ValidationError
 
 
 def identity_opfib(c):
@@ -57,6 +64,26 @@ def twisted_opfib(fibre, twist):
     return over, diagram_opfib(
         over, total, {"a": identity_functor(fibre), "b": twist}, {"a": straight, "b": twisted}, name="bad"
     )
+
+
+def arrow_times_iso_opfib(twisted_at, name):
+    """Constant diagrams over chain(2): walking arrow below, walking arrow × walking iso
+    above, the first projection as both components.  The cleavage at the base objects in
+    `twisted_at` lifts f at (a,a) to (f,f) and at (a,b) to (f,g); the others lift it
+    straight, to (f,id_x)."""
+    base = build.chain(2)
+    e, p, _ = build.product_projections(build.walking_arrow(), build.walking_iso())
+    over = build.constant_diagram(base, build.walking_arrow(), name="over")
+    total = build.constant_diagram(base, e, name="total")
+    lifts = {}
+    for v in base.objects:
+        twisted = {"(a,a)": "(f,f)", "(a,b)": "(f,g)"} if v in twisted_at else {}
+        lifts[v] = {(x, f): e.identity[x] if f.startswith("id_") else twisted.get(x, f"(f,id_{x[3]})")
+                    for x in e.objects for f in p.cod.out(p.ob_map[x])}
+    return diagram_opfib(over, total, {v: p for v in base.objects}, lifts, name=name)
+
+
+UNPRESERVED_LIFT = "lifts-preserved: H(lift((a,a),f)) = (f,id_a) but lift((a,a),f) = (f,f)"
 
 
 def swap2():
@@ -152,3 +179,72 @@ class TestPinnedMessages:
         assert checks(check_split_opfib(q))[0] == (
             "lifts-cartesian", "at (u,f): lift m of f: 2 fill-ins for (e=e, w=id_b), expected exactly one"
         )
+
+    def test_diagram_opfib_square_loses_a_chosen_lift(self):
+        phi = arrow_times_iso_opfib({"1"}, "half_twisted")
+        assert checks(check_diagram_opfib(phi)) == [
+            ("naturality@id_0", None),
+            ("naturality@id_1", None),
+            ("naturality@le(0,1)", None),
+            ("component@0", None),
+            ("component@1", None),
+            ("square@id_0", None),
+            ("square@id_1", None),
+            ("square@le(0,1)", UNPRESERVED_LIFT),
+        ]
+
+    def test_diagram_opfib_mor_loses_a_chosen_lift(self):
+        straight = arrow_times_iso_opfib(set(), "straight")
+        twisted = arrow_times_iso_opfib({"0", "1"}, "twisted")
+        comps = {v: identity_functor(straight.total.at_ob[v]) for v in straight.base.objects}
+        xi = DiagramOpfibMor("untwist", straight, twisted, comps)
+        assert checks(check_diagram_opfib_mor(xi)) == [
+            ("triangle@0", None),
+            ("triangle@1", None),
+            ("naturality@id_0", None),
+            ("naturality@id_1", None),
+            ("naturality@le(0,1)", None),
+            ("cleavage-preserving@0", UNPRESERVED_LIFT),
+            ("cleavage-preserving@1", UNPRESERVED_LIFT),
+        ]
+
+    @staticmethod
+    def discrete_over_point(point):
+        """discrete(2) over the constant diagram of `point` on the walking arrow, whose
+        components send x0 and x1 to the object *."""
+        wa, d2 = build.walking_arrow(), build.discrete(2)
+        over = build.constant_diagram(wa, point, name="over")
+        total = build.constant_diagram(wa, d2, name="total")
+        bang = validate_functor(d2, point, {"x0": "*", "x1": "*"}, {"id_x0": "id_*", "id_x1": "id_*"}, name="bang")
+        cl = {(e, "id_*"): id_name(e) for e in d2.objects}
+        return diagram_opfib(over, total, {"a": bang, "b": bang}, {"a": cl, "b": cl}, name=f"over_{point.name}")
+
+    def test_diagram_opfib_mor_refuses_a_component_off_its_totals(self):
+        # the component at a starts at the walking arrow on x0, x1, not at discrete(2),
+        # yet it agrees with both triangles
+        d2 = build.discrete(2)
+        phi = self.discrete_over_point(build.terminal())
+        arrow = make_category("arrow", ["x0", "x1"], [("u", "x0", "x1")], {})
+        squash = validate_functor(arrow, d2, {"x0": "x0", "x1": "x0"},
+                                  {"id_x0": "id_x0", "id_x1": "id_x0", "u": "id_x0"}, name="squash")
+        xi = DiagramOpfibMor("xi", phi, phi, {"a": squash, "b": identity_functor(d2)})
+        with pytest.raises(UsageError):
+            check_diagram_opfib_mor(xi)
+
+    def test_diagram_opfib_mor_refuses_a_codomain_over_another_diagram(self):
+        # the codomain's fibres hold an object z besides *, which no component reaches,
+        # so both triangles and every naturality square agree
+        phi = self.discrete_over_point(build.terminal())
+        psi = self.discrete_over_point(make_category("point_and_z", ["*", "z"], [], {}))
+        d2 = phi.total.at_ob["a"]
+        xi = DiagramOpfibMor("xi", phi, psi, {"a": identity_functor(d2), "b": identity_functor(d2)})
+        with pytest.raises(UsageError):
+            check_diagram_opfib_mor(xi)
+
+    def test_validate_diagram_mor_naturality(self):
+        wa = build.walking_arrow()
+        d2, swap = swap2()
+        z = build.constant_diagram(wa, d2)
+        with pytest.raises(ValidationError) as err:
+            validate_diagram_mor(z, z, {"a": identity_functor(d2), "b": swap}, name="half_swap")
+        assert checks(err.value.report) == [("naturality", "square at f does not commute strictly")]
