@@ -74,10 +74,6 @@ class FinCat:
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src[m]) == m
 
-    def compose(self, g: str, f: str) -> str:
-        """g∘f; requires tgt(f) = src(g)."""
-        return self.comp[(g, f)]
-
     def non_identity_mors(self) -> tuple[str, ...]:
         return tuple(m for m in self.mors if not self.is_identity(m))
 
@@ -489,9 +485,6 @@ class NatTransData:
     cod: FunctorData
     components: Mapping[str, str]
 
-    def at(self, x: str) -> str:
-        return self.components[x]
-
     def is_identity_nat(self) -> bool:
         c = self.dom.cod
         return all(c.is_identity(self.components[x]) for x in self.dom.dom.objects)
@@ -567,12 +560,6 @@ class CatDiagram:
     at_ob: Mapping[str, FinCat]
     at_mor: Mapping[str, FunctorData]
 
-    def fibre(self, x: str) -> FinCat:
-        return self.at_ob[x]
-
-    def arrow(self, f: str) -> FunctorData:
-        return self.at_mor[f]
-
     def is_set_valued(self) -> bool:
         return all(c.is_discrete() for c in self.at_ob.values())
 
@@ -635,9 +622,6 @@ class DiagramMor:
     dom: CatDiagram
     cod: CatDiagram
     components: Mapping[str, FunctorData]
-
-    def at(self, x: str) -> FunctorData:
-        return self.components[x]
 
     def is_identity_mor(self) -> bool:
         return all(self.components[x].is_identity_functor() for x in self.dom.base.objects)

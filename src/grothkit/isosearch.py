@@ -26,6 +26,7 @@ from .fincat import (
     IsoWitness,
     category_iso_of_tables,
     diagram_iso_of_tables,
+    first_disagreement,
 )
 from .report import UsageError
 
@@ -375,30 +376,26 @@ def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUD
     base = z1.base
     b = Budget(budget)
     into = _into(base)
-    assigned: dict[str, tuple[dict, dict]] = {}
+    assigned: dict[str, FunctorData] = {}
 
     def squares_ok(v: str) -> bool:
-        # the squares of the base morphisms out of and into v with both ends assigned
-        for h in (*base.out(v), *into[v]):
+        # the squares of the base morphisms out of and into v with both ends assigned, each once
+        for h in dict.fromkeys((*base.out(v), *into[v])):
             a, z = base.src[h], base.tgt[h]
-            if a not in assigned or z not in assigned:
-                continue
-            t1, t2 = z1.at_mor[h], z2.at_mor[h]
-            ob_a, mor_a = assigned[a]
-            ob_z, mor_z = assigned[z]
-            if any(ob_z[t1.ob_map[x]] != t2.ob_map[ob_a[x]] for x in z1.at_ob[a].objects):
-                return False
-            if any(mor_z[t1.mor_map[m]] != t2.mor_map[mor_a[m]] for m in z1.at_ob[a].mors):
+            if a in assigned and z in assigned and first_disagreement(
+                    (z2.at_mor[h], assigned[a]), (assigned[z], z1.at_mor[h])) is not None:
                 return False
         return True
 
     def solutions() -> Iterator[dict]:
-        candidates: dict[str, list[tuple[dict, dict]]] = {}
+        candidates: dict[str, list[FunctorData]] = {}
         for v in base.objects:
-            candidates[v] = list(iter_iso_tables(z1.at_ob[v], z2.at_ob[v], b))
+            c, d = z1.at_ob[v], z2.at_ob[v]
+            candidates[v] = [FunctorData(f"iso@{v}", c, d, *tables) for tables in iter_iso_tables(c, d, b)]
             if not candidates[v]:
                 return
         order = sorted(base.objects, key=lambda v: len(candidates[v]))
         yield from _backtrack(order, candidates.__getitem__, squares_ok, b, assigned)
 
-    return _first(b, solutions(), lambda tables: diagram_iso_of_tables(z1, z2, tables))
+    return _first(b, solutions(),
+                  lambda sigma: diagram_iso_of_tables(z1, z2, {v: (f.ob_map, f.mor_map) for v, f in sigma.items()}))

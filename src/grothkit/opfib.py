@@ -8,7 +8,7 @@ laws exhaustively, reporting a minimal counterexample on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .fincat import (
@@ -38,11 +38,10 @@ class Cleavage:
 
 @dataclass(eq=False)
 class CleavedOpfib:
-    """A functor equipped with a cleavage; the split check caches its report on it."""
+    """A functor equipped with a cleavage."""
 
     p: FunctorData
     cleavage: Cleavage
-    split_report: Report | None = field(default=None, repr=False)
 
     @property
     def total(self) -> FinCat:
@@ -174,8 +173,6 @@ def check_split_opfib(q: CleavedOpfib) -> Report:
         if comp_fail:
             break
     rep.record("composition-law", comp_fail)
-
-    q.split_report = rep
     return rep
 
 
@@ -217,17 +214,19 @@ def check_cleavage_preserving(
         at = FunctorData.ob if kind == "object" else FunctorData.mor
         square_fail = f"on {kind} {x}: {at(q2.p, at(h, x))} != {at(k, at(q1.p, x))}"
     rep.record("square-commutes", square_fail)
-    if square_fail is not None:
-        return rep
-
-    lift_fail = None
-    for (e, f), m in sorted(q1.cleavage.lifts.items()):
-        expected = q2.cleavage.lift(h.ob_map[e], k.mor_map[f])
-        if h.mor_map[m] != expected:
-            lift_fail = f"H(lift({e},{f})) = {h.mor_map[m]} but lift({h.ob_map[e]},{k.mor_map[f]}) = {expected}"
-            break
-    rep.record("lifts-preserved", lift_fail)
+    if square_fail is None:
+        rep.record("lifts-preserved", _unpreserved_lift(h, k, q1.cleavage, q2.cleavage))
     return rep
+
+
+def _unpreserved_lift(h: FunctorData, k: FunctorData, c1: Cleavage, c2: Cleavage) -> str | None:
+    """The first chosen lift of c1, in sorted order, that the commuting square (h over k)
+    does not carry to the chosen lift of c2, as a counterexample; None when there is none."""
+    for (e, f), m in sorted(c1.lifts.items()):
+        expected = c2.lift(h.ob_map[e], k.mor_map[f])
+        if h.mor_map[m] != expected:
+            return f"H(lift({e},{f})) = {h.mor_map[m]} but lift({h.ob_map[e]},{k.mor_map[f]}) = {expected}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ def check_cleavage_preserving(
 
 
 def _require_split(q: CleavedOpfib) -> None:
-    rep = q.split_report if q.split_report is not None else check_split_opfib(q)
+    rep = check_split_opfib(q)
     if not rep.passed:
         out = Report(f"fibres of {q.p.name}")
         out.fail("input-split", rep.summary())

@@ -228,7 +228,7 @@ class TestPinnedMessages:
         squash = validate_functor(arrow, d2, {"x0": "x0", "x1": "x0"},
                                   {"id_x0": "id_x0", "id_x1": "id_x0", "u": "id_x0"}, name="squash")
         xi = DiagramOpfibMor("xi", phi, phi, {"a": squash, "b": identity_functor(d2)})
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^component squash at a does not run total\(a\) -> total\(a\)$"):
             check_diagram_opfib_mor(xi)
 
     def test_diagram_opfib_mor_refuses_a_codomain_over_another_diagram(self):
@@ -238,7 +238,7 @@ class TestPinnedMessages:
         psi = self.discrete_over_point(make_category("point_and_z", ["*", "z"], [], {}))
         d2 = phi.total.at_ob["a"]
         xi = DiagramOpfibMor("xi", phi, psi, {"a": identity_functor(d2), "b": identity_functor(d2)})
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^over_terminal and over_point_and_z do not lie over the same diagram$"):
             check_diagram_opfib_mor(xi)
 
     def test_validate_diagram_mor_naturality(self):

@@ -83,12 +83,6 @@ class TestCheckSplitOpfib:
         assert not rep.passed
         assert rep.counterexamples()  # a concrete witness is printed
 
-    def test_status_cache_filled(self):
-        q = identity_opfib(build.terminal())
-        assert q.split_report is None
-        check_split_opfib(q)
-        assert q.split_report is not None and q.split_report.passed
-
 
 def cleavage_cases():
     """(projection, cleavage) for the canonical cleavage of every corpus total, for each
