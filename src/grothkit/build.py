@@ -180,6 +180,11 @@ def opposite(c: FinCat, name: str | None = None) -> FinCat:
     return make_category(name or f"op({c.name})", list(c.objects), arrows, comp)
 
 
+def opposite_functor(t: FunctorData) -> FunctorData:
+    """t with the same tables, as a functor between the opposites of its categories."""
+    return validate_functor(opposite(t.dom), opposite(t.cod), t.ob_map, t.mor_map, name=f"op({t.name})")
+
+
 def _require_object(c: FinCat, x: str, what: str) -> None:
     """Refuse an `x` that is not an object of c as the failed check object-exists of `build what`."""
     if x not in set(c.objects):

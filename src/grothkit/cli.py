@@ -41,7 +41,6 @@ from .indexed import (
 )
 from .isosearch import DEFAULT_BUDGET, FOUND, NONE, iso_search
 from .opfib import (
-    Cleavage,
     CleavedOpfib,
     check_cleavage_preserving,
     check_discrete_opfib,
@@ -98,9 +97,7 @@ def _need(ws: Workspace, kind: str, name: str):
 
 
 def _opfib_of(ws: Workspace, p_name: str, cl_name: str) -> CleavedOpfib:
-    p = _need(ws, "functor", p_name)
-    cl = _need(ws, "cleavage", cl_name)
-    return cleaved_opfib(p, cl.lifts)
+    return cleaved_opfib(_need(ws, "functor", p_name), _need(ws, "cleavage", cl_name))
 
 
 def _budget(args) -> int:
@@ -189,7 +186,7 @@ def _cmd_groth(args) -> Outcome:
     base_name = ws.entities[("diagram", args.diagram)].refs["base"]
     total_name = ws.add("category", f"{args.diagram}_total", gt.total)
     proj_name = ws.add("functor", f"{args.diagram}_proj", gt.projection, {"dom": total_name, "cod": base_name})
-    ws.add("cleavage", f"{args.diagram}_cleav", Cleavage(dict(gt.lifts)), {"functor": proj_name})
+    ws.add("cleavage", f"{args.diagram}_cleav", gt.lifts, {"functor": proj_name})
     out = Outcome(
         "pass",
         text=f"built {total_name}: {len(gt.total.objects)} objects, "
@@ -280,7 +277,7 @@ def _cmd_pullback(args) -> Outcome:
     total_name = ws.add("category", f"{prefix}_total", pb.opfib.total)
     pn = ws.add("functor", f"{prefix}_proj", pb.opfib.p,
                 {"dom": total_name, "cod": ws.entities[("functor", args.h)].refs["dom"]})
-    ws.add("cleavage", f"{prefix}_cleav", pb.opfib.cleavage, {"functor": pn})
+    ws.add("cleavage", f"{prefix}_cleav", pb.opfib.lifts, {"functor": pn})
     out = Outcome("pass", text=f"built pullback {prefix}_total "
                                f"({len(pb.opfib.total.objects)} objects)")
     out.output = render_dot(pb.opfib.total) if args.dot_flag else print_workspace(ws)

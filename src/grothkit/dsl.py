@@ -56,8 +56,8 @@ from .fincat import (
     validate_nat_trans,
 )
 from .groth import LaxCocone, validate_lax_cocone
-from .indexed import DiagramOpfib, _validate_fibration_lifts, diagram_opfib
-from .opfib import Cleavage, cleaved_opfib
+from .indexed import DiagramOpfib, diagram_opfib
+from .opfib import cleaved_opfib
 from .report import UsageError, ValidationError
 
 NAME_RE = re.compile(r"^[^\s;:.={}#|]+$")
@@ -611,15 +611,15 @@ class _Parser:
         total, base = p.dom, p.cod
         for e in total.objects:
             lifts.setdefault((e, base.identity[p.ob_map[e]]), total.identity[e])
-        # accept either orientation: opfibration lifts, or the co-lifts of a dual
+        # accept either orientation: opfibration lifts, or the co-lifts of a dual (lifts between the opposites)
         try:
-            value = cleaved_opfib(p, lifts).cleavage
-        except ValidationError:
-            bad = _validate_fibration_lifts(p, lifts)
-            if bad is not None:
-                raise
-            value = Cleavage(dict(lifts))
-        self._declare("cleavage", name, {"functor": p_name}, value, line)
+            cleaved_opfib(p, lifts)
+        except ValidationError as err:
+            try:
+                cleaved_opfib(build.opposite_functor(p), lifts)
+            except ValidationError:
+                raise err from None
+        self._declare("cleavage", name, {"functor": p_name}, lifts, line)
 
     def _opfib(self, words: list[str], stmts: _Statements, line: int) -> None:
         if len(words) != 2:
@@ -841,11 +841,11 @@ def print_workspace(ws: Workspace) -> str:
             out.append(f"  at {x} = {e.refs['at'][x]} ;")
         out.append("}")
     for e in ws.of_kind("cleavage"):
-        cl: Cleavage = e.value
+        lifts: dict[tuple[str, str], str] = e.value
         p: FunctorData = ws.get("functor", e.refs["functor"])
         out.append(f"cleavage {e.name} for {e.refs['functor']} {{")
         base_ids = set(p.cod.identity.values())
-        for (obj, f), m in sorted(cl.lifts.items()):
+        for (obj, f), m in sorted(lifts.items()):
             if f in base_ids and m == p.dom.identity[obj]:
                 continue
             out.append(f"  lift ({obj}, {f}) |-> {m} ;")

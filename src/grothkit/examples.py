@@ -23,7 +23,6 @@ from .fincat import (
 )
 from .groth import groth
 from .indexed import DiagramOpfib, diagram_opfib, identity_diagram_opfib, indexed_groth
-from .opfib import Cleavage
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,7 @@ def product_square_opfib() -> DiagramOpfib:
         for f in wa.mors:
             if wa.src[f] == fst.ob_map[e]:
                 lifts[(e, f)] = pair_mor_id(wa, d2, f, d2.identity[snd.ob_map[e]])
-    cleav = Cleavage(lifts)
-    return diagram_opfib(over, total, {"a": fst, "b": fst}, {"a": cleav, "b": cleav},
+    return diagram_opfib(over, total, {"a": fst, "b": fst}, {"a": lifts, "b": lifts},
                          name="product_square")
 
 
@@ -520,12 +518,12 @@ def _mutated_cleavage_workspace() -> Workspace:
     ws.add("category", "A", wa)
     ws.add("category", "T", gt.total)
     ws.add("functor", "p", gt.projection, {"dom": "T", "cod": "A"})
-    ws.add("cleavage", "canonical", Cleavage(dict(gt.lifts)), {"functor": "p"})
+    ws.add("cleavage", "canonical", gt.lifts, {"functor": "p"})
     mutated = dict(gt.lifts)
     victim = gt.obj_of[("a", "a")]
     # replace the chosen lift of f at (a,a) by the composite morphism (f, f)
     mutated[(victim, "f")] = gt.mor_of[("f", "f", "a")]
-    ws.add("cleavage", "mutated", Cleavage(mutated), {"functor": "p"})
+    ws.add("cleavage", "mutated", mutated, {"functor": "p"})
     ws.add("functor", "idT", identity_functor(gt.total), {"dom": "T", "cod": "T"})
     ws.add("functor", "idA", identity_functor(wa), {"dom": "A", "cod": "A"})
     return ws

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .build import opposite
+from .build import opposite, opposite_functor
 from .fincat import (
     CatDiagram,
     reindex,
@@ -38,7 +38,6 @@ from .fincat import (
 )
 from .groth import GrothTotal, groth, groth_map
 from .opfib import (
-    Cleavage,
     CleavedOpfib,
     PullbackOpfib,
     _pushforward_mor,
@@ -58,15 +57,16 @@ from .report import Report, UsageError, ValidationError
 class DiagramOpfib:
     """A morphism of diagrams with per-component cleavages; a candidate opfibration.
 
-    `flavor` is flipped by `dualize`; only "opfibration"-flavored values may
-    enter the checkers, since the cleavage tables of a dual read backwards.
+    Each cleavage is its table of chosen lifts, (e, f) -> m.  `flavor` is
+    flipped by `dualize`; only "opfibration"-flavored values may enter the
+    checkers, since the cleavage tables of a dual read backwards.
     """
 
     name: str
     over: CatDiagram
     total: CatDiagram
     components: Mapping[str, FunctorData]
-    cleavages: Mapping[str, Cleavage]
+    cleavages: Mapping[str, Mapping[tuple[str, str], str]]
     flavor: str = "opfibration"
     pullback_parts: Mapping[str, PullbackOpfib] | None = field(default=None, repr=False)
     groth_parts: Mapping[str, GrothTotal] | None = field(default=None, repr=False)
@@ -79,49 +79,26 @@ class DiagramOpfib:
         return CleavedOpfib(self.components[a], self.cleavages[a])
 
 
-def _validate_fibration_lifts(t: FunctorData, lifts: Mapping[tuple[str, str], str]) -> str | None:
-    """Shape check for a fibration-flavored cleavage: lifts land ON the object,
-    over morphisms INTO its image."""
-    total, base = t.dom, t.cod
-    total_objects, total_mors, base_mors = set(total.objects), set(total.mors), set(base.mors)
-    for e in total.objects:
-        for f in base.mors:
-            if base.tgt[f] != t.ob_map[e]:
-                continue
-            if (e, f) not in lifts:
-                return f"no lift of {f} at {e}"
-            m = lifts[(e, f)]
-            if m not in total_mors:
-                return f"lift of {f} at {e} is undeclared morphism {m}"
-            if total.tgt[m] != e:
-                return f"lift of {f} at {e} ends at {total.tgt[m]}"
-            if t.mor_map[m] != f:
-                return f"lift of {f} at {e} lies over {t.mor_map[m]}"
-    for (e, f) in lifts:
-        if e not in total_objects or f not in base_mors or base.tgt[f] != t.ob_map[e]:
-            return f"entry ({e},{f}) does not describe a morphism into the image of {e}"
-    return None
-
-
 def diagram_opfib(
     over: CatDiagram,
     total: CatDiagram,
     components: Mapping[str, FunctorData],
-    cleavages: Mapping[str, Mapping[tuple[str, str], str] | Cleavage],
+    cleavages: Mapping[str, Mapping[tuple[str, str], str]],
     name: str = "opfib",
     flavor: str = "opfibration",
 ) -> DiagramOpfib:
     """Structural validation only: boundaries and cleavage well-formedness.
 
     The opfibration laws themselves are the business of check_diagram_opfib.
-    Fibration-flavored candidates (as produced by dualize) carry co-lifts,
-    which are shape-checked with the dual orientation.
+    Fibration-flavored candidates (the reader's `flavor: fibration` blocks)
+    carry co-lifts, which are checked as lifts of each component between the
+    opposites of its categories.
     """
     rep = Report(f"validate opfibration candidate {name}")
     if not over.base.tables_equal(total.base):
         rep.fail("shared-base", "total and base diagrams live on different index categories")
         raise ValidationError(rep)
-    clean: dict[str, Cleavage] = {}
+    clean: dict[str, Mapping[tuple[str, str], str]] = {}
     for a in over.base.objects:
         if a not in components:
             rep.fail("components-total", f"no component at {a}")
@@ -133,17 +110,8 @@ def diagram_opfib(
         if a not in cleavages:
             rep.fail("cleavages-total", f"no cleavage at {a}")
             continue
-        raw = cleavages[a]
-        lifts = raw.lifts if isinstance(raw, Cleavage) else raw
-        if flavor == "fibration":
-            bad = _validate_fibration_lifts(t, lifts)
-            if bad is None:
-                clean[a] = Cleavage(dict(lifts))
-            else:
-                rep.fail(f"cleavage@{a}", bad)
-            continue
         try:
-            clean[a] = cleaved_opfib(t, lifts).cleavage
+            clean[a] = cleaved_opfib(opposite_functor(t) if flavor == "fibration" else t, cleavages[a]).lifts
         except ValidationError as err:
             rep.fail(f"cleavage@{a}", err.report.summary())
     if not rep.passed:
@@ -282,7 +250,7 @@ def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | Non
         alpha.dom,
         total,
         {a: parts[a].opfib.p for a in base.objects},
-        {a: parts[a].opfib.cleavage for a in base.objects},
+        {a: parts[a].opfib.lifts for a in base.objects},
         pullback_parts=parts,
     )
 
@@ -395,7 +363,6 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
     (h, α) acts by the h-component of the total diagram followed by the
     pushforward lifting α.
     """
-    _require_opfib_flavor(phi)
     rep = check_diagram_opfib(phi)
     if not rep.passed:
         out = Report(f"indexed fibres of {phi.name}")
@@ -416,7 +383,7 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
         gh = phi.total.at_mor[h]
         qb = phi.component_opfib(b)
         ob_map = {
-            e: qb.total.tgt[qb.cleavage.lift(gh.ob_map[e], alpha)]
+            e: qb.total.tgt[qb.lifts[(gh.ob_map[e], alpha)]]
             for e in at_ob[v0].objects
         }
         mor_map = {e_mor: _pushforward_mor(qb, alpha, gh.mor_map[e_mor]) for e_mor in at_ob[v0].mors}
@@ -479,7 +446,7 @@ def indexed_groth(
         f,
         total,
         {a: parts[a].projection for a in base.objects},
-        {a: Cleavage(parts[a].lifts) for a in base.objects},
+        {a: parts[a].lifts for a in base.objects},
         groth_parts=parts,
     )
 
@@ -559,10 +526,10 @@ def _opfib_comparison_tables(phi2: DiagramOpfib, phi: DiagramOpfib) -> dict[str,
     (x, e) goes to e and (α, β, e) to β∘lift_a(e, α)."""
     tables = {}
     for a, part in phi2.groth_parts.items():
-        g_a, cleavage = phi.total.at_ob[a], phi.cleavages[a]
+        g_a, lifts = phi.total.at_ob[a], phi.cleavages[a]
         ob_map = {w: e for w, (_, e) in part.ob_pair.items()}
         mor_map = {
-            n: g_a.comp[(beta, cleavage.lift(e, al))] for n, (al, beta, e) in part.mor_pair.items()
+            n: g_a.comp[(beta, lifts[(e, al)])] for n, (al, beta, e) in part.mor_pair.items()
         }
         tables[a] = ob_map, mor_map
     return tables
@@ -632,7 +599,6 @@ def indexed_roundtrip_diagram(z: CatDiagram, f: CatDiagram) -> Report:
 
 def discrete_check_opfib(phi: DiagramOpfib) -> Report:
     """Is phi discrete, and does the fibre diagram agree (Set-valued iff discrete)?"""
-    _require_opfib_flavor(phi)
     rep = Report(f"discrete restriction check for {phi.name}")
     sub = check_diagram_opfib(phi, discrete=True)
     discrete = sub.passed
@@ -743,6 +709,6 @@ def dualize_opfib(phi: DiagramOpfib, name: str | None = None) -> DiagramOpfib:
         )
         for a in phi.base.objects
     }
-    cleavs = {a: Cleavage(dict(phi.cleavages[a].lifts)) for a in phi.base.objects}
+    cleavs = {a: dict(phi.cleavages[a]) for a in phi.base.objects}
     flavor = "fibration" if phi.flavor == "opfibration" else "opfibration"
     return DiagramOpfib(name or f"op({phi.name})", over, total, comps, cleavs, flavor=flavor)

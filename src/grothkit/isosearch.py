@@ -28,7 +28,7 @@ from .fincat import (
     diagram_iso_of_tables,
     first_disagreement,
 )
-from .report import UsageError
+from .report import Report, UsageError, ValidationError
 
 DEFAULT_BUDGET = 200_000
 
@@ -361,8 +361,17 @@ def over_base_iso_search(
     ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
     mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]
     names = f"iso[{total1.name}->{total2.name}]", f"iso[{total2.name}->{total1.name}]"
-    return _first(b, iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed),
-                  lambda tables: category_iso_of_tables(total1, total2, *tables, "over-base-iso", names))
+
+    def witness(tables) -> IsoWitness:
+        found = category_iso_of_tables(total1, total2, *tables, "over-base-iso", names)
+        bad = first_disagreement((proj2, found.forward), (proj1,))  # the claim: proj2∘forward = proj1
+        if bad is not None:
+            rep = Report(f"over-base iso {names[0]}")
+            rep.fail("over-base", f"proj2∘forward and proj1 differ on {bad[0]} {bad[1]}")
+            raise ValidationError(rep)
+        return found
+
+    return _first(b, iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed), witness)
 
 
 def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -379,10 +388,11 @@ def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUD
     assigned: dict[str, FunctorData] = {}
 
     def squares_ok(v: str) -> bool:
-        # the squares of the base morphisms out of and into v with both ends assigned, each once
+        # the squares of the base morphisms out of and into v with both ends assigned, each once;
+        # Z(id_v) is the identity functor in both diagrams, so the square of id_v commutes
         for h in dict.fromkeys((*base.out(v), *into[v])):
             a, z = base.src[h], base.tgt[h]
-            if a in assigned and z in assigned and first_disagreement(
+            if h != base.identity[v] and a in assigned and z in assigned and first_disagreement(
                     (z2.at_mor[h], assigned[a]), (assigned[z], z1.at_mor[h])) is not None:
                 return False
         return True

@@ -26,22 +26,12 @@ from .fincat import (
 from .report import Report, UsageError, ValidationError
 
 
-@dataclass(frozen=True, eq=False)
-class Cleavage:
-    """Chosen lifts: (total object E, base morphism f out of p(E)) -> total morphism."""
-
-    lifts: Mapping[tuple[str, str], str]
-
-    def lift(self, e: str, f: str) -> str:
-        return self.lifts[(e, f)]
-
-
 @dataclass(eq=False)
 class CleavedOpfib:
-    """A functor equipped with a cleavage."""
+    """A functor with a cleavage: its chosen lift of each (total object E, base morphism out of p(E))."""
 
     p: FunctorData
-    cleavage: Cleavage
+    lifts: Mapping[tuple[str, str], str]
 
     @property
     def total(self) -> FinCat:
@@ -76,7 +66,7 @@ def cleaved_opfib(p: FunctorData, lifts: Mapping[tuple[str, str], str]) -> Cleav
             rep.fail("lift-rooted", f"entry ({e},{f}) but {f} does not start at p({e})")
     if not rep.passed:
         raise ValidationError(rep)
-    return CleavedOpfib(p, Cleavage(dict(lifts)))
+    return CleavedOpfib(p, dict(lifts))
 
 
 def _fill_ins(p: FunctorData, lift: str, over: str, target: str) -> list[str]:
@@ -136,11 +126,11 @@ def find_cartesian_lifts(p: FunctorData, e: str, f: str) -> list[str]:
 def check_split_opfib(q: CleavedOpfib) -> Report:
     """Three verdicts: every lift cartesian, identity law, composition law."""
     rep = Report(f"split opfibration check for {q.p.name}")
-    p, cleav = q.p, q.cleavage
+    p, lifts = q.p, q.lifts
     total, base = p.dom, p.cod
 
     cart_fail = None
-    for (e, f), m in sorted(cleav.lifts.items()):
+    for (e, f), m in sorted(lifts.items()):
         cart_fail = _cartesian_failure(p, m, f)
         if cart_fail is not None:
             cart_fail = f"at ({e},{f}): {cart_fail}"
@@ -149,7 +139,7 @@ def check_split_opfib(q: CleavedOpfib) -> Report:
 
     id_fail = None
     for e in total.objects:
-        m = cleav.lift(e, base.identity[p.ob_map[e]])
+        m = lifts[(e, base.identity[p.ob_map[e]])]
         if not total.is_identity(m):
             id_fail = f"lift of identity at {e} is {m}, not {total.identity[e]}"
             break
@@ -158,10 +148,10 @@ def check_split_opfib(q: CleavedOpfib) -> Report:
     comp_fail = None
     for e in total.objects:
         for f in base.out(p.ob_map[e]):
-            mf = cleav.lift(e, f)
+            mf = lifts[(e, f)]
             for g in base.out(base.tgt[f]):
-                mg = cleav.lift(total.tgt[mf], g)
-                direct = cleav.lift(e, base.comp[(g, f)])
+                mg = lifts[(total.tgt[mf], g)]
+                direct = lifts[(e, base.comp[(g, f)])]
                 if total.comp[(mg, mf)] != direct:
                     comp_fail = (
                         f"lift of {g}∘{f} at {e} is {direct}, but composing the "
@@ -215,15 +205,15 @@ def check_cleavage_preserving(
         square_fail = f"on {kind} {x}: {at(q2.p, at(h, x))} != {at(k, at(q1.p, x))}"
     rep.record("square-commutes", square_fail)
     if square_fail is None:
-        rep.record("lifts-preserved", _unpreserved_lift(h, k, q1.cleavage, q2.cleavage))
+        rep.record("lifts-preserved", _unpreserved_lift(h, k, q1.lifts, q2.lifts))
     return rep
 
 
-def _unpreserved_lift(h: FunctorData, k: FunctorData, c1: Cleavage, c2: Cleavage) -> str | None:
-    """The first chosen lift of c1, in sorted order, that the commuting square (h over k)
-    does not carry to the chosen lift of c2, as a counterexample; None when there is none."""
-    for (e, f), m in sorted(c1.lifts.items()):
-        expected = c2.lift(h.ob_map[e], k.mor_map[f])
+def _unpreserved_lift(h: FunctorData, k: FunctorData, lifts1: Mapping, lifts2: Mapping) -> str | None:
+    """The first chosen lift of lifts1, in sorted order, that the commuting square (h over k)
+    does not carry to the chosen lift of lifts2, as a counterexample; None when there is none."""
+    for (e, f), m in sorted(lifts1.items()):
+        expected = lifts2[(h.ob_map[e], k.mor_map[f])]
         if h.mor_map[m] != expected:
             return f"H(lift({e},{f})) = {h.mor_map[m]} but lift({h.ob_map[e]},{k.mor_map[f]}) = {expected}"
     return None
@@ -258,10 +248,10 @@ def fibre_category(p: FunctorData, x: str, name: str | None = None) -> FinCat:
 
 def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
     """Image of a fibre morphism under f_*, solved from the universal property."""
-    p, cleav = q.p, q.cleavage
+    p, lifts = q.p, q.lifts
     total, base = p.dom, p.cod
-    lift0 = cleav.lift(total.src[e_mor], f)
-    lift1 = cleav.lift(total.tgt[e_mor], f)
+    lift0 = lifts[(total.src[e_mor], f)]
+    lift1 = lifts[(total.tgt[e_mor], f)]
     idy = base.identity[base.tgt[f]]
     return _unique_fill_in(p, lift0, idy, total.comp[(lift1, e_mor)], f"pushforward of {e_mor} along {f}")
 
@@ -269,13 +259,12 @@ def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
 def fibres(q: CleavedOpfib, name: str | None = None) -> CatDiagram:
     """The Cat-valued diagram of fibres of a split opfibration."""
     _require_split(q)
-    p, cleav = q.p, q.cleavage
-    base = p.cod
+    p, base = q.p, q.base
     at_ob = {x: fibre_category(p, x) for x in base.objects}
     at_mor: dict[str, FunctorData] = {}
     for f in base.mors:
         x, y = base.src[f], base.tgt[f]
-        ob_map = {e: p.dom.tgt[cleav.lift(e, f)] for e in at_ob[x].objects}
+        ob_map = {e: p.dom.tgt[q.lifts[(e, f)]] for e in at_ob[x].objects}
         mor_map = {
             m: _pushforward_mor(q, f, m) if not at_ob[x].is_identity(m) else at_ob[y].identity[ob_map[at_ob[x].src[m]]]
             for m in at_ob[x].mors
@@ -316,7 +305,7 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     pb_total, obj_of, mor_of = pair_category(base_d, total, pairs, mor_pairs, label)
     proj, snd = pair_projections(pb_total, base_d, total, obj_of, mor_of, (f"proj[{label}]", f"into[{label}]"))
     lifts = {
-        (obj_of[(x, e)], g): mor_of[(g, q.cleavage.lift(e, h.mor_map[g]))]
+        (obj_of[(x, e)], g): mor_of[(g, q.lifts[(e, h.mor_map[g])])]
         for (x, e) in pairs
         for g in base_d.mors
         if base_d.src[g] == x
@@ -343,18 +332,18 @@ def cell_transport(
     On objects it pushes the total component forward along the chosen lift of
     the delta component; on morphisms it is solved from cartesianity.
     """
-    p, cleav = q.p, q.cleavage
+    p, lifts = q.p, q.lifts
     total = p.dom
     ob_map = {}
     for v, (x, e) in pb_dom.ob_pair.items():
-        lifted = cleav.lift(e, delta.components[x])
+        lifted = lifts[(e, delta.components[x])]
         ob_map[v] = pb_cod.obj_of[(x, total.tgt[lifted])]
     mor_map = {}
     for n, (u, m) in pb_dom.mor_pair.items():
         x0, e0 = pb_dom.ob_pair[pb_dom.opfib.total.src[n]]
         x1, e1 = pb_dom.ob_pair[pb_dom.opfib.total.tgt[n]]
-        l0 = cleav.lift(e0, delta.components[x0])
-        l1 = cleav.lift(e1, delta.components[x1])
+        l0 = lifts[(e0, delta.components[x0])]
+        l1 = lifts[(e1, delta.components[x1])]
         fill = _unique_fill_in(p, l0, delta.cod.mor_map[u], total.comp[(l1, m)], f"cell transport of {n}")
         mor_map[n] = pb_cod.mor_of[(u, fill)]
     return validate_functor(

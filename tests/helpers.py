@@ -156,6 +156,30 @@ def reference_cartesian_failure(p: FunctorData, lift_mor: str, f: str) -> str | 
     return None
 
 
+def reference_fibration_lifts(t: FunctorData, lifts) -> str | None:
+    """Shape check for a fibration-flavored cleavage, written in the dual orientation:
+    lifts land ON the object, over morphisms INTO its image.  None when it holds."""
+    total, base = t.dom, t.cod
+    total_objects, total_mors, base_mors = set(total.objects), set(total.mors), set(base.mors)
+    for e in total.objects:
+        for f in base.mors:
+            if base.tgt[f] != t.ob_map[e]:
+                continue
+            if (e, f) not in lifts:
+                return f"no lift of {f} at {e}"
+            m = lifts[(e, f)]
+            if m not in total_mors:
+                return f"lift of {f} at {e} is undeclared morphism {m}"
+            if total.tgt[m] != e:
+                return f"lift of {f} at {e} ends at {total.tgt[m]}"
+            if t.mor_map[m] != f:
+                return f"lift of {f} at {e} lies over {t.mor_map[m]}"
+    for (e, f) in lifts:
+        if e not in total_objects or f not in base_mors or base.tgt[f] != t.ob_map[e]:
+            return f"entry ({e},{f}) does not describe a morphism into the image of {e}"
+    return None
+
+
 def reference_first_disagreement(left, right) -> tuple[str, str] | None:
     """first_disagreement of two paths of functors, by building each composite with
     compose_functors and comparing the two entry by entry, objects first."""

@@ -87,7 +87,7 @@ def _verify_groth_of_fibres(back, gt):
     q = gt.opfib()
     ob_map = {u: v for u, (_, v) in back.ob_pair.items()}
     mor_map = {
-        n: gt.total.comp[(beta, q.cleavage.lift(v, f))] for n, (f, beta, v) in back.mor_pair.items()
+        n: gt.total.comp[(beta, q.lifts[(v, f)])] for n, (f, beta, v) in back.mor_pair.items()
     }
     fwd = validate_functor(back.total, gt.total, ob_map, mor_map, name="groth(fibres)->total")
     verify_category_iso(fwd, inverse_functor(fwd, "total->groth(fibres)"), flavor="over-base-iso")

@@ -18,7 +18,7 @@ from grothkit.dsl import (
 )
 from grothkit.fincat import compose_functors, identity_functor
 from grothkit.groth import groth
-from grothkit.indexed import check_diagram_opfib, identity_diagram_opfib
+from grothkit.indexed import check_diagram_opfib, dualize_opfib, identity_diagram_opfib
 
 from helpers import reference_split_top, reference_stmts
 
@@ -77,7 +77,7 @@ class TestParse:
         p = ws.get("functor", "p")
         for e in p.dom.objects:
             ident = p.cod.identity[p.ob_map[e]]
-            assert (e, ident) in cl.lifts
+            assert (e, ident) in cl
 
     def test_constant_reuses_a_declared_identity(self):
         text = ("category A = walking_arrow()\ncategory B = walking_arrow()\n"
@@ -380,6 +380,23 @@ PINNED_DIAGNOSTICS = {
         ["m.cat:4:1: reference: functor '__id_B' is not the identity of 'B'"],
     ),
 }
+
+
+def test_cleavage_failing_both_orientations_reports_the_opfibration_reading():
+    phi = next(p for p in examples.corpus_opfibs() if p.name == "phi_collapse")
+    ws = Workspace()
+    export_opfib(ws, "op", dualize_opfib(phi))
+    # retarget one co-lift of op_cl_b, (a,b) -> (b,b) in the dual, to (f,f)@a: (b,b) -> (a,a)
+    head = "cleavage op_cl_b for op_p_b {\n  lift ((a,a), f) |-> (f,id_a)@a ;\n  lift ((a,b), f) |-> "
+    text = print_workspace(ws)
+    assert head + "(f,id_b)@b ;" in text
+    text = text.replace(head + "(f,id_b)@b ;", head + "(f,f)@a ;")
+    with pytest.raises(WorkspaceParseError) as err:
+        parse_workspace(text, "dual.cat")
+    assert [d.describe() for d in err.value.diagnostics] == [
+        "dual.cat:126:1: semantic: 'cleavage op_cl_b for op_p_b': cleavage-total: no lift of f at (b,a)",
+        "dual.cat:130:1: reference: unknown cleavage 'op_cl_b'",
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_DIAGNOSTICS))

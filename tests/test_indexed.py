@@ -39,10 +39,27 @@ from grothkit.indexed import (
     vertical_compose_modifications,
 )
 from grothkit.isosearch import FOUND, diagram_iso_search, iso_search, over_base_iso_search
-from grothkit.opfib import Cleavage, cell_transport, check_cleavage_preserving, fibres, pullback_opfib
+from grothkit.opfib import cell_transport, check_cleavage_preserving, fibres, pullback_opfib
 from grothkit.report import UsageError, ValidationError
 
-from helpers import functors_table_equal
+from helpers import functors_table_equal, reference_fibration_lifts
+
+
+def _colift_mutations(dual):
+    """(a, co-lifts) for each component's own table and every one-entry change of it: drop an
+    entry, retarget it to each other morphism of the total, add an entry for an unknown object,
+    add an identity entry at an object whose image is another object."""
+    for a in dual.base.objects:
+        t, lifts = dual.components[a], dual.cleavages[a]
+        total, base = t.dom, t.cod
+        yield a, dict(lifts)
+        for key, m in lifts.items():
+            yield a, {k: v for k, v in lifts.items() if k != key}
+            yield from ((a, {**lifts, key: other}) for other in total.mors if other != m)
+        yield a, {**lifts, ("nosuch", base.mors[0]): total.mors[0]}
+        for e in total.objects:
+            yield from ((a, {**lifts, (e, base.identity[x]): total.identity[e]})
+                        for x in base.objects if x != t.ob_map[e])
 
 
 def phi_collapse():
@@ -63,7 +80,7 @@ class TestCheckDiagramOpfib:
     def test_mutated_cleavage_fails_naming_component(self):
         phi, _, coll, _ = phi_collapse()
         a = "a"
-        lifts = dict(phi.cleavages[a].lifts)
+        lifts = dict(phi.cleavages[a])
         # swap the lift of some non-identity fibre morphism with a parallel non-lift
         total_a = phi.total.at_ob[a]
         key = next(
@@ -82,7 +99,7 @@ class TestCheckDiagramOpfib:
         lifts[key] = others[0]
         bad = diagram_opfib(
             phi.over, phi.total, dict(phi.components),
-            {**{k: v for k, v in phi.cleavages.items()}, a: Cleavage(lifts)},
+            {**{k: v for k, v in phi.cleavages.items()}, a: lifts},
             name="bad",
         )
         rep = check_diagram_opfib(bad)
@@ -297,7 +314,7 @@ class TestIndexedFibres:
 
     def test_non_opfibration_rejected(self):
         phi, _, coll, _ = phi_collapse()
-        lifts = dict(phi.cleavages["a"].lifts)
+        lifts = dict(phi.cleavages["a"])
         total_a = phi.total.at_ob["a"]
         key, alt = next(
             ((e, f), m)
@@ -311,7 +328,7 @@ class TestIndexedFibres:
         lifts[key] = alt
         bad = diagram_opfib(
             phi.over, phi.total, dict(phi.components),
-            {**dict(phi.cleavages), "a": Cleavage(lifts)}, name="bad",
+            {**dict(phi.cleavages), "a": lifts}, name="bad",
         )
         with pytest.raises(ValidationError):
             indexed_fibres(bad)
@@ -472,7 +489,43 @@ class TestDualize:
         assert back.flavor == "opfibration"
         for a in phi.base.objects:
             assert back.total.at_ob[a].tables_equal(phi.total.at_ob[a])
-            assert dict(back.cleavages[a].lifts) == dict(phi.cleavages[a].lifts)
+            assert dict(back.cleavages[a]) == dict(phi.cleavages[a])
+
+    def test_colifts_are_validated_as_lifts_of_the_opposite_functor(self):
+        verdicts = []
+        for phi in examples.corpus_opfibs():
+            dual = dualize_opfib(phi)
+            for a, lifts in _colift_mutations(dual):
+                try:
+                    diagram_opfib(dual.over, dual.total, dual.components, {**dual.cleavages, a: lifts},
+                                  name=dual.name, flavor="fibration")
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == (reference_fibration_lifts(dual.components[a], lifts) is None), (phi.name, a)
+                verdicts.append(accepted)
+        assert (len(verdicts), verdicts.count(True)) == (495, 21)
+
+    @pytest.mark.parametrize("edit, old, new", [
+        ("drop", "no lift of id_b at (b,b)", "cleavage-total: no lift of id_b at (b,b)"),
+        ("retarget", "lift of id_b at (b,b) ends at (a,a)", "lift-source: lift of id_b at (b,b) starts at (a,a)"),
+        ("unknown", "entry (nosuch,f) does not describe a morphism into the image of nosuch",
+         "dangling-identifier: lift entry (nosuch,f) names unknown data"),
+    ])
+    def test_fibration_cleavage_failures_read_as_lifts_of_the_opposite(self, edit, old, new):
+        dual = dualize_opfib(phi_collapse()[0])
+        lifts = dict(dual.cleavages["a"])
+        if edit == "drop":
+            del lifts[("(b,b)", "id_b")]
+        elif edit == "retarget":
+            lifts[("(b,b)", "id_b")] = "(f,f)@a"  # (b,b) -> (a,a) in the dual total
+        else:
+            lifts[("nosuch", "f")] = "(f,f)@a"
+        assert reference_fibration_lifts(dual.components["a"], lifts) == old
+        with pytest.raises(ValidationError) as err:
+            diagram_opfib(dual.over, dual.total, dual.components, {**dual.cleavages, "a": lifts},
+                          name=dual.name, flavor="fibration")
+        assert err.value.report.summary() == f"cleavage@a: {new}"
 
     def test_fibration_flavor_rejected_by_checkers(self):
         phi, *_ = phi_collapse()

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grothkit import build, examples
+from grothkit import build, examples, isosearch
 from grothkit.fincat import (
     compose_functors,
     identity_functor,
@@ -239,6 +239,15 @@ class TestStructuredSearches:
         assert res.status == FOUND
         fwd = res.witness.forward
         assert all(fst.ob_map[fwd.ob_map[x]] == fst.ob_map[x] for x in p.objects)
+
+    def test_over_base_witness_is_rechecked_over_the_base(self, monkeypatch):
+        # swapping the discrete(2) factor is a category iso that does not lie over the first projection
+        p, fst, _ = build.product_projections(build.discrete(2), build.walking_arrow())
+        swap = str.maketrans("01", "10")
+        tables = ({x: x.translate(swap) for x in p.objects}, {m: m.translate(swap) for m in p.mors})
+        monkeypatch.setattr(isosearch, "iter_iso_tables", lambda *args: iter([tables]))
+        with pytest.raises(ValidationError, match=r"\[FAIL\] over-base -- proj2∘forward and proj1 differ on object \(x0,a\)$"):
+            over_base_iso_search(p, fst, p, fst)
 
     def test_over_base_refuses_a_projection_from_another_total(self):
         wa, d2 = build.walking_arrow(), build.discrete(2)
