@@ -292,10 +292,19 @@ def _indexed_entity(ws: Workspace, name: str):
     raise UsageError(f"no opfib or diagram named {name!r} in the workspace")
 
 
+def _names(args, what: str, usage: str, second: str | None = None) -> None:
+    """Refuse `indexed` names that do not fit `usage`; `second` says what the second name is, if one is due."""
+    if second is not None and not args.second:
+        raise UsageError(f"{what} needs {second}: {usage}")
+    if second is None and args.second is not None:
+        raise UsageError(f"{what} takes one name: {usage}")
+
+
 def _cmd_indexed(args) -> Outcome:
     ws = _load(args)
     sub = args.indexed_command
     if sub == "groth":
+        _names(args, "groth", "indexed groth Z F", "the underlying diagram")
         z = _need(ws, "diagram", args.first)
         f = _need(ws, "diagram", args.second)
         phi = indexed_groth(z, f, name=f"{args.first}_groth")
@@ -305,6 +314,7 @@ def _cmd_indexed(args) -> Outcome:
         out.output = print_workspace(ws)
         return out
     if sub == "fibres":
+        _names(args, "fibres", "indexed fibres PHI")
         phi = _need(ws, "opfib", args.first)
         z = indexed_fibres(phi)
         total_name = ws.add("category", f"{args.first}_base_total", z.base)
@@ -312,36 +322,26 @@ def _cmd_indexed(args) -> Outcome:
         out = Outcome("pass", text=f"built fibre diagram {args.first}_fibres on {total_name}")
         out.output = print_workspace(ws)
         return out
-    if sub == "roundtrip":
+    if sub in ("roundtrip", "discrete"):
         kind, value = _indexed_entity(ws, args.first)
+        what, on_opfib, on_diagram = {"roundtrip": ("roundtrip", indexed_roundtrip_opfib, indexed_roundtrip_diagram),
+                                      "discrete": ("discrete check", discrete_check_opfib, discrete_check_diagram)}[sub]
         if kind == "opfib":
-            rep = indexed_roundtrip_opfib(value)
-        else:
-            f = _need(ws, "diagram", args.second) if args.second else None
-            if f is None:
-                raise UsageError("roundtrip on a diagram needs the underlying diagram: "
-                                 "indexed roundtrip Z F")
-            rep = indexed_roundtrip_diagram(value, f)
-        return _outcome_from_report(rep)
-    if sub == "discrete":
-        kind, value = _indexed_entity(ws, args.first)
-        if kind == "opfib":
-            rep = discrete_check_opfib(value)
-        else:
-            f = _need(ws, "diagram", args.second) if args.second else None
-            if f is None:
-                raise UsageError("discrete check on a diagram needs the underlying diagram: "
-                                 "indexed discrete Z F")
-            rep = discrete_check_diagram(value, f)
-        return _outcome_from_report(rep)
+            _names(args, f"{what} on an opfib", f"indexed {sub} PHI")
+            return _outcome_from_report(on_opfib(value))
+        _names(args, f"{what} on a diagram", f"indexed {sub} Z F", "the underlying diagram")
+        return _outcome_from_report(on_diagram(value, _need(ws, "diagram", args.second)))
     if sub == "pseudonat":
+        _names(args, "pseudonat", "indexed pseudonat ALPHA PHI", "the opfib")
         alpha = _need(ws, "dmor", args.first)
         phi = _need(ws, "opfib", args.second)
         return _outcome_from_report(pseudonat_check(alpha, phi))
     if sub == "check":
+        _names(args, "check", "indexed check PHI")
         phi = _need(ws, "opfib", args.first)
         return _outcome_from_report(check_diagram_opfib(phi, discrete=args.discrete))
     if sub == "dualize":
+        _names(args, "dualize", "indexed dualize PHI|Z")
         kind, value = _indexed_entity(ws, args.first)
         if kind == "opfib":
             dual = dualize_opfib(value, name=f"{args.first}_op")

@@ -564,11 +564,11 @@ class CatDiagram:
         return all(c.is_discrete() for c in self.at_ob.values())
 
     def tables_equal(self, other: "CatDiagram") -> bool:
-        if not self.base.tables_equal(other.base):
-            return False
-        if not all(self.at_ob[x].tables_equal(other.at_ob[x]) for x in self.base.objects):
-            return False
-        return all(first_disagreement((self.at_mor[f],), (other.at_mor[f],)) is None for f in self.base.mors)
+        return self is other or (
+            self.base.tables_equal(other.base)
+            and all(self.at_ob[x].tables_equal(other.at_ob[x]) for x in self.base.objects)
+            and all(first_disagreement((self.at_mor[f],), (other.at_mor[f],)) is None for f in self.base.mors)
+        )
 
     def __repr__(self) -> str:
         return f"CatDiagram({self.name!r} on {self.base.name})"

@@ -272,10 +272,9 @@ def validate_diagram_modification(
     name: str = "modification",
 ) -> DiagramModification:
     rep = Report(f"validate modification {name}")
-    if alpha.dom is not beta.dom or alpha.cod is not beta.cod:
-        if not (alpha.dom.tables_equal(beta.dom) and alpha.cod.tables_equal(beta.cod)):
-            rep.fail("parallel", "boundary diagram morphisms are not parallel")
-            raise ValidationError(rep)
+    if not (alpha.dom.tables_equal(beta.dom) and alpha.cod.tables_equal(beta.cod)):
+        rep.fail("parallel", "boundary diagram morphisms are not parallel")
+        raise ValidationError(rep)
     base = alpha.dom.base
     for a in base.objects:
         if a not in components:

@@ -3,9 +3,10 @@
 Outcomes are tri-state: a verified witness, a proof of absence, or a budget
 overrun.  Before the first node, both categories are coloured by invariants
 that every isomorphism preserves (counts, hom-set sizes, then refined object
-and morphism classes); a class of different sizes on the two sides proves
-absence outright, and otherwise only candidates of equal colour are tried.
-This removes no isomorphism, so a search that runs dry is still a proof of
+and morphism classes), seeded by the two projections in a search over a
+base.  A class of different sizes on the two sides, seeded or not, proves
+absence outright; otherwise only candidates of equal colour are tried.  This
+removes no isomorphism sought, so a search that runs dry is still a proof of
 absence.  A node is one candidate tried for an object or for a morphism with
 two or more candidates of its colour; the other morphisms are forced moves.
 Budgets count nodes, not the colouring work or the forced moves, and are
@@ -103,27 +104,30 @@ def _balanced(left, right, classes: int) -> bool:
     return not any(count)
 
 
-def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
+def _refine(c: FinCat, d: FinCat, over: tuple | None = None) -> tuple[str | None, tuple | None]:
     """Colour the objects and morphisms of c and d on one shared palette.
 
     Returns (refuted_by, colours).  `refuted_by` names the first invariant
     that tells c and d apart, or is None; then `colours` is
     ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
-    map to palette indices that every isomorphism c -> d preserves.
+    map to palette indices that every isomorphism c -> d preserves or, with
+    `over=(p, q)`, projections of c and d into one base, every one with
+    q∘iso = p.
 
     The objects of c and of d are the indices 0..n-1 and n..2n-1 of one
     union.  Each index keeps its links: one (index of y, code) for every y
     with a morphism either way, x itself included, where the code is
     |hom(x,y)| * span + |hom(y,x)| for a span above every hom-set size.
-    Object colours start from |hom(x,x)| and are refined, in rounds, by the
-    sorted keys colour(y) * span² + code of x's links, until a round splits
-    no class or there are more classes than n.  So a discrete partition gets
-    one more round: when it is balanced, that round splits a class exactly
-    when the one colour-preserving bijection breaks a link, and more than n
-    classes leave some class with more members on one side.  A morphism's
-    colour is whether it is an identity, the colours of its ends, its
-    number of factorizations and, for an endomorphism, the index and period
-    of its powers.  A class with more members on one side refutes the pair.
+    Object colours start from (|hom(x,x)|, p(x)), with p(x) None unseeded,
+    and are refined, in rounds, by the sorted keys colour(y) * span² + code
+    of x's links, until a round splits no class or there are more classes
+    than n.  So a discrete partition gets one more round: when it is
+    balanced, that round splits a class exactly when the one
+    colour-preserving bijection breaks a link, and more than n classes leave
+    some class with more members on one side.  A morphism's colour is
+    whether it is an identity, the colours of its ends, its number of
+    factorizations, for an endomorphism the index and period of its powers,
+    and p(m).  A class with more members on one side refutes the pair.
     """
     n = len(c.objects)
     if n != len(d.objects):
@@ -137,7 +141,8 @@ def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
     links: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
     palette: dict = {}
     col: list[int] = []
-    for offset, cat in ((0, c), (n, d)):
+    p, q = over or (None, None)
+    for offset, cat, seed in ((0, c, p), (n, d, q)):
         at = {x: offset + i for i, x in enumerate(cat.objects)}
         hom = cat.hom_table
         for (x, y), ms in hom.items():
@@ -147,7 +152,7 @@ def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
                 links[at[y]].append((at[x], len(ms)))
             else:
                 links[at[x]].append((at[y], len(ms) * span + len(back)))
-        col += [palette.setdefault(len(hom[(x, x)]), len(palette)) for x in cat.objects]
+        col += [palette.setdefault((len(hom[(x, x)]), seed and seed.ob_map[x]), len(palette)) for x in cat.objects]
 
     square, classes = span * span, len(palette)
     while classes <= n:
@@ -162,11 +167,11 @@ def _refine(c: FinCat, d: FinCat) -> tuple[str | None, tuple | None]:
 
     palette = {}
     colours = []
-    for cat, obs in ((c, col[:n]), (d, col[n:])):
+    for cat, obs, seed in ((c, col[:n], p), (d, col[n:], q)):
         ob, cycles, src, tgt = dict(zip(cat.objects, obs)), _power_cycles(cat), cat.src, cat.tgt
         ids, fact = set(cat.identity.values()), cat.factorizations
-        colours.append((ob, {m: palette.setdefault((m in ids, ob[src[m]], ob[tgt[m]], len(fact[m]), cycles.get(m)),
-                                                    len(palette)) for m in cat.mors}))
+        colours.append((ob, {m: palette.setdefault((m in ids, ob[src[m]], ob[tgt[m]], len(fact[m]), cycles.get(m),
+                                                     seed and seed.mor_map[m]), len(palette)) for m in cat.mors}))
     if not _balanced(colours[0][1].values(), colours[1][1].values(), len(palette)):
         return "morphism classes", None
     return None, tuple(colours)
@@ -221,15 +226,17 @@ def iter_iso_tables(
     c: FinCat,
     d: FinCat,
     budget: Budget,
-    ob_allowed: Callable[[str, str], bool] | None = None,
-    mor_allowed: Callable[[str, str], bool] | None = None,
+    over: tuple[FunctorData, FunctorData] | None = None,
     rng: random.Random | None = None,
 ) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
     """Yield every (ob_map, mor_map) pair describing a strict iso c -> d.
 
-    The enumeration is exhaustive, so running the generator dry proves there
-    is no isomorphism satisfying the filters; when an invariant of `_refine`
-    proves it before the first node, `budget.refuted_by` names the invariant.
+    With `over=(p, q)`, projections into one base, it yields those with
+    q∘iso = p: `_refine` seeds the colours with p and q, so each candidate
+    lies in its source's fibre.  The enumeration is exhaustive, so running
+    the generator dry proves there is no such isomorphism; when an invariant
+    of `_refine`, seeded or not, proves it before the first node,
+    `budget.refuted_by` names the invariant.
     Objects are placed first, each trying d's objects of its colour in
     listing order, and kept when |hom| both ways to every placed object
     equals that between the images.  That fixes the identities' images and,
@@ -238,7 +245,7 @@ def iter_iso_tables(
     times |mors|.  The other morphisms are backtracked over.  Raises
     BudgetExceeded when the node budget runs out.
     """
-    refuted_by, colours = _refine(c, d)
+    refuted_by, colours = _refine(c, d, over)
     if refuted_by is not None:
         budget.refuted_by = refuted_by
         return
@@ -246,14 +253,12 @@ def iter_iso_tables(
     of_colour: dict[int, list[str]] = {}  # d's objects of each colour, in listing order
     for u in d.objects:
         of_colour.setdefault(ob_d[u], []).append(u)
-    cand = {x: [u for u in of_colour[ob_c[x]] if ob_allowed is None or ob_allowed(x, u)] for x in c.objects}
-    # an object without candidates comes first, so the search ends before its first node
-    order = sorted(c.objects, key=lambda x: len(cand[x]))
+    order = sorted(c.objects, key=lambda x: len(of_colour[ob_c[x]]))
 
     ids = set(c.identity.values())
     non_ids = [m for m in c.mors if m not in ids]
-    # only `consistent` reads it, and it runs only when d has a wide source or there is a filter
-    into = _into(c) if d.wide_sources or mor_allowed is not None else {}
+    # only `consistent` reads it, and it runs only when d has a wide source
+    into = _into(c) if d.wide_sources else {}
     hom_c, hom_d = c.hom_table, d.hom_table
     ob_map: dict[str, str] = {}
     mor_map: dict[str, str] = {}
@@ -295,14 +300,10 @@ def iter_iso_tables(
                     return False
         return True
 
-    fits = consistent if mor_allowed is None else lambda m: mor_allowed(m, mor_map[m]) and consistent(m)
-    for _ in _backtrack(order, lambda x: _order(list(cand[x]), rng), hom_sizes_agree, budget, ob_map, set()):
+    for _ in _backtrack(order, lambda x: _order(of_colour[ob_c[x]], rng), hom_sizes_agree, budget, ob_map, set()):
         mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
-        if mor_allowed is not None and not all(mor_allowed(m, n) for m, n in mor_map.items()):
-            continue
+        # with no wide image every constraint holds by its boundary
         wide = {x for x, u in ob_map.items() if u in d.wide_sources}
-        # with no wide image and no filter every constraint holds by its boundary
-        check = bool(wide) or mor_allowed is not None
         used = set(mor_map.values())
         branching: dict[str, list[str]] = {}
         for m in non_ids:
@@ -313,11 +314,11 @@ def iter_iso_tables(
             if not options or options[0] in used:
                 break
             n = mor_map[m] = options[0]  # a forced move
-            if check and not fits(m):
+            if wide and not consistent(m):
                 break
             used.add(n)
         else:
-            for _ in _backtrack(list(branching), lambda m: _order(branching[m], rng), fits, budget, mor_map, used):
+            for _ in _backtrack(list(branching), lambda m: _order(branching[m], rng), consistent, budget, mor_map, used):
                 yield dict(ob_map), dict(mor_map)
 
 
@@ -358,8 +359,6 @@ def over_base_iso_search(
     if not proj1.cod.tables_equal(proj2.cod):
         raise UsageError("projections do not share a base")
     b = Budget(budget)
-    ob_allowed = lambda x, u: proj1.ob_map[x] == proj2.ob_map[u]
-    mor_allowed = lambda m, n: proj1.mor_map[m] == proj2.mor_map[n]
     names = f"iso[{total1.name}->{total2.name}]", f"iso[{total2.name}->{total1.name}]"
 
     def witness(tables) -> IsoWitness:
@@ -371,7 +370,7 @@ def over_base_iso_search(
             raise ValidationError(rep)
         return found
 
-    return _first(b, iter_iso_tables(total1, total2, b, ob_allowed, mor_allowed), witness)
+    return _first(b, iter_iso_tables(total1, total2, b, (proj1, proj2)), witness)
 
 
 def diagram_iso_search(z1: CatDiagram, z2: CatDiagram, budget: int = DEFAULT_BUDGET) -> SearchResult:

@@ -26,6 +26,18 @@ def path(exdir, name):
     return str(exdir / name)
 
 
+# `indexed` calls on identity_opfib.cat (phi is its opfib) with a name too few or too many
+INDEXED_NAME_COUNTS = [
+    (["groth", "phi"], "groth needs the underlying diagram: indexed groth Z F"),
+    (["pseudonat", "phi"], "pseudonat needs the opfib: indexed pseudonat ALPHA PHI"),
+    (["fibres", "phi", "extra"], "fibres takes one name: indexed fibres PHI"),
+    (["check", "phi", "extra"], "check takes one name: indexed check PHI"),
+    (["dualize", "phi", "extra"], "dualize takes one name: indexed dualize PHI|Z"),
+    (["roundtrip", "phi", "extra"], "roundtrip on an opfib takes one name: indexed roundtrip PHI"),
+    (["discrete", "phi", "extra"], "discrete check on an opfib takes one name: indexed discrete PHI"),
+]
+
+
 class TestExitCodes:
     def test_validate_ok(self, exdir, capsys):
         assert run_command(["validate", "-i", path(exdir, "walking_arrow.cat")]) == 0
@@ -126,6 +138,11 @@ class TestExitCodes:
         rc = run_command(["indexed", "-i", path(exdir, "semidirect.cat"), "groth", "F", "F"])
         assert rc == 2
         assert capsys.readouterr().out == "the base of F is not the total category of F\n"
+
+    @pytest.mark.parametrize("names, message", INDEXED_NAME_COUNTS)
+    def test_indexed_name_count_exits_2(self, exdir, capsys, names, message):
+        rc = run_command(["indexed", "-i", path(exdir, "identity_opfib.cat"), *names])
+        assert (rc, capsys.readouterr().out) == (2, message + "\n")
 
     @pytest.mark.parametrize("sub", ["fibres", "check", "roundtrip", "discrete"])
     def test_indexed_on_fibration_flavor_exits_2(self, exdir, tmp_path, capsys, sub):
@@ -634,6 +651,9 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
         ]
         # where no shipped example has the entities, name missing ones
         runs += found or [command.split() + ["-i", files[0][0]] + ["nosuch"] * len(signatures[0])]
+    # each twice, so that one run of the pair adds --json below
+    counts = [["indexed", "-i", path(exdir, "identity_opfib.cat"), *names] for names, _ in INDEXED_NAME_COUNTS]
+    runs += [argv for argv in counts for _ in range(2)]
     # chain(8)² has more slots than Python's recursion limit; its search takes 92 nodes, all placing objects
     deep = tmp_path / "deep.cat"
     deep.write_text("category C = chain(8)\ncategory P = product(C, C)\ncategory Q = product(C, C)\n")
@@ -652,6 +672,10 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
     assert outs[tuple(deep_iso)] == (0, "P and Q are isomorphic\n")
     rc, out = outs[tuple(deep_iso + ["--json"])]
     assert rc == 0 and json.loads(out)["witnesses"]
+    for argv, (_, message) in zip(counts, INDEXED_NAME_COUNTS):
+        assert outs[tuple(argv)] == (2, message + "\n")
+        rc, out = outs[tuple(argv + ["--json"])]
+        assert (rc, json.loads(out)["counterexamples"]) == (2, [message])
     # forced moves take no node, but placing an object does
     assert run_command(["iso", "-i", str(deep), "P", "Q", "--budget", "0"]) == 3
     assert capsys.readouterr().out == "budget exceeded\n"

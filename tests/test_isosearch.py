@@ -230,6 +230,21 @@ class TestDepth:
         assert res.nodes == 2200  # one fibre iso per base object, then one node each
 
 
+def _shift(n, m, t):
+    """chain(m) at every object of chain(n), i <= j acting by the clamped shift k -> min(k + t(j-i), m-1)."""
+    base, fibre = build.chain(n), build.chain(m)
+
+    def shift(u):
+        img = {str(k): str(min(k + t * (int(base.tgt[u]) - int(base.src[u])), m - 1)) for k in range(m)}
+        return validate_functor(fibre, fibre, img, {a: fibre.hom(img[fibre.src[a]], img[fibre.tgt[a]])[0]
+                                                    for a in fibre.mors})
+    return validate_diagram(base, {x: fibre for x in base.objects}, {u: shift(u) for u in base.mors})
+
+
+# groth(fibres(groth(F))) against groth(F) over chain(n), for the shift diagram F of shape (n, m, t)
+NODES_ROUNDTRIP_TOTAL = {(4, 4, 1): 16, (5, 4, 1): 20, (5, 5, 1): 25, (6, 6, 1): 36}
+
+
 class TestStructuredSearches:
     def test_over_base_respects_projection(self):
         wa = build.walking_arrow()
@@ -248,6 +263,29 @@ class TestStructuredSearches:
         monkeypatch.setattr(isosearch, "iter_iso_tables", lambda *args: iter([tables]))
         with pytest.raises(ValidationError, match=r"\[FAIL\] over-base -- proj2∘forward and proj1 differ on object \(x0,a\)$"):
             over_base_iso_search(p, fst, p, fst)
+
+    def test_over_base_refuted_by_seeded_object_classes(self):
+        # terminal() at 0 and chain(3) at 1 over chain(2), against the fibres swapped: both
+        # totals are chain(4), but the fibres have other sizes, so the seeded classes differ
+        base, one, three = build.chain(2), build.terminal(), build.chain(3)
+        up = base.hom("0", "1")[0]
+        into = validate_functor(one, three, {"*": "0"}, {"id_*": three.identity["0"]})
+        onto = validate_functor(three, one, {x: "*" for x in three.objects}, {m: "id_*" for m in three.mors})
+
+        def total(z0, z1, f):
+            at_mor = {base.identity["0"]: identity_functor(z0), base.identity["1"]: identity_functor(z1), up: f}
+            return groth(validate_diagram(base, {"0": z0, "1": z1}, at_mor))
+        g1, g2 = total(one, three, into), total(three, one, onto)
+        assert iso_search(g1.total, g2.total).status == FOUND
+        res = over_base_iso_search(g1.total, g1.projection, g2.total, g2.projection)
+        assert (res.status, res.nodes, res.refuted_by) == (NONE, 0, "object classes")
+
+    def test_roundtrip_total_node_counts(self):
+        for shape, nodes in NODES_ROUNDTRIP_TOTAL.items():
+            g1 = groth(_shift(*shape))
+            g2 = groth(fibres(g1.opfib()))
+            res = over_base_iso_search(g2.total, g2.projection, g1.total, g1.projection)
+            assert (res.status, res.nodes, res.refuted_by) == (FOUND, nodes, None), shape
 
     def test_over_base_refuses_a_projection_from_another_total(self):
         wa, d2 = build.walking_arrow(), build.discrete(2)
@@ -328,18 +366,44 @@ def _stock():
 
 
 STOCK = _stock()
-FACTORS = [build.walking_arrow(), build.walking_iso(), build.discrete(2)]
+# in BZ2 x BZ2, (id_*,r1), (r1,id_*) and (r1,r1) share an unseeded colour, but over
+# the first factor (id_*,r1) lies over another morphism than the other two
+FACTORS = [build.walking_arrow(), build.walking_iso(), build.discrete(2), bz(2)]
 
 
-def _searched(c, d, ob_allowed=None, mor_allowed=None):
-    found = [freeze_tables(ob, mor) for ob, mor in iter_iso_tables(c, d, Budget(10**9), ob_allowed, mor_allowed)]
+def _searched(c, d, over=None):
+    found = [freeze_tables(ob, mor) for ob, mor in iter_iso_tables(c, d, Budget(10**9), over)]
     assert len(found) == len(set(found))
     return set(found)
 
 
 def _over(p1, p2):
-    """Over-base filters: images under the two projections must agree."""
+    """The brute-force filters for isos over a base: images under the two projections must agree."""
     return (lambda x, u: p1.ob_map[x] == p2.ob_map[u]), (lambda m, n: p1.mor_map[m] == p2.mor_map[n])
+
+
+def _moved(proj, copy, ob, mor):
+    """proj read on a relabelled copy of its source, under the renamings ob and mor."""
+    return validate_functor(copy, proj.cod, {ob[x]: u for x, u in proj.ob_map.items()},
+                            {mor[m]: n for m, n in proj.mor_map.items()})
+
+
+def _relabelled_product_over_a_factor(data):
+    """A product of two FACTORS with its first projection, and a relabelled copy with its own."""
+    a, b = data.draw(st.sampled_from(FACTORS)), data.draw(st.sampled_from(FACTORS))
+    p, fst, _ = build.product_projections(a, b)
+    copy, ob, mor = relabelled(p, data.draw(st.permutations(p.objects)), data.draw(st.permutations(p.mors)))
+    return p, fst, copy, _moved(fst, copy, ob, mor)
+
+
+def _factor_pairs():
+    """a x b1 against a x b2 over a, and against b2 x a over a, for all FACTORS a, b1, b2."""
+    for a, b1, b2 in itertools.product(FACTORS, repeat=3):
+        p1, fst1, _ = build.product_projections(a, b1)
+        p2, fst2, _ = build.product_projections(a, b2)
+        p3, _, snd3 = build.product_projections(b2, a)
+        yield p1, fst1, p2, fst2
+        yield p1, fst1, p3, snd3
 
 
 class TestAgainstBruteForce:
@@ -353,14 +417,8 @@ class TestAgainstBruteForce:
             assert _searched(c, d) == brute_isos(c, d), (c.name, d.name)
 
     def test_products_over_a_factor(self):
-        for a, b1, b2 in itertools.product(FACTORS, repeat=3):
-            p1, fst1, _ = build.product_projections(a, b1)
-            p2, fst2, _ = build.product_projections(a, b2)
-            filters = _over(fst1, fst2)
-            assert _searched(p1, p2, *filters) == brute_isos(p1, p2, *filters), (a.name, b1.name, b2.name)
-            p3, _, snd3 = build.product_projections(b2, a)
-            filters = _over(fst1, snd3)
-            assert _searched(p1, p3, *filters) == brute_isos(p1, p3, *filters), (a.name, b1.name, b2.name)
+        for c, p, d, q in _factor_pairs():
+            assert _searched(c, d, (p, q)) == brute_isos(c, d, *_over(p, q)), (c.name, d.name)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -379,14 +437,33 @@ class TestAgainstBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_relabelled_products_over_a_factor(self, data):
-        a, b = data.draw(st.sampled_from(FACTORS)), data.draw(st.sampled_from(FACTORS))
-        p, fst, _ = build.product_projections(a, b)
-        copy, ob, mor = relabelled(p, data.draw(st.permutations(p.objects)), data.draw(st.permutations(p.mors)))
-        ob_back = {u: x for x, u in ob.items()}
-        mor_back = {n: m for m, n in mor.items()}
-        ob_allowed = lambda x, u: fst.ob_map[x] == fst.ob_map[ob_back[u]]
-        mor_allowed = lambda m, n: fst.mor_map[m] == fst.mor_map[mor_back[n]]
-        assert _searched(p, copy, ob_allowed, mor_allowed) == brute_isos(p, copy, ob_allowed, mor_allowed)
+        c, p, d, q = _relabelled_product_over_a_factor(data)
+        assert _searched(c, d, (p, q)) == brute_isos(c, d, *_over(p, q))
+
+
+def _seeded_classes_refine(c, p, d, q) -> bool:
+    """Assert that each class of the colours of c and d seeded by p and q lies
+    inside one unseeded class and inside one fibre; False if the seeds refute the pair."""
+    refuted_by, seeded = _refine(c, d, (p, q))
+    if refuted_by is not None:
+        return False
+    _, unseeded = _refine(c, d)
+    for kind, image in ((0, lambda f: f.ob_map), (1, lambda f: f.mor_map)):
+        for members in _joint_classes(seeded)[kind]:
+            assert len({unseeded[side][kind][name] for side, name in members}) == 1
+            assert len({image((p, q)[side])[name] for side, name in members}) == 1
+    return True
+
+
+class TestSeededColours:
+    def test_products_over_a_factor(self):
+        unrefuted = sum(_seeded_classes_refine(*pair) for pair in _factor_pairs())
+        assert unrefuted == 32  # a x b against a x b and b x a, for each of the 16 pairs (a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_products_over_a_factor(self, data):
+        assert _seeded_classes_refine(*_relabelled_product_over_a_factor(data))
 
 
 # Categories with one-morphism hom-sets beside wider ones: the search skips the

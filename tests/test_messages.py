@@ -15,6 +15,7 @@ from grothkit.fincat import (
     make_category,
     validate_diagram_mor,
     validate_functor,
+    validate_nat_trans,
 )
 from grothkit.groth import groth
 from grothkit.indexed import (
@@ -23,6 +24,7 @@ from grothkit.indexed import (
     check_diagram_opfib_mor,
     diagram_opfib,
     identity_diagram_opfib,
+    validate_diagram_modification,
 )
 from grothkit.opfib import _cartesian_failure, check_cleavage_preserving, check_split_opfib, cleaved_opfib
 from grothkit.report import UsageError, ValidationError
@@ -248,3 +250,17 @@ class TestPinnedMessages:
         with pytest.raises(ValidationError) as err:
             validate_diagram_mor(z, z, {"a": identity_functor(d2), "b": swap}, name="half_swap")
         assert checks(err.value.report) == [("naturality", "square at f does not commute strictly")]
+
+    def test_validate_diagram_modification_parallel(self):
+        # alpha and beta start at equal tables built twice, so only the other codomain refuses them
+        wa, pt = build.walking_arrow(), build.terminal()
+        at_a = validate_functor(pt, wa, {"*": "a"}, {"id_*": "id_a"})
+        pick = lambda c, name: build.one_object_diagram(c, name=name)
+        alpha = validate_diagram_mor(pick(pt, "p"), pick(wa, "f"), {"*": at_a}, name="alpha")
+        same = validate_diagram_mor(pick(pt, "q"), pick(wa, "g"), {"*": at_a}, name="same")
+        cell = validate_nat_trans(at_a, at_a, {"*": "id_a"})
+        assert validate_diagram_modification(alpha, same, {"*": cell}).components["*"] is cell
+        other = validate_diagram_mor(pick(pt, "p"), pick(pt, "h"), {"*": identity_functor(pt)}, name="other")
+        with pytest.raises(ValidationError) as err:
+            validate_diagram_modification(alpha, other, {"*": cell})
+        assert checks(err.value.report) == [("parallel", "boundary diagram morphisms are not parallel")]
