@@ -4,7 +4,9 @@ The format is line-oriented; `#` starts a comment and `;` separates
 statements inside `{ ... }` blocks.  Identities are implicit everywhere:
 declaring an object `x` creates `id_x`, and composition entries involving an
 identity are synthesized.  All composites of non-identity pairs must be
-declared, which keeps parsing and law-checking decoupled.
+declared, which keeps parsing and law-checking decoupled.  A line holding one
+statement, as `print_workspace` writes them, is read by one match; any other
+layout, such as several statements or a section label on one line, is accepted too.
 
     category C { objects: a b ; arrows: f: a -> b ; compose: g.f = h ; }
     functor T : C -> D { ob: a |-> x ; arr: f |-> g ; }
@@ -64,8 +66,6 @@ NAME_RE = re.compile(r"^[^\s;:.={}#|]+$")
 RESERVED_MEMBERS = {"objects", "arrows", "compose", "ob", "arr"}
 KINDS = ("category", "functor", "nattrans", "diagram", "dmor", "cleavage", "opfib", "cocone")
 
-_Statements = Iterator[tuple[str, int, int]]  # (text, line, col) of each statement
-
 # One pattern per statement form, compiled once; each is used with `match`.
 # A statement runs from its first to its last character that is neither `;` nor whitespace.
 _STATEMENT = re.compile(r"[^;\s](?:[^;]*[^;\s])?")
@@ -83,6 +83,31 @@ _LIFT = re.compile(r"lift\s*\((.*)\)\s*\|->\s*(\S+)$")
 # the keywords of each alternation differ in their first letter, so at most one branch matches
 _OPFIB_ENTRY = re.compile(r"(?:(over|total|flavor)\s*:\s*(\S+)|component\s+(\S+)\s*=\s*\((.*)\))$")
 _COCONE_ENTRY = re.compile(r"(?:vertex\s*:\s*(\S+)|(leg|cell)\s+(\S+)\s*=\s*(\S+))$")
+# Whole-line forms, used with `fullmatch`: a line holding one statement, an optional `;` and
+# whitespace, read with the groups its statement pattern gives.  A name in a form is printable
+# ASCII other than `.`, `:`, `;`, `=` and `|`, so it holds no separator of the statement's parts
+# and opens no section, and each form reads a line the one way its statement pattern reads the
+# statement; a line led by a section label, or holding another name, is left to the splitter.
+_N = r"([!-\-/-9<>-{}~]+)"
+
+
+def _line_form(statement: str) -> re.Pattern:
+    return re.compile(rf"\s*(?:{statement})\s*;?\s*")
+
+
+_MAPS_TO_LINE = _line_form(rf"{_N}\s*\|->\s*{_N}")
+# per kind of block body, the statement pattern and whole-line form of each section; None is the
+# section before any label, and the only one of a body without labels
+_SECTIONS = {
+    "category": {"objects": (None, None),
+                 "arrows": (_ARROW, _line_form(rf"(?!objects:|arrows:|compose:){_N}\s*:\s*{_N}\s*->\s*{_N}")),
+                 "compose": (_COMPOSE, _line_form(rf"{_N}\.{_N}\s*=\s*{_N}"))},
+    "functor": {"ob": (_MAPS_TO, _MAPS_TO_LINE), "arr": (_MAPS_TO, _MAPS_TO_LINE)},
+    "at": {None: (_AT, _line_form(rf"at\s+{_N}\s*=\s*{_N}"))},
+    "cleavage": {None: (_LIFT, _line_form(rf"lift\s*\(([^;|]*)\)\s*\|->\s*{_N}"))},
+    "opfib": {None: (_OPFIB_ENTRY, _line_form(rf"(over|total|flavor)\s*:\s*{_N}|component\s+{_N}\s*=\s*\(([^;=]*)\)"))},
+    "cocone": {None: (_COCONE_ENTRY, _line_form(rf"vertex\s*:\s*{_N}|(leg|cell)\s+{_N}\s*=\s*{_N}"))},
+}
 
 
 @dataclass(frozen=True)
@@ -165,23 +190,29 @@ def _valid_name(tok: str) -> bool:
 # parsing
 
 
-def _stmts(first: int, texts: list[str]) -> _Statements:
-    """(text, line, col) of each `;`-separated statement, stripped, of consecutive lines from line `first`."""
-    for line_no, text in enumerate(texts, first):
-        for m in _STATEMENT.finditer(text):
-            yield m[0], line_no, m.start() + 1
+def _statements(body: list[str], first: int, sections: dict) -> Iterator[tuple]:
+    """(section, match, text, line, col) of each statement of the lines `body`, from line `first`.
 
-
-def _sections(stmts: _Statements, labels: tuple[str, ...]) -> Iterator[tuple[str | None, str, int, int]]:
-    """(section, text, line, col) of each statement; a leading `label:` opens a section."""
+    `sections` is a block kind's entry of `_SECTIONS`.  A line its section's form reads is one
+    statement, whose match is the form's and whose text is None.  Any other line is split at `;`
+    into stripped statements; a leading `label:` opens a section, and the match is the section
+    pattern's, or None."""
     section = None
-    for text, line, col in stmts:
-        label, colon, rest = text.partition(":")
-        if colon and label in labels:
-            section, text = label, rest.strip()
-            if not text:
-                continue
-        yield section, text, line, col
+    pattern, form = sections.get(None, (None, None))
+    for ln, line in enumerate(body, first):
+        m = form and form.fullmatch(line)
+        if m:
+            yield section, m, None, ln, len(line) - len(line.lstrip()) + 1
+            continue
+        for s in _STATEMENT.finditer(line):
+            text = s[0]
+            label, colon, rest = text.partition(":")
+            if colon and label in sections:
+                section, text = label, rest.strip()
+                pattern, form = sections[label]
+                if not text:
+                    continue
+            yield section, pattern and pattern.match(text), text, ln, s.start() + 1
 
 
 class _Parser:
@@ -203,46 +234,34 @@ class _Parser:
 
     def parse(self) -> Workspace:
         lines = self.lines
-        i, n = 0, len(lines)
-        while i < n:
+        text = "\n".join(lines)  # where a block's closing brace is found
+        i, at = 0, 0  # line i starts at offset `at` of text
+        while i < len(lines):
             line = lines[i]
             stripped = line.strip()
-            if not stripped:
-                i += 1
-                continue
-            head = stripped.split(None, 1)[0]
-            if head not in KINDS:
+            j, start_j = i, at  # the declaration's last line and its offset
+            if stripped and (head := stripped.split(None, 1)[0]) not in KINDS:
                 self.err("syntax", i + 1, line.index(head) + 1, f"expected an entity keyword, got {head!r}")
-                i += 1
-                continue
-            if "{" in stripped:
+            elif "{" in stripped:
                 start = line.index("{") + 1
                 header = line[: start - 1].strip()
-                j, close = i, line.find("}", start)
-                while close < 0:
-                    j += 1
-                    if j == n:
-                        self.err("syntax", i + 1, 1, f"unterminated block for {header!r}")
-                        return self._finish()
-                    close = lines[j].find("}")
+                close = text.find("}", at + start)
+                if close < 0:
+                    self.err("syntax", i + 1, 1, f"unterminated block for {header!r}")
+                    return self._finish()
+                j, start_j = i + text.count("\n", at, close), text.rfind("\n", 0, close) + 1
                 # blanking the header keeps the columns of statements on its line counted from the line start
-                if j == i:
-                    body = [" " * start + line[start:close]]
-                else:
-                    body = [" " * start + line[start:], *lines[i + 1 : j], lines[j][:close]]
-                self._entity(header, _stmts(i + 1, body), i + 1)
-                tail = lines[j][close + 1 :]
+                self._entity(header, (" " * start + text[at + start : close]).split("\n"), i + 1)
+                tail = lines[j][close - start_j + 1 :]
                 if tail.strip():
-                    col = close + 2 + tail.index(tail.strip()[0])
+                    col = close - start_j + 2 + tail.index(tail.strip()[0])
                     self.err("syntax", j + 1, col, f"unexpected text after '}}': {tail.strip()!r}")
-                i = j + 1
             elif "=" in stripped:
                 header, expr = stripped.split("=", 1)
                 self._builder(header.strip(), expr.strip(), i + 1)
-                i += 1
-            else:
+            elif stripped:
                 self.err("syntax", i + 1, 1, f"expected '{{' or '=' in declaration {stripped!r}")
-                i += 1
+            i, at = j + 1, start_j + len(lines[j]) + 1
         return self._finish()
 
     def _finish(self) -> Workspace:
@@ -280,33 +299,26 @@ class _Parser:
             return False
         return True
 
+    def _new_key(self, given: dict, key, entry: str, line: int, col: int) -> bool:
+        """Whether no earlier entry of the block gave `key`; records its line in `given`, or reports
+        the entry, written as `entry.format(key)`, and the line that first gave it."""
+        if key in given:
+            self.err("reference", line, col, f"{entry.format(key)!r} given twice, first on line {given[key]}")
+            return False
+        given[key] = line
+        return True
+
     # -- entities -----------------------------------------------------------
 
-    def _entity(self, header: str, stmts: _Statements, line: int) -> None:
+    def _entity(self, header: str, body: list[str], line: int) -> None:
         words = header.split()
-        kind = words[0]
         try:
-            if kind == "category":
-                self._category(words, stmts, line)
-            elif kind == "functor":
-                self._functor(header, stmts, line)
-            elif kind == "nattrans":
-                self._nattrans(header, stmts, line)
-            elif kind == "diagram":
-                self._diagram(words, stmts, line)
-            elif kind == "dmor":
-                self._dmor(header, stmts, line)
-            elif kind == "cleavage":
-                self._cleavage(words, stmts, line)
-            elif kind == "opfib":
-                self._opfib(words, stmts, line)
-            elif kind == "cocone":
-                self._cocone(words, stmts, line)
+            getattr(self, f"_{words[0]}")(header, words, body, line)  # `_category` for a category block, ...
         except ValidationError as err:
             detail = err.report.summary() or err.report.title
             self.err("semantic", line, 1, f"{header!r}: {detail}")
 
-    def _category(self, words: list[str], stmts: _Statements, line: int) -> None:
+    def _category(self, header: str, words: list[str], body: list[str], line: int) -> None:
         if len(words) != 2:
             self.err("syntax", line, 1, "expected: category NAME { ... }")
             return
@@ -315,31 +327,31 @@ class _Parser:
         arrows: list[tuple[str, str, str]] = []
         comp: dict[tuple[str, str], str] = {}
         ok = True
-        for section, text, ln, col in _sections(stmts, ("objects", "arrows", "compose")):
-            if section == "objects":
+        given: dict[tuple[str, str], int] = {}  # the line of each compose entry
+        for section, m, text, ln, col in _statements(body, line, _SECTIONS["category"]):
+            if section == "compose" and m:
+                key = m[1], m[2]
+                if self._new_key(given, key, "{0[0]}.{0[1]}", ln, col):
+                    comp[key] = m[3]
+                else:
+                    ok = False
+            elif section == "arrows" and m:
+                if self._check_member(m[1], ln, col, "arrow"):
+                    arrows.append(m.groups())
+                else:
+                    ok = False
+            elif section == "objects":
                 for tok in text.split():
                     if self._check_member(tok, ln, col, "object"):
                         objects.append(tok)
                     else:
                         ok = False
-            elif section == "arrows":
-                m = _ARROW.match(text)
-                if not m:
-                    self.err("syntax", ln, col, f"expected 'name: src -> tgt', got {text!r}")
-                    ok = False
-                elif self._check_member(m[1], ln, col, "arrow"):
-                    arrows.append(m.groups())
-                else:
-                    ok = False
-            elif section == "compose":
-                m = _COMPOSE.match(text)
-                if not m:
-                    self.err("syntax", ln, col, f"expected 'g.f = h', got {text!r}")
-                    ok = False
-                else:
-                    comp[(m[1], m[2])] = m[3]
-            else:
+            elif section is None:
                 self.err("syntax", ln, col, f"statement outside a section: {text!r}")
+                ok = False
+            else:
+                form = "name: src -> tgt" if section == "arrows" else "g.f = h"
+                self.err("syntax", ln, col, f"expected '{form}', got {text!r}")
                 ok = False
         if not ok:
             return
@@ -476,7 +488,7 @@ class _Parser:
             return None
         return value, {"base": base_name, "at_ob": at_ob_refs, "at_mor": at_mor_refs}
 
-    def _functor(self, header: str, stmts: _Statements, line: int) -> None:
+    def _functor(self, header: str, words: list[str], body: list[str], line: int) -> None:
         m = _FUNCTOR_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: functor NAME : C -> D { ... }")
@@ -488,10 +500,12 @@ class _Parser:
         dom, cod = found
         ob_map: dict[str, str] = {}
         mor_map: dict[str, str] = {}
-        for section, text, ln, col in _sections(stmts, ("ob", "arr")):
-            m = _MAPS_TO.match(text)
+        given: dict[tuple[str, str], int] = {}  # the line of each entry, by section and key
+        for section, m, text, ln, col in _statements(body, line, _SECTIONS["functor"]):
             if not m or section is None:
                 self.err("syntax", ln, col, f"expected 'x |-> y' in ob/arr section, got {text!r}")
+                return
+            if not self._new_key(given, (section, m[1]), "{0[0]} {0[1]}", ln, col):
                 return
             (ob_map if section == "ob" else mor_map)[m[1]] = m[2]
         for x in dom.objects:
@@ -505,14 +519,14 @@ class _Parser:
             line,
         )
 
-    def _nattrans(self, header: str, stmts: _Statements, line: int) -> None:
+    def _nattrans(self, header: str, words: list[str], body: list[str], line: int) -> None:
         m = _NATTRANS_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: nattrans NAME : F => G { ... }")
             return
         name, f_name, g_name = m.groups()
         found = self._resolve("functor", [f_name, g_name], line)
-        comps = self._at_block(stmts) if found else None
+        comps = self._at_block(body, line) if found else None
         if comps is None:
             return
         f, g = found
@@ -524,23 +538,25 @@ class _Parser:
             line,
         )
 
-    def _at_block(self, stmts: _Statements) -> dict[str, str] | None:
+    def _at_block(self, body: list[str], line: int) -> dict[str, str] | None:
         out: dict[str, str] = {}
-        for text, ln, col in stmts:
-            m = _AT.match(text)
+        given: dict[str, int] = {}  # the line of each entry
+        for _, m, text, ln, col in _statements(body, line, _SECTIONS["at"]):
             if not m:
                 self.err("syntax", ln, col, f"expected 'at key = value', got {text!r}")
+                return None
+            if not self._new_key(given, m[1], "at {0}", ln, col):
                 return None
             out[m[1]] = m[2]
         return out
 
-    def _diagram(self, words: list[str], stmts: _Statements, line: int) -> None:
+    def _diagram(self, header: str, words: list[str], body: list[str], line: int) -> None:
         if len(words) != 4 or words[2] != "on":
             self.err("syntax", line, 1, "expected: diagram NAME on BASE { ... }")
             return
         name, base_name = words[1], words[3]
         found = self._resolve("category", [base_name], line)
-        entries = self._at_block(stmts) if found else None
+        entries = self._at_block(body, line) if found else None
         if entries is None:
             return
         base = found[0]
@@ -568,14 +584,14 @@ class _Parser:
             line,
         )
 
-    def _dmor(self, header: str, stmts: _Statements, line: int) -> None:
+    def _dmor(self, header: str, words: list[str], body: list[str], line: int) -> None:
         m = _DMOR_HEAD.match(header)
         if not m:
             self.err("syntax", line, 1, "expected: dmor NAME : F => G { ... }")
             return
         name, f_name, g_name = m.groups()
         found = self._resolve("diagram", [f_name, g_name], line)
-        refs = self._at_block(stmts) if found else None
+        refs = self._at_block(body, line) if found else None
         comps = self._resolve("functor", refs.values(), line) if refs is not None else None
         if comps is None:
             return
@@ -588,7 +604,7 @@ class _Parser:
             line,
         )
 
-    def _cleavage(self, words: list[str], stmts: _Statements, line: int) -> None:
+    def _cleavage(self, header: str, words: list[str], body: list[str], line: int) -> None:
         if len(words) != 4 or words[2] != "for":
             self.err("syntax", line, 1, "expected: cleavage NAME for FUNCTOR { ... }")
             return
@@ -598,8 +614,8 @@ class _Parser:
             return
         p = found[0]
         lifts: dict[tuple[str, str], str] = {}
-        for text, ln, col in stmts:
-            m = _LIFT.match(text)
+        given: dict[tuple[str, str], int] = {}  # the line of each entry
+        for _, m, text, ln, col in _statements(body, line, _SECTIONS["cleavage"]):
             if not m:
                 self.err("syntax", ln, col, f"expected 'lift (E, f) |-> e', got {text!r}")
                 return
@@ -607,7 +623,10 @@ class _Parser:
             if len(parts) != 2:
                 self.err("syntax", ln, col, f"expected two entries in lift key, got {m[1]!r}")
                 return
-            lifts[(parts[0], parts[1])] = m[2]
+            key = parts[0], parts[1]
+            if not self._new_key(given, key, "lift ({0[0]}, {0[1]})", ln, col):
+                return
+            lifts[key] = m[2]
         total, base = p.dom, p.cod
         for e in total.objects:
             lifts.setdefault((e, base.identity[p.ob_map[e]]), total.identity[e])
@@ -621,7 +640,7 @@ class _Parser:
                 raise err from None
         self._declare("cleavage", name, {"functor": p_name}, lifts, line)
 
-    def _opfib(self, words: list[str], stmts: _Statements, line: int) -> None:
+    def _opfib(self, header: str, words: list[str], body: list[str], line: int) -> None:
         if len(words) != 2:
             self.err("syntax", line, 1, "expected: opfib NAME { ... }")
             return
@@ -629,12 +648,14 @@ class _Parser:
         over_name = total_name = None
         flavor = "opfibration"
         comps: dict[str, tuple[str, str]] = {}
-        for text, ln, col in stmts:
-            m = _OPFIB_ENTRY.match(text)
+        given: dict[str, int] = {}  # the line of each entry, by its key as written
+        for _, m, text, ln, col in _statements(body, line, _SECTIONS["opfib"]):
             if not m:
                 self.err("syntax", ln, col, f"unexpected statement {text!r} in opfib block")
                 return
             key, value, a, pair = m.groups()
+            if not self._new_key(given, f"{key}:" if key else f"component {a}", "{0}", ln, col):
+                return
             if key == "over":
                 over_name = value
             elif key == "total":
@@ -668,7 +689,7 @@ class _Parser:
             line,
         )
 
-    def _cocone(self, words: list[str], stmts: _Statements, line: int) -> None:
+    def _cocone(self, header: str, words: list[str], body: list[str], line: int) -> None:
         if len(words) != 4 or words[2] != "for":
             self.err("syntax", line, 1, "expected: cocone NAME for DIAGRAM { ... }")
             return
@@ -680,12 +701,14 @@ class _Parser:
         vertex_name = None
         leg_refs: dict[str, str] = {}
         cell_refs: dict[str, str] = {}
-        for text, ln, col in stmts:
-            m = _COCONE_ENTRY.match(text)
+        given: dict[str, int] = {}  # the line of each entry, by its key as written
+        for _, m, text, ln, col in _statements(body, line, _SECTIONS["cocone"]):
             if not m:
                 self.err("syntax", ln, col, f"unexpected statement {text!r} in cocone block")
                 return
             vertex, key, a, ref = m.groups()
+            if not self._new_key(given, "vertex:" if key is None else f"{key} {a}", "{0}", ln, col):
+                return
             if vertex is not None:
                 vertex_name = vertex
             else:

@@ -9,7 +9,7 @@ from grothkit.dsl import (
     _BUILDERS,
     Workspace,
     WorkspaceParseError,
-    _stmts,
+    _statements,
     export_opfib,
     parse_workspace,
     print_workspace,
@@ -372,6 +372,54 @@ PINNED_DIAGNOSTICS = {
         ("constant-diagram-two", "diagram F on C = constant(D, I)",
          "3:1: syntax: expected constant(B), got constant(D, I)"),
     ]},
+    # a table key given twice is refused at its second entry, whether or not the values agree,
+    # on lines read whole and on lines split at `;`
+    "twice-compose": (
+        "category C {\n  objects: a ;\n  arrows:\n    e: a -> a ;\n  compose:\n    e.e = e ;\n    e.e = id_a ;\n}\n",
+        ["m.cat:7:5: reference: 'e.e' given twice, first on line 6"],
+    ),
+    "twice-compose-one-line": (
+        "category C { objects: a ; arrows: e: a -> a ; compose: e.e = e ;\te.e = e ; }\n",
+        ["m.cat:1:66: reference: 'e.e' given twice, first on line 1"],
+    ),
+    "twice-functor": (
+        "category C = chain(2)\nfunctor F : C -> C {\n  ob:\n    0 |-> 0 ;\n    1 |-> 1 ;\n"
+        "  arr: le(0,1) |-> le(0,1) ;\n  ob: 1 |-> 1 ;\n}\n",
+        ["m.cat:7:3: reference: 'ob 1' given twice, first on line 5"],
+    ),
+    "twice-nattrans": (
+        COCONE_FILE.replace("{ at * = le(0,2) ; }", "{ at * = le(0,2) ; at * = le(0,1) ; }"),
+        ["m.cat:8:53: reference: 'at *' given twice, first on line 8",
+         "m.cat:9:1: reference: unknown nattrans 'cell_f'"],
+    ),
+    "twice-diagram": (
+        _OPFIB.replace("  at b = phi_over_at_b ;\n", "  at b = phi_over_at_b ;\n  at b = phi_over_at_b ;\n"),
+        ["m.cat:37:3: reference: 'at b' given twice, first on line 36",
+         "m.cat:49:1: reference: unknown diagram 'phi_over'"],
+    ),
+    "twice-dmor": (
+        "category A = walking_arrow()\ncategory ONE = terminal()\ndiagram F1 on A = constant(ONE)\n"
+        "functor pick = identity(ONE)\ndmor al : F1 => F1 {\n  at a = pick ;\n  at b = pick ;\n  at a = pick ;\n}\n",
+        ["m.cat:8:3: reference: 'at a' given twice, first on line 6"],
+    ),
+    "twice-cleavage": (
+        _CLEAVED.replace("  lift ((a,b), f) |-> (f,id_b)@b ;\n}\ncleavage mutated",
+                         "  lift ((a,b), f) |-> (f,id_b)@b ;\n  lift ((a,a),f) |-> (f,f)@a ;\n}\ncleavage mutated"),
+        ["m.cat:54:3: reference: 'lift ((a,a), f)' given twice, first on line 52"],
+    ),
+    "twice-opfib": (
+        _OPFIB.replace("  total: phi_total ;", "  total: phi_total ;\n  over: phi_over ;"),
+        ["m.cat:51:3: reference: 'over:' given twice, first on line 49"],
+    ),
+    "twice-opfib-component": (
+        _OPFIB.replace("  component b = (phi_p_b, phi_cl_b) ;",
+                       "  component b = (phi_p_b, phi_cl_b) ; component a = (x, y) ;"),
+        ["m.cat:52:39: reference: 'component a' given twice, first on line 51"],
+    ),
+    "twice-cocone": (
+        COCONE_FILE.replace("  cell f = cell_f ;", "  cell f = cell_f ;\n  leg b = leg_b ;"),
+        ["m.cat:14:3: reference: 'leg b' given twice, first on line 12"],
+    ),
     # constant(B) acts by the identity, so a declared __id_B must be the identity of B
     "constant-foreign-identity": (
         "category A = walking_arrow()\ncategory B = walking_arrow()\n"
@@ -463,7 +511,7 @@ class TestTextKernelsAgainstReference:
     @given(st.lists(_TEXT, max_size=4), st.integers(min_value=1, max_value=50))
     def test_statement_stream(self, texts, first):
         body = list(enumerate(texts, first))
-        assert list(_stmts(first, texts)) == reference_stmts(body)
+        assert [(text, ln, col) for _, _, text, ln, col in _statements(texts, first, {})] == reference_stmts(body)
 
     @settings(max_examples=300, deadline=None)
     @given(_TEXT)
@@ -487,6 +535,194 @@ def test_parsing_compiles_and_looks_up_no_pattern():
             except WorkspaceParseError:
                 assert name == "broken_assoc.cat"
         assert parse_workspace(printed).get("category", "F_total").tables_equal(ws.get("category", "F_total"))
+
+
+# Blocks shaped like the workspace benchmark's, one statement a line: the product order on a grid
+# of rows and columns, its projection onto the row chain, the projection's split cleavage, and a
+# diagram over the row chain whose base arrows shift a fibre chain.
+
+
+def _poset_lines(name, order, leq):
+    arrows = {(x, y): f"{name}_{x}_{y}" for x in order for y in order if x != y and leq(x, y)}
+    return [f"category {name} {{", "  objects: " + " ".join(order) + " ;", "  arrows:",
+            *(f"    {m}: {x} -> {y} ;" for (x, y), m in arrows.items()), "  compose:",
+            *(f"    {arrows[y, z]}.{arrows[x, y]} = {arrows[x, z]} ;"
+              for x, y in arrows for z in order if (y, z) in arrows), "}"]
+
+
+def _chain_lines(name, order):
+    return _poset_lines(name, order, lambda x, y: order.index(x) <= order.index(y))
+
+
+def _grid_workspace(n_rows, n_cols, fibre_len=3, shift=1):
+    rows, cols = [f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)]
+    fibre = [f"z{k}" for k in range(fibre_len)]
+    cell = {r + c: (i, j) for i, r in enumerate(rows) for j, c in enumerate(cols)}
+
+    def leq(x, y):
+        return cell[x][0] <= cell[y][0] and cell[x][1] <= cell[y][1]
+
+    def row(x):
+        return rows[cell[x][0]]
+
+    below = [(x, y) for x in cell for y in cell if x != y and leq(x, y)]
+    lines = _chain_lines("R", rows) + _chain_lines("Z", fibre) + _poset_lines("G", list(cell), leq)
+    lines += ["functor p : G -> R {", "  ob:", *(f"    {x} |-> {row(x)} ;" for x in cell), "  arr:",
+              *(f"    G_{x}_{y} |-> {'id_' + row(x) if row(x) == row(y) else f'R_{row(x)}_{row(y)}'} ;"
+                for x, y in below), "}"]
+    lines += ["cleavage cl for p {", *(f"  lift ({x}, R_{row(x)}_{row(y)}) |-> G_{x}_{y} ;"
+                                       for x, y in below if row(x) != row(y) and cell[x][1] == cell[y][1]), "}"]
+    at = [f"  at {r} = Z ;" for r in rows]
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows[i + 1:], i + 1):
+            img = {z: fibre[min(k + shift * (j - i), fibre_len - 1)] for k, z in enumerate(fibre)}
+            lines += [f"functor S_{x}_{y} : Z -> Z {{", "  ob:", *(f"    {z} |-> {img[z]} ;" for z in fibre), "  arr:",
+                      *(f"    Z_{z}_{w} |-> {'id_' + img[z] if img[z] == img[w] else f'Z_{img[z]}_{img[w]}'} ;"
+                        for k, z in enumerate(fibre) for w in fibre[k + 1:]), "}"]
+            at.append(f"  at R_{x}_{y} = S_{x}_{y} ;")
+    return "\n".join(lines + ["diagram D on R {", *at, "}"]) + "\n"
+
+
+def _outcome(text):
+    """The workspace a text parses to, or its diagnostics' bytes."""
+    try:
+        return parse_workspace(text, "m.cat")
+    except WorkspaceParseError as err:
+        return [d.describe() for d in err.diagnostics]
+
+
+# every line form replaced by one that reads no line, which sends every line to the splitter
+_NEVER = re.compile(r"(?!)")
+_SPLIT_ONLY = {kind: {s: (p, f and _NEVER) for s, (p, f) in sections.items()}
+               for kind, sections in dsl._SECTIONS.items()}
+
+
+def _assert_same_outcome(text):
+    read = _outcome(text)
+    with mock.patch.object(dsl, "_SECTIONS", _SPLIT_ONLY):
+        split_read = _outcome(text)
+    if isinstance(read, list) or isinstance(split_read, list):
+        assert read == split_read
+        return
+    assert read.entities.keys() == split_read.entities.keys()
+    for key, e in read.entities.items():
+        other = split_read.entities[key]
+        assert e.refs == other.refs, key
+        if isinstance(e.value, dict):  # a cleavage's lifts
+            assert e.value == other.value, key
+        elif hasattr(e.value, "tables_equal"):
+            assert e.value.tables_equal(other.value), key
+    assert print_workspace(read) == print_workspace(split_read)
+
+
+def _printed_groth_total():
+    ws = parse_workspace(SHIPPED["deltaB.cat"])
+    ws.add("category", "F_total", groth(ws.get("diagram", "F")).total)
+    return print_workspace(ws)
+
+
+# the shipped examples, their printed forms, a printed total and the benchmark-shaped workspaces
+_BASE_TEXTS = {
+    **SHIPPED,
+    **{f"printed-{n}": print_workspace(parse_workspace(t, n)) for n, t in SHIPPED.items() if n != "broken_assoc.cat"},
+    "printed-groth-total": _printed_groth_total(),
+    "grid-2x2": _grid_workspace(2, 2),
+    "grid-3x2": _grid_workspace(3, 2, fibre_len=4, shift=2),
+}
+# Line-level edits: insert a token, put a token in place of a word, drop a character, drop the
+# whitespace around the separators, or repeat the line.
+_TOKEN = st.sampled_from([" ", "  ", "\t", "\u3000", "\u00a0", ";", " ;", ":", ".", "=", " = ", "(", ")", ",", "->",
+                          "|->", " -> ", " |-> ", "@", "a", "Z9", "id_", "id_a", "objects", "arrows:", "compose",
+                          "ob", "arr:", "at", "lift", "x.y", "k=v", "p:q", "u|v", "s;t", "(a,b)", "\u00e9", "{", "}",
+                          "#"])
+_EDIT = st.one_of(st.tuples(st.sampled_from(["insert", "word"]), _TOKEN),
+                  st.tuples(st.sampled_from(["drop", "squeeze", "twice"]), st.none()))
+_WORD = re.compile(r"\w[\w(),@*]*")
+_AROUND_SEPARATOR = re.compile(r"\s*(\|->|->|=|:)\s*")
+
+
+class TestLineFormsAgainstSplitter:
+    """A line read by its whole-line form gives the tables and diagnostics the splitter gives."""
+
+    def test_grid_workspace_parses(self):
+        ws = parse_workspace(_BASE_TEXTS["grid-3x2"])
+        assert ws.names("category") == ["G", "R", "Z"] and ws.has("cleavage", "cl") and ws.has("diagram", "D")
+
+    @pytest.mark.parametrize("case", sorted(_BASE_TEXTS) + [f"pinned-{case}" for case in sorted(PINNED_DIAGNOSTICS)])
+    def test_same_outcome(self, case):
+        _assert_same_outcome(_BASE_TEXTS[case] if case in _BASE_TEXTS else PINNED_DIAGNOSTICS[case[7:]][0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(_BASE_TEXTS.values())), st.data())
+    def test_same_outcome_after_line_edits(self, text, data):
+        lines = text.splitlines()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            line, (edit, token) = lines[i], data.draw(_EDIT)
+            at = data.draw(st.integers(min_value=0, max_value=len(line)))
+            words = list(_WORD.finditer(line))
+            if edit == "insert":
+                lines[i] = line[:at] + token + line[at:]
+            elif edit == "word" and words:
+                word = data.draw(st.sampled_from(words))
+                lines[i] = line[:word.start()] + token + line[word.end():]
+            elif edit == "drop":
+                lines[i] = line[:at] + line[at + 1:]
+            elif edit == "squeeze":
+                lines[i] = line[:at] + _AROUND_SEPARATOR.sub(r"\1", line[at:])
+            elif edit == "twice":
+                lines.insert(i, line)
+        _assert_same_outcome("\n".join(lines) + "\n")
+
+
+# A block around one statement line of each form, whose name slots X and Y take names that the
+# forms exclude or that meet a separator, written as printed, without the whitespace around the
+# separators, and with ideographic spaces.
+_ONE_STATEMENT_BLOCKS = {
+    "arrow": ("category C {\n  objects: a b ;\n  arrows:\n    X: a -> Y ;\n}\n", "f", "b"),
+    "compose": ("category C {\n  objects: a ;\n  arrows:\n    e: a -> a ;\n  compose:\n    X.e = Y ;\n}\n", "e", "e"),
+    "maps-to": ("category C = chain(2)\nfunctor F : C -> C {\n  ob:\n    0 |-> 0 ;\n    X |-> Y ;\n}\n", "1", "1"),
+    "at": ("category A = walking_arrow()\ncategory E = terminal()\ndiagram D on A {\n  at X = Y ;\n  at b = E ;\n}\n",
+           "a", "E"),
+    "lift": ("category C = walking_arrow()\nfunctor I = identity(C)\ncleavage c for I {\n  lift (X, f) |-> Y ;\n}\n",
+             "a", "f"),
+    "component": (_OPFIB.replace("  component a = (phi_p_a, phi_cl_a) ;", "  component X = (Y, phi_cl_a) ;"),
+                  "a", "phi_p_a"),
+    "over": (_OPFIB.replace("  over: phi_over ;", "  over: Y ;"), "", "phi_over"),
+    "leg": (COCONE_FILE.replace("  leg a = leg_a ;", "  leg X = Y ;"), "a", "leg_a"),
+    "vertex": (COCONE_FILE.replace("  vertex: U ;", "  vertex: Y ;"), "", "U"),
+}
+_ODD_NAMES = ["objects", "arrows", "compose", "ob", "arr", "x.y", "k=v", "p:q", "u|v", "a\u3000", "\u00e9", "id_a",
+              "a->b", "(a,b)", "(a", "a)", "a;b", "a,b", "*"]
+
+
+@pytest.mark.parametrize("form", sorted(_ONE_STATEMENT_BLOCKS))
+def test_one_statement_lines_read_as_split(form):
+    template, x, y = _ONE_STATEMENT_BLOCKS[form]
+    for name in _ODD_NAMES:
+        for text in (template.replace("X", name).replace("Y", y), template.replace("X", x).replace("Y", name)):
+            for spaced in (text, _AROUND_SEPARATOR.sub(r"\1", text), _AROUND_SEPARATOR.sub("\u3000\\1\u3000", text)):
+                _assert_same_outcome(spaced)
+
+
+def test_line_forms_read_every_printed_statement_line():
+    """Only blank lines (around a header and a closing brace) and section-label lines of printed
+    workspaces reach the splitter, so a pattern edit cannot silently turn the line forms off."""
+    texts = [text for name, text in _BASE_TEXTS.items() if name.startswith(("printed-", "grid-"))]
+    total = _BASE_TEXTS["printed-groth-total"]
+    assert any("(" in ln and "," in ln and "@" in ln for ln in total.splitlines() if ln.startswith("    "))
+    split, statement = [], dsl._STATEMENT
+
+    class Recording:
+        def finditer(self, line):
+            split.append(line)
+            return statement.finditer(line)
+
+    with mock.patch.object(dsl, "_STATEMENT", Recording()):
+        for text in texts:
+            parse_workspace(text)
+    label = re.compile(r"\s*(objects|arrows|compose|ob|arr):")
+    assert split and [ln for ln in split if ln.strip() and not label.match(ln)] == []
 
 
 class TestBuilderShorthand:
