@@ -2,8 +2,8 @@
 
 Everything is a plain lookup table: a category is a total composition table
 over named objects and morphisms, a functor is a pair of total maps, and so
-on.  Validators check every law exhaustively and report each violation with
-a concrete witness.  Values are immutable after validation.
+on.  Validators decide every law exactly and report each violation with a
+concrete witness.  Values are immutable after validation.
 
 Only finite categories are supported; see the README for the consequences.
 """
@@ -11,7 +11,7 @@ Only finite categories are supported; see the README for the consequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .report import Report, UsageError, ValidationError
 
@@ -57,10 +57,11 @@ class FinCat:
     # derived lookups, filled by validate_category
     hom_table: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     out_table: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    factorizations: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     # the objects x with some hom(x, y) of two or more morphisms; an equation
     # between two morphisms out of any other object holds by their boundary
     wide_sources: frozenset[str] = frozenset()
+    # lookups derived on first read: "generators" and "factorizations"
+    cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -86,6 +87,43 @@ class FinCat:
         for f in self.mors:
             for g in self.out_table[self.tgt[f]]:
                 yield g, f
+
+    @property
+    def factorizations(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
+        """The pairs (g, f) with g∘f = m, for each morphism m, in composable_pairs order."""
+        if "factorizations" not in self.cache:
+            pairs: dict[str, list[tuple[str, str]]] = {m: [] for m in self.mors}
+            for key in self.composable_pairs():
+                pairs[self.comp[key]].append(key)
+            self.cache["factorizations"] = {m: tuple(v) for m, v in pairs.items()}
+        return self.cache["factorizations"]
+
+    def generators(self) -> Mapping[str, tuple[str, ...]]:
+        """A generating set S under composition, as the members of S out of each object:
+        the irreducible non-identity morphisms (no composite of two non-identities), then,
+        in listing order, each morphism that the composites of S do not reach yet.  A law
+        over composable pairs (h, x) that identities satisfy, and a composite a∘b whenever
+        a and b do, holds for every h once it holds for every h in S."""
+        if "generators" not in self.cache:
+            ids, src, tgt, comp = set(self.identity.values()), self.src, self.tgt, self.comp
+            non_ids = [m for m in self.mors if m not in ids]
+            reducible = {comp[(g, f)] for f in non_ids for g in self.out_table[tgt[f]] if g not in ids}
+            members: dict[str, list[str]] = {x: [] for x in self.objects}
+            reached, ending_at = set(ids), {x: [] for x in self.objects}
+            # an irreducible morphism is reached only as a member of S
+            for m in [m for m in non_ids if m not in reducible] + non_ids:
+                if m in reached:
+                    continue
+                members[src[m]].append(m)
+                todo = [m] + [comp[(m, r)] for r in ending_at[src[m]]]
+                while todo:  # the new words of S, m∘r and then members of S composed on the left
+                    r = todo.pop()
+                    if r not in reached:
+                        reached.add(r)
+                        ending_at[tgt[r]].append(r)
+                        todo += [comp[(s, r)] for s in members[tgt[r]]]
+            self.cache["generators"] = {x: tuple(v) for x, v in members.items()}
+        return self.cache["generators"]
 
     def inverse(self, m: str) -> str | None:
         """Two-sided inverse of m, or None."""
@@ -139,11 +177,12 @@ def validate_category(
     """Check raw tables against every category law; raise with every violation
     of the first law group that fails.
 
-    `arrows` lists (morphism, src, tgt) triples.  Each law group is checked
-    exhaustively and the report names a concrete witness per violation.
-    The composition and associativity laws walk an index of outgoing
-    morphisms, so the cost is proportional to the number of composable
-    pairs and triples, not to |mors|² and |mors|³.
+    `arrows` lists (morphism, src, tgt) triples.  Each law group is decided
+    exactly and the report names a concrete witness per violation.  The
+    composition laws walk an index of outgoing morphisms, so their cost is
+    proportional to the number of composable pairs, not to |mors|².
+    Associativity is decided on the triples (h, g, f) with h a generator and
+    src f in `wide_sources` (see law_failures).
     """
     rep = Report(f"validate category {name}")
     obj_set = set(objects)
@@ -177,11 +216,10 @@ def validate_category(
         out[src[m]].append(m)
         hom.setdefault((src[m], tgt[m]), []).append(m)
 
-    # one pass over the composable pairs, f-major: then[f][g] = g∘f, fact[h] the pairs
-    # composing to h, failures (f, g, law, message) in scan order; comp itself is scanned
-    # only when the pass misses one of its entries or reaches an undeclared value
+    # one pass over the composable pairs, f-major: then[f][g] = g∘f, failures
+    # (f, g, law, message) in scan order; comp itself is scanned only when the
+    # pass misses one of its entries or reaches an undeclared value
     then: dict[str, dict[str, str]] = {}
-    fact: dict[str, list[tuple[str, str]]] = {m: [] for m in mors}
     failures: list[tuple[str, str, str, str]] = []
     complete = True
     for f in mors:
@@ -202,8 +240,6 @@ def validate_category(
                     f, g, "composition-boundary",
                     f"{g}∘{f} = {h} has boundary {src[h]} -> {tgt[h]}, expected {src[f]} -> {tgt[g]}",
                 ))
-            else:
-                fact[h].append(key)
     complete = complete and sum(map(len, then.values())) == len(comp)
     if not complete:
         for (g, f), h in comp.items():
@@ -231,21 +267,7 @@ def validate_category(
             rep.fail("identity-law", f"{f}∘{identity[src[f]]} = {right}, expected {f}")
 
     wide = frozenset(x for (x, _), ms in hom.items() if len(ms) > 1)
-    for f in mors:
-        if src[f] not in wide:
-            continue  # h∘(g∘f) and (h∘g)∘f lie in a one-morphism hom(src f, tgt h)
-        then_f = then[f]
-        for g, gf in then_f.items():
-            then_gf = then[gf]
-            for h, hg in then[g].items():
-                h_gf = then_gf[h]
-                hg_f = then_f[hg]
-                if h_gf != hg_f:
-                    rep.fail("associativity", f"({h}∘{g})∘{f} = {hg_f} but {h}∘({g}∘{f}) = {h_gf}")
-    if not rep.passed:
-        raise ValidationError(rep)
-
-    return FinCat(
+    cat = FinCat(
         name=name,
         objects=tuple(objects),
         mors=mors,
@@ -255,9 +277,38 @@ def validate_category(
         comp=dict(comp),
         hom_table={k: tuple(v) for k, v in hom.items()},
         out_table={x: tuple(v) for x, v in out.items()},
-        factorizations={m: tuple(v) for m, v in fact.items()},
         wide_sources=wide,
     )
+
+    def associativity(outer: Mapping[str, Sequence[str]]) -> Iterator[str]:
+        for f in mors:
+            if src[f] not in wide:
+                continue  # h∘(g∘f) and (h∘g)∘f lie in a one-morphism hom(src f, tgt h)
+            then_f = then[f]
+            for g, gf in then_f.items():
+                then_g, then_gf = then[g], then[gf]
+                for h in outer[tgt[g]]:
+                    h_gf, hg_f = then_gf[h], then_f[then_g[h]]
+                    if h_gf != hg_f:
+                        yield f"({h}∘{g})∘{f} = {hg_f} but {h}∘({g}∘{f}) = {h_gf}"
+
+    if wide:
+        for message in law_failures(cat, associativity, exact=rep.passed):
+            rep.fail("associativity", message)
+    if not rep.passed:
+        raise ValidationError(rep)
+    return cat
+
+
+def law_failures(cat: FinCat, scan: Callable[[Mapping[str, Sequence[str]]], Iterator[str]],
+                 exact: bool = True) -> Iterator[str]:
+    """The violations that `scan(outer)` yields for a law over the composable pairs of cat
+    whose outer morphism lies in outer[its source].  When `exact` (identities satisfy the
+    law, and a composite does whenever its parts do), a pass over FinCat.generators()
+    decides; otherwise, or on a violation, every violation comes from a full scan."""
+    if exact and next(scan(cat.generators()), None) is None:
+        return iter(())
+    return scan(cat.out_table)
 
 
 def make_category(
@@ -353,14 +404,19 @@ def validate_functor(
     if not rep.passed:
         raise ValidationError(rep)
 
-    for f in dom.mors:
-        if ob_map[dom.src[f]] not in cod.wide_sources:
-            continue  # both sides lie in a one-morphism hom(F src f, F tgt g)
-        for g in dom.out(dom.tgt[f]):
-            lhs = mor_map[dom.comp[(g, f)]]
-            rhs = cod.comp[(mor_map[g], mor_map[f])]
-            if lhs != rhs:
-                rep.fail("composition-preserved", f"image of {g}∘{f} is {lhs}, but images compose to {rhs}")
+    def preserved(outer: Mapping[str, Sequence[str]]) -> Iterator[str]:
+        for f in dom.mors:
+            if ob_map[dom.src[f]] not in cod.wide_sources:
+                continue  # both sides lie in a one-morphism hom(F src f, F tgt g)
+            for g in outer[dom.tgt[f]]:
+                lhs = mor_map[dom.comp[(g, f)]]
+                rhs = cod.comp[(mor_map[g], mor_map[f])]
+                if lhs != rhs:
+                    yield f"image of {g}∘{f} is {lhs}, but images compose to {rhs}"
+
+    if cod.wide_sources:
+        for message in law_failures(dom, preserved):
+            rep.fail("composition-preserved", message)
     if not rep.passed:
         raise ValidationError(rep)
     return FunctorData(name, dom, cod, dict(ob_map), dict(mor_map))
@@ -602,9 +658,16 @@ def validate_diagram(
             rep.fail("strict-identity", f"functor at identity of {x} is not the identity functor")
     # once every Z(id) is the identity functor, a pair with an identity composes strictly
     ids = set(base.identity.values()) if rep.passed else ()
-    for g, f in base.composable_pairs():
-        if g not in ids and f not in ids and first_disagreement((at_mor[g], at_mor[f]), (at_mor[base.comp[(g, f)]],)):
-            rep.fail("strict-composition", f"functor at {base.comp[(g, f)]} differs from composite over ({g},{f})")
+
+    def strict(outer: Mapping[str, Sequence[str]]) -> Iterator[str]:
+        for f in base.mors:
+            for g in outer[base.tgt[f]]:
+                gf = base.comp[(g, f)]
+                if g not in ids and f not in ids and first_disagreement((at_mor[g], at_mor[f]), (at_mor[gf],)):
+                    yield f"functor at {gf} differs from composite over ({g},{f})"
+
+    for message in law_failures(base, strict, exact=rep.passed):
+        rep.fail("strict-composition", message)
     if not rep.passed:
         raise ValidationError(rep)
     return CatDiagram(name, base, dict(at_ob), dict(at_mor))

@@ -14,7 +14,7 @@ ways between identifiers and pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .fincat import (
     CatDiagram,
@@ -28,6 +28,7 @@ from .fincat import (
     first_disagreement,
     id_name,
     identity_functor,
+    law_failures,
     make_category,
     pair_id,
     reindex,
@@ -215,18 +216,20 @@ def validate_lax_cocone(
     for c in base.objects:
         if not cells[base.identity[c]].is_identity_nat():
             rep.fail("unit-law", f"cell at identity of {c} is not the identity")
-    for g, f in base.composable_pairs():
-        c = base.src[f]
-        push = diagram.at_mor[f]
-        gf = base.comp[(g, f)]
-        for x in diagram.at_ob[c].objects:
-            lhs = cells[gf].components[x]
-            rhs = vertex.comp[(cells[g].components[push.ob_map[x]], cells[f].components[x])]
-            if lhs != rhs:
-                rep.fail(
-                    "composition-law",
-                    f"cell at {gf} on {x} is {lhs}, pasting of ({g},{f}) gives {rhs}",
-                )
+
+    def composition(outer: Mapping[str, Sequence[str]]) -> Iterator[str]:
+        for f in base.mors:
+            push, at_f = diagram.at_mor[f], cells[f].components
+            for g in outer[base.tgt[f]]:
+                gf = base.comp[(g, f)]
+                for x in diagram.at_ob[base.src[f]].objects:
+                    lhs = cells[gf].components[x]
+                    rhs = vertex.comp[(cells[g].components[push.ob_map[x]], at_f[x])]
+                    if lhs != rhs:
+                        yield f"cell at {gf} on {x} is {lhs}, pasting of ({g},{f}) gives {rhs}"
+
+    for message in law_failures(base, composition, exact=rep.passed):
+        rep.fail("composition-law", message)
     if not rep.passed:
         raise ValidationError(rep)
     return LaxCocone(name, diagram, vertex, dict(legs), dict(cells))

@@ -259,7 +259,7 @@ def iter_iso_tables(
     non_ids = [m for m in c.mors if m not in ids]
     # only `consistent` reads it, and it runs only when d has a wide source
     into = _into(c) if d.wide_sources else {}
-    hom_c, hom_d = c.hom_table, d.hom_table
+    hom_c, hom_d, fact = c.hom_table, d.hom_table, c.factorizations
     ob_map: dict[str, str] = {}
     mor_map: dict[str, str] = {}
     wide: set[str] = set()
@@ -294,7 +294,7 @@ def iter_iso_tables(
                 h = mor_map.get(c.comp[(g, m)])
                 if h is not None and d.comp[(ng, n)] != h:
                     return False
-        for g, f in c.factorizations[m]:
+        for g, f in fact[m]:
             if g in mor_map and f in mor_map:
                 if d.comp[(mor_map[g], mor_map[f])] != n:
                     return False

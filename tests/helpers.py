@@ -212,6 +212,65 @@ def reference_strict_composition(base: FinCat, at_mor) -> list[tuple[str, str]]:
     ]
 
 
+def reference_diagram_violations(base: FinCat, at_mor) -> list[tuple[str, str]]:
+    """(law, message) pairs that validate_diagram must report once every functor has
+    the right boundary: the strict-identity lines, then reference_strict_composition."""
+    out = [("strict-identity", f"functor at identity of {x} is not the identity functor")
+           for x in base.objects if reference_first_disagreement((at_mor[base.identity[x]],), ()) is not None]
+    return out + reference_strict_composition(base, at_mor)
+
+
+def reference_cocone_violations(diagram: CatDiagram, vertex: FinCat, cells) -> list[tuple[str, str]]:
+    """(law, message) pairs that validate_lax_cocone must report once legs and cells have
+    the right boundaries: the unit law, then the composition law over every composable pair."""
+    base = diagram.base
+    out = [("unit-law", f"cell at identity of {c} is not the identity")
+           for c in base.objects
+           if any(not vertex.is_identity(m) for m in cells[base.identity[c]].components.values())]
+    for g, f in brute_composable_pairs(base):
+        gf = base.comp[(g, f)]
+        for x in diagram.at_ob[base.src[f]].objects:
+            lhs = cells[gf].components[x]
+            rhs = vertex.comp[(cells[g].components[diagram.at_mor[f].ob_map[x]], cells[f].components[x])]
+            if lhs != rhs:
+                out.append(("composition-law", f"cell at {gf} on {x} is {lhs}, pasting of ({g},{f}) gives {rhs}"))
+    return out
+
+
+def reference_split_verdicts(p: FunctorData, lifts) -> tuple[str | None, str | None, str | None]:
+    """The first counterexample, or None, of each verdict of check_split_opfib, in the order
+    it records them (lifts cartesian, identity law, composition law), by full scans."""
+    total, base = p.dom, p.cod
+    cart = next((f"at ({e},{f}): {fail}" for (e, f), m in sorted(lifts.items())
+                 for fail in [reference_cartesian_failure(p, m, f)] if fail is not None), None)
+    ident = next((f"lift of identity at {e} is {m}, not {total.identity[e]}" for e in total.objects
+                  for m in [lifts[(e, base.identity[p.ob_map[e]])]] if m != total.identity[e]), None)
+
+    def composition() -> str | None:
+        for e in total.objects:
+            for f in base.mors:
+                for g in base.mors:
+                    if base.src[f] == p.ob_map[e] and base.src[g] == base.tgt[f]:
+                        mf = lifts[(e, f)]
+                        composed, direct = total.comp[(lifts[(total.tgt[mf], g)], mf)], lifts[(e, base.comp[(g, f)])]
+                        if composed != direct:
+                            return f"lift of {g}∘{f} at {e} is {direct}, but composing the lifts gives {composed}"
+        return None
+
+    return cart, ident, composition()
+
+
+def composite_closure(cat: FinCat, gens) -> set[str]:
+    """Every morphism that is an identity or a composite of members of gens, in any
+    bracketing, by closing the set under composition until it stops growing."""
+    reached = set(cat.identity.values()) | set(gens)
+    while True:
+        more = {cat.comp[(g, f)] for f in reached for g in reached if cat.src[g] == cat.tgt[f]} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
 def reference_functor_violations(dom: FinCat, cod: FinCat, ob_map, mor_map) -> list[tuple[str, str]]:
     """(law, message) pairs that validate_functor must report, by a scan over all pairs.
 

@@ -102,6 +102,18 @@ class TestBuilders:
         assert any("inverse" in (c.counterexample or "") or c.name == "inverses"
                    for c in err.value.report.checks)
 
+    def test_delooping_refuses_a_loop_that_is_not_associative(self):
+        # a loop of order 5: a unit and two-sided inverses, but (b·a)·a != b·(a·a)
+        names, rows = ["e", "a", "b", "c", "d"], ["eabcd", "aecdb", "bdeac", "cbdea", "dcabe"]
+        table = {(x, y): rows[i][j] for i, x in enumerate(names) for j, y in enumerate(names)}
+        assert {fail.split()[0] for fail in group_axiom_failures(names, table, "e")} == {"associativity"}
+        with pytest.raises(ValidationError) as err:
+            build.delooping(names, table, name="L5")
+        checks = err.value.report.checks
+        assert err.value.report.title == "validate category L5"
+        assert {c.name for c in checks} == {"associativity"}
+        assert checks[0].counterexample == "(b∘a)∘a = c but b∘(a∘a) = b"
+
     def test_slice_object_count_law(self):
         c = build.commuting_square_poset()
         for target in c.objects:
