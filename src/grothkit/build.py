@@ -168,13 +168,18 @@ def product_projections(c: FinCat, d: FinCat) -> tuple[FinCat, FunctorData, Func
 
 
 def opposite(c: FinCat, name: str | None = None) -> FinCat:
-    arrows = [(m, c.tgt[m], c.src[m]) for m in c.mors if not c.is_identity(m)]
-    comp = {
-        (f, g): h
-        for (g, f), h in c.comp.items()
-        if not (c.is_identity(g) or c.is_identity(f))
-    }
-    return make_category(name or f"op({c.name})", list(c.objects), arrows, comp)
+    """The opposite of c, built once per name and kept in c's cache."""
+    name = name or f"op({c.name})"
+    key = ("opposite", name)
+    if key not in c.cache:
+        arrows = [(m, c.tgt[m], c.src[m]) for m in c.mors if not c.is_identity(m)]
+        comp = {
+            (f, g): h
+            for (g, f), h in c.comp.items()
+            if not (c.is_identity(g) or c.is_identity(f))
+        }
+        c.cache[key] = make_category(name, list(c.objects), arrows, comp)
+    return c.cache[key]
 
 
 def opposite_functor(t: FunctorData) -> FunctorData:

@@ -84,10 +84,9 @@ def _outcome_from_report(rep: Report) -> Outcome:
 
 
 def _load(args) -> Workspace:
-    paths = args.input or []
-    if not paths:
-        return Workspace()
-    return parse_files(paths)
+    """The workspace of the -i files, read once for every command (`examples` takes none)."""
+    paths = getattr(args, "input", None)
+    return parse_files(paths) if paths else Workspace()
 
 
 def _need(ws: Workspace, kind: str, name: str):
@@ -129,17 +128,7 @@ def _search_outcome(result, limit: int, found_text: str, none_text: str) -> Outc
 # subcommand handlers
 
 
-def _cmd_validate(args) -> Outcome:
-    try:
-        ws = _load(args)
-    except WorkspaceParseError as err:
-        if err.only_semantic():
-            return Outcome(
-                "fail",
-                counterexamples=[d.describe() for d in err.diagnostics],
-                text="\n".join(d.describe() for d in err.diagnostics),
-            )
-        raise
+def _cmd_validate(args, ws: Workspace) -> Outcome:
     lines = [f"{kind} {name}: ok" for kind, name in sorted(ws.entities)]
     out = Outcome("pass", text="\n".join(lines) or "empty workspace")
     if args.dot:
@@ -147,8 +136,7 @@ def _cmd_validate(args) -> Outcome:
     return out
 
 
-def _cmd_build(args) -> Outcome:
-    ws = _load(args)
+def _cmd_build(args, ws: Workspace) -> Outcome:
     # route through the DSL's builder shorthand so there is one parsing path
     declaration = f"category {args.name} = {args.spec.strip()}"
     from .dsl import _Parser
@@ -163,8 +151,7 @@ def _cmd_build(args) -> Outcome:
     return out
 
 
-def _cmd_iso(args) -> Outcome:
-    ws = _load(args)
+def _cmd_iso(args, ws: Workspace) -> Outcome:
     c = _need(ws, "category", args.first)
     d = _need(ws, "category", args.second)
     rng = random.Random(args.seed) if args.seed is not None else None
@@ -179,8 +166,7 @@ def _cmd_iso(args) -> Outcome:
     )
 
 
-def _cmd_groth(args) -> Outcome:
-    ws = _load(args)
+def _cmd_groth(args, ws: Workspace) -> Outcome:
     d = _need(ws, "diagram", args.diagram)
     gt = groth(d)
     base_name = ws.entities[("diagram", args.diagram)].refs["base"]
@@ -196,8 +182,7 @@ def _cmd_groth(args) -> Outcome:
     return out
 
 
-def _cmd_ungroth(args) -> Outcome:
-    ws = _load(args)
+def _cmd_ungroth(args, ws: Workspace) -> Outcome:
     q = _opfib_of(ws, args.functor, args.cleavage)
     d = fibres(q)
     name = export_diagram(ws, f"{args.functor}_fibres", d,
@@ -207,8 +192,7 @@ def _cmd_ungroth(args) -> Outcome:
     return out
 
 
-def _cmd_factorize(args) -> Outcome:
-    ws = _load(args)
+def _cmd_factorize(args, ws: Workspace) -> Outcome:
     d = _need(ws, "diagram", args.diagram)
     gt = groth(d)
     if args.morphism not in set(gt.total.mors):
@@ -222,8 +206,7 @@ def _cmd_factorize(args) -> Outcome:
     )
 
 
-def _cmd_cocone_factorize(args) -> Outcome:
-    ws = _load(args)
+def _cmd_cocone_factorize(args, ws: Workspace) -> Outcome:
     sigma = _need(ws, "cocone", args.cocone)
     s = cocone_factorize(sigma)
     e = ws.entities[("cocone", args.cocone)]
@@ -234,8 +217,7 @@ def _cmd_cocone_factorize(args) -> Outcome:
     return out
 
 
-def _cmd_base_change(args) -> Outcome:
-    ws = _load(args)
+def _cmd_base_change(args, ws: Workspace) -> Outcome:
     h = _need(ws, "functor", args.functor)
     d = _need(ws, "diagram", args.diagram)
     bc = base_change(h, d)
@@ -247,20 +229,17 @@ def _cmd_base_change(args) -> Outcome:
     )
 
 
-def _cmd_check_opfib(args) -> Outcome:
-    ws = _load(args)
+def _cmd_check_opfib(args, ws: Workspace) -> Outcome:
     q = _opfib_of(ws, args.functor, args.cleavage)
     return _outcome_from_report(check_split_opfib(q))
 
 
-def _cmd_check_discrete(args) -> Outcome:
-    ws = _load(args)
+def _cmd_check_discrete(args, ws: Workspace) -> Outcome:
     p = _need(ws, "functor", args.functor)
     return _outcome_from_report(check_discrete_opfib(p))
 
 
-def _cmd_check_cleavage(args) -> Outcome:
-    ws = _load(args)
+def _cmd_check_cleavage(args, ws: Workspace) -> Outcome:
     h = _need(ws, "functor", args.h)
     k = _need(ws, "functor", args.k)
     q1 = _opfib_of(ws, args.p1, args.cl1)
@@ -268,8 +247,7 @@ def _cmd_check_cleavage(args) -> Outcome:
     return _outcome_from_report(check_cleavage_preserving(h, k, q1, q2))
 
 
-def _cmd_pullback(args) -> Outcome:
-    ws = _load(args)
+def _cmd_pullback(args, ws: Workspace) -> Outcome:
     h = _need(ws, "functor", args.h)
     q = _opfib_of(ws, args.functor, args.cleavage)
     pb = pullback_opfib(h, q)
@@ -300,8 +278,7 @@ def _names(args, what: str, usage: str, second: str | None = None) -> None:
         raise UsageError(f"{what} takes one name: {usage}")
 
 
-def _cmd_indexed(args) -> Outcome:
-    ws = _load(args)
+def _cmd_indexed(args, ws: Workspace) -> Outcome:
     sub = args.indexed_command
     if sub == "groth":
         _names(args, "groth", "indexed groth Z F", "the underlying diagram")
@@ -358,7 +335,7 @@ def _cmd_indexed(args) -> Outcome:
     raise UsageError(f"unknown indexed subcommand {sub!r}")
 
 
-def _cmd_examples(args) -> Outcome:
+def _cmd_examples(args, _ws: Workspace) -> Outcome:
     files = shipped_examples()
     if args.list:
         return Outcome("pass", text="\n".join(sorted(files)))
@@ -502,7 +479,7 @@ def run_command(argv: list[str]) -> int:
     as_json = getattr(args, "json", False)
 
     try:
-        outcome: Outcome = args.handler(args)
+        outcome: Outcome = args.handler(args, _load(args))
         dest = getattr(args, "output", None)
         if dest and outcome.output is not None:
             try:

@@ -60,7 +60,9 @@ class FinCat:
     # the objects x with some hom(x, y) of two or more morphisms; an equation
     # between two morphisms out of any other object holds by their boundary
     wide_sources: frozenset[str] = frozenset()
-    # lookups derived on first read: "generators" and "factorizations"
+    # lookups derived on first read: "generators", "factorizations" and, keyed by
+    # ("opposite", name), the opposite category build.opposite makes under that name;
+    # a copy made by dataclasses.replace shares this dict, hence the name in the key
     cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic queries ------------------------------------------------------

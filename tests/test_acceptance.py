@@ -6,6 +6,7 @@ time limits are asserted where stated.
 """
 
 import time
+from pathlib import Path
 
 from grothkit import build, examples
 from grothkit.cli import run_command
@@ -31,6 +32,7 @@ from grothkit.isosearch import FOUND, iso_search
 from grothkit.opfib import check_cleavage_preserving, fibres
 from grothkit.report import ValidationError
 
+import corpus
 from helpers import (
     cross_morphism_count,
     group_axiom_failures,
@@ -47,7 +49,7 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_classical_equivalence():
     start = time.monotonic()
-    diagrams = examples.corpus_diagrams()
+    diagrams = corpus.corpus_diagrams()
     assert len(diagrams) >= 10
     failures = []
     for d in diagrams:
@@ -97,8 +99,8 @@ def _verify_groth_of_fibres(back, gt):
 
 def test_criterion_2_indexed_equivalence():
     start = time.monotonic()
-    opfibs = examples.corpus_opfibs()
-    zs = examples.corpus_z_instances()
+    opfibs = corpus.corpus_opfibs()
+    zs = corpus.corpus_z_instances()
     assert len(opfibs) >= 8 and len(zs) >= 8
     base_names = {phi.base.name for phi in opfibs}
     assert {"terminal", "walking_arrow", "walking_iso", "chain(3)", "BZ2"} <= base_names
@@ -118,11 +120,11 @@ def test_criterion_2_indexed_equivalence():
 
 
 def test_criterion_3_stock_identities():
-    bases = examples.stock_bases()
+    bases = corpus.stock_bases()
     fibre_choices = {
         "walking_arrow": build.walking_arrow(),
         "discrete2": build.discrete(2),
-        "BZ3": examples.bz(3),
+        "BZ3": corpus.bz(3),
     }
     failures = []
     for name, a in bases.items():
@@ -136,7 +138,7 @@ def test_criterion_3_stock_identities():
     # base = terminal: the indexed operations collapse to the classical ones
     f = build.one_object_diagram(build.walking_arrow(), name="pick")
     gt = groth(f)
-    z0 = examples._two_point_z(gt.total)
+    z0 = corpus._two_point_z(gt.total)
     phi = indexed_groth(z0, f, gt)
     classical_total = groth(
         build.validate_diagram(
@@ -161,7 +163,7 @@ def test_criterion_3_stock_identities():
 
 
 def test_criterion_4_semidirect_product():
-    gt = groth(examples.semidirect_diagram())
+    gt = groth(corpus.semidirect_diagram())
     elems, table, unit = semidirect_table(3)
     ok = group_axiom_failures(elems, table, unit) == []
     oracle = build.delooping(elems, table, name="BS3_oracle")
@@ -173,29 +175,29 @@ def test_criterion_4_semidirect_product():
 
 def test_criterion_5_counting_laws():
     failures = []
-    for d in examples.corpus_diagrams():
+    for d in corpus.corpus_diagrams():
         gt = groth(d)
         if len(gt.total.objects) != groth_object_count(d):
             failures.append(f"object count for {d.name}")
         if len(gt.total.mors) != groth_morphism_count(d):
             failures.append(f"morphism count for {d.name}")
-    d = [x for x in examples.corpus_diagrams() if x.name == "collapse_arrow"][0]
+    d = [x for x in corpus.corpus_diagrams() if x.name == "collapse_arrow"][0]
     gt = groth(d)
     cross = [m for m in gt.total.mors if gt.mor_pair[m][0] == "f"]
     if len(cross) != cross_morphism_count(d.at_mor["f"]):
         failures.append("cross-morphism count vs comma objects")
-    _verdict(5, not failures, f"object/morphism formulas on {len(examples.corpus_diagrams())} "
+    _verdict(5, not failures, f"object/morphism formulas on {len(corpus.corpus_diagrams())} "
                               "instances, comma-category count exact"
                               + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_6_discrete_restriction():
     failures = []
-    for phi in examples.corpus_opfibs():
+    for phi in corpus.corpus_opfibs():
         if not discrete_check_opfib(phi).passed:
             failures.append(f"opfib side: {phi.name}")
     saw_nondiscrete = False
-    for z, f in examples.corpus_z_instances():
+    for z, f in corpus.corpus_z_instances():
         rep = discrete_check_diagram(z, f)
         if not rep.passed:
             failures.append(f"diagram side: {z.name}")
@@ -224,8 +226,8 @@ def test_criterion_7_slice_identity():
 def test_criterion_8_pseudonaturality():
     start = time.monotonic()
     failures = []
-    pn = examples.pseudonat_instances()
-    bc = examples.base_change_instances()
+    pn = corpus.pseudonat_instances()
+    bc = corpus.base_change_instances()
     assert len(pn) >= 5 and len(bc) >= 5
     for alpha, phi in pn:
         rep = pseudonat_check(alpha, phi)
@@ -285,3 +287,11 @@ def test_criterion_10_parser_round_trip():
         failures.append("groth output not byte-stable")
     _verdict(10, not failures, "round-trip idempotent on all shipped files; groth output "
                                "re-parses byte-stably" + (f"; failures: {failures}" if failures else ""))
+
+
+def test_readme_quick_start_runs():
+    """The README's first python block, run as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import grothkit" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -11,6 +11,7 @@ from grothkit.dsl import parse_workspace
 from grothkit.examples import shipped_examples
 from grothkit.isosearch import DEFAULT_BUDGET
 
+import corpus
 from helpers import quaternion_table
 
 
@@ -38,7 +39,33 @@ INDEXED_NAME_COUNTS = [
 ]
 
 
+# validate on (file, its text or None for the shipped file, exit code, verdict, diagnostic after the path)
+VALIDATE_REPORTS = [
+    ("walking_arrow.cat", None, 0, "pass", None),
+    ("broken_assoc.cat", None, 1, "fail",
+     "3:1: semantic: 'category BAD': associativity: (r2∘r1)∘r1 = r1 but r2∘(r1∘r1) = r2"),
+    ("syntax.cat", "category C {\n  objects: a ;\n  arrows: f a -> ;\n}\n", 2, "error",
+     "3:3: syntax: expected 'name: src -> tgt', got 'f a ->'"),
+    ("undeclared.cat", "category C {\n  objects: a ;\n  arrows: f: a -> b ;\n}\n", 1, "fail",
+     "1:1: semantic: 'category C': dangling-identifier: morphism f: a -> b uses undeclared object"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name, text, code, verdict, diagnostic", VALIDATE_REPORTS,
+                             ids=[case[0] for case in VALIDATE_REPORTS])
+    def test_validate_report(self, tmp_path, capsys, name, text, code, verdict, diagnostic):
+        f = tmp_path / name
+        f.write_text(shipped_examples()[name] if text is None else text)
+        found = [f"{f}:{diagnostic}"] if diagnostic else []
+        assert run_command(["validate", "-i", str(f)]) == code
+        assert capsys.readouterr().out == "\n".join(found or ["category WA: ok"]) + "\n"
+        assert run_command(["validate", "-i", str(f), "--json"]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "budget": {"limit": None, "used": 0}, "command": "validate", "counterexamples": found,
+            "inputs": {"arguments": [], "files": [str(f)]}, "verdict": verdict, "witnesses": [],
+        }
+
     def test_validate_ok(self, exdir, capsys):
         assert run_command(["validate", "-i", path(exdir, "walking_arrow.cat")]) == 0
         assert "category WA: ok" in capsys.readouterr().out
@@ -428,12 +455,12 @@ class TestRemainingPathways:
 
     def test_indexed_pseudonat_command(self, tmp_path, capsys):
         from grothkit.dsl import Workspace, export_opfib, print_workspace as pw
-        from grothkit import build, examples
+        from grothkit import build
         from grothkit.fincat import id_name, validate_diagram_mor, validate_functor
         from grothkit.groth import groth
         from grothkit.indexed import indexed_groth
 
-        coll = build.arrow_diagram(examples.collapse_functor(), name="collapse")
+        coll = build.arrow_diagram(corpus.collapse_functor(), name="collapse")
         gtc = groth(coll)
         zc = build.constant_diagram(gtc.total, build.walking_arrow(), name="zc")
         phi = indexed_groth(zc, coll, gtc, name="phi")

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, dsl, examples
+from grothkit import build, dsl, examples, fincat
 from grothkit.dsl import (
     _BUILDERS,
     Workspace,
@@ -20,6 +20,7 @@ from grothkit.fincat import compose_functors, identity_functor
 from grothkit.groth import groth
 from grothkit.indexed import check_diagram_opfib, dualize_opfib, identity_diagram_opfib
 
+import corpus
 from helpers import reference_split_top, reference_stmts
 
 SHIPPED = examples.shipped_examples()
@@ -42,7 +43,7 @@ class TestParse:
     def test_semidirect_file_matches_builder_tables(self):
         ws = parse_workspace(examples.shipped_examples()["semidirect.cat"])
         d = ws.get("diagram", "F")
-        built = examples.semidirect_diagram()
+        built = corpus.semidirect_diagram()
         assert d.base.tables_equal(built.base)
         assert d.at_ob["*"].tables_equal(built.at_ob["*"])
         assert dict(d.at_mor["s1"].mor_map) == dict(built.at_mor["s1"].mor_map)
@@ -431,7 +432,7 @@ PINNED_DIAGNOSTICS = {
 
 
 def test_cleavage_failing_both_orientations_reports_the_opfibration_reading():
-    phi = next(p for p in examples.corpus_opfibs() if p.name == "phi_collapse")
+    phi = next(p for p in corpus.corpus_opfibs() if p.name == "phi_collapse")
     ws = Workspace()
     export_opfib(ws, "op", dualize_opfib(phi))
     # retarget one co-lift of op_cl_b, (a,b) -> (b,b) in the dual, to (f,f)@a: (b,b) -> (a,a)
@@ -445,6 +446,33 @@ def test_cleavage_failing_both_orientations_reports_the_opfibration_reading():
         "dual.cat:126:1: semantic: 'cleavage op_cl_b for op_p_b': cleavage-total: no lift of f at (b,a)",
         "dual.cat:130:1: reference: unknown cleavage 'op_cl_b'",
     ]
+
+
+def test_reading_printed_duals_builds_each_opposite_once(monkeypatch):
+    """A fibration-flavoured block's cleavages and its opfib share one opposite of each category."""
+    texts = []
+    for phi in corpus.corpus_opfibs():
+        ws = Workspace()
+        export_opfib(ws, "op", dualize_opfib(phi))
+        texts.append(print_workspace(ws))
+    calls, real = [0], fincat.validate_category
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(fincat, "validate_category", counted)
+    for text in texts:
+        parse_workspace(text)
+    assert calls[0] == 64  # 80 when the cleavage reading and the opfib each built the opposites
+
+
+def test_opposite_is_kept_under_its_name():
+    ws = parse_workspace("category C = walking_arrow()\ncategory D = opposite(C)\n")
+    c, d = ws.get("category", "C"), ws.get("category", "D")
+    assert build.opposite(c) is build.opposite(c)
+    # D is op(C) renamed and shares its cache, where op(op(C)) is now kept
+    assert build.opposite(build.opposite(c)).name == "op(op(C))"
+    assert build.opposite(d).name == "op(D)"
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_DIAGNOSTICS))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import (
     FunctorData,
     id_name,
@@ -14,6 +14,7 @@ from grothkit.fincat import (
 )
 from grothkit.report import ValidationError
 
+import corpus
 from helpers import associativity_witnesses, group_axiom_failures, reference_strict_composition
 
 
@@ -177,7 +178,7 @@ class TestValidators:
         A copy at an identity breaks strict identity, so the pairs with an identity,
         skipped otherwise, are compared as well."""
         failing = 0
-        for d in examples.corpus_diagrams():
+        for d in corpus.corpus_diagrams():
             base = d.base
             if all(base.is_identity(g) or base.is_identity(f) for g, f in base.composable_pairs()):
                 continue

@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, examples, fincat, opfib
+from grothkit import build, fincat, opfib
 from grothkit.fincat import (
     FinCat,
     FunctorData,
@@ -30,6 +30,7 @@ from grothkit.groth import groth, inc_cocone, validate_lax_cocone
 from grothkit.opfib import check_split_opfib, cleaved_opfib
 from grothkit.report import Report, ValidationError
 
+import corpus
 from helpers import (
     all_functor_tables,
     composite_closure,
@@ -86,14 +87,14 @@ def test_chain_generators_are_its_covers(n):
 
 
 def corpus_categories() -> list[FinCat]:
-    cats = list(examples.stock_bases().values())
+    cats = list(corpus.stock_bases().values())
     cats += [build.chain(5), build.product(build.chain(3), build.walking_iso()), bz(6),
              build.product(bz(2), bz(3)), build.product(build.chain(3), involution_arrow()),
              build.slice_category(build.chain(3), "2"), build.opposite(build.product(build.chain(2), build.chain(3))),
-             groth(examples.semidirect_diagram()).total]
-    for d in examples.corpus_diagrams():
+             groth(corpus.semidirect_diagram()).total]
+    for d in corpus.corpus_diagrams():
         cats += [d.base, *d.at_ob.values(), groth(d).total]
-    for phi in examples.corpus_opfibs():
+    for phi in corpus.corpus_opfibs():
         cats += [*phi.over.at_ob.values(), *phi.total.at_ob.values()]
     return cats
 
@@ -188,7 +189,7 @@ def absorbing_monoid() -> FinCat:
 
 
 CATS = [build.chain(4), build.commuting_square_poset(), build.walking_iso(), bz(2), bz(3), bz(5), bz(6),
-        build.product(bz(2), bz(3)), build.product(bz(2), bz(2)), groth(examples.semidirect_diagram()).total,
+        build.product(bz(2), bz(3)), build.product(bz(2), bz(2)), groth(corpus.semidirect_diagram()).total,
         involution_arrow(), build.product(build.chain(3), involution_arrow()),
         build.product(build.chain(2), bz(3)), left_zero_monoid(), absorbing_monoid(),
         build.product(build.chain(2), left_zero_monoid()), build.product(build.chain(2), absorbing_monoid())]
@@ -261,7 +262,7 @@ def test_functor_decision_matches_full_scan(t):
     assert outcome(validate_functor, *t) == described("validate functor functor", reference_functor_violations(*t))
 
 
-DIAGRAMS = [examples.semidirect_diagram(), *examples.corpus_diagrams(),
+DIAGRAMS = [corpus.semidirect_diagram(), *corpus.corpus_diagrams(),
             validate_diagram(*shift_diagram(4, 3, 1)), build.constant_diagram(bz(3), build.walking_iso()),
             build.constant_diagram(left_zero_monoid(), build.walking_iso()),
             build.constant_diagram(absorbing_monoid(), build.chain(2))]

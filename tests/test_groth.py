@@ -1,4 +1,4 @@
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import (
     compose_functors,
     id_name,
@@ -17,6 +17,7 @@ from grothkit.groth import (
 from grothkit.isosearch import FOUND, iso_search, over_base_iso_search
 from grothkit.opfib import check_split_opfib, pullback_opfib
 
+import corpus
 from helpers import (
     all_functor_tables,
     cross_morphism_count,
@@ -29,7 +30,7 @@ from helpers import (
 
 class TestGroth:
     def test_delta1_total_is_base(self):
-        for base in examples.stock_bases().values():
+        for base in corpus.stock_bases().values():
             gt = groth(build.terminal_diagram(base))
             assert iso_search(gt.total, base).status == FOUND
 
@@ -46,7 +47,7 @@ class TestGroth:
         assert res.status == FOUND  # and the projection is the first projection
 
     def test_semidirect_product(self):
-        gt = groth(examples.semidirect_diagram())
+        gt = groth(corpus.semidirect_diagram())
         # oracle: build the Cayley table of Z/3 x| Z/2 independently
         elems, table, unit = semidirect_table(3)
         from helpers import group_axiom_failures
@@ -59,13 +60,13 @@ class TestGroth:
         assert iso_search(gt.total, z6).status == "none"
 
     def test_counting_laws(self):
-        for d in examples.corpus_diagrams():
+        for d in corpus.corpus_diagrams():
             gt = groth(d)
             assert len(gt.total.objects) == groth_object_count(d), d.name
             assert len(gt.total.mors) == groth_morphism_count(d), d.name
 
     def test_cross_morphisms_match_comma_objects(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "collapse_arrow"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "collapse_arrow"][0]
         gt = groth(d)
         t = d.at_mor["f"]
         cross = [m for m in gt.total.mors if gt.mor_pair[m][0] == "f"]
@@ -77,13 +78,13 @@ class TestGroth:
         assert len(gt.total.mors) == len(over_0) + len(over_1) + len(cross)
 
     def test_deterministic(self):
-        d = examples.semidirect_diagram()
+        d = corpus.semidirect_diagram()
         g1, g2 = groth(d), groth(d)
         assert g1.total.canonical_key() == g2.total.canonical_key()
         assert dict(g1.lifts) == dict(g2.lifts)
 
     def test_canonical_cleavage_split_everywhere(self):
-        for d in examples.corpus_diagrams():
+        for d in corpus.corpus_diagrams():
             assert check_split_opfib(groth(d).opfib()).passed, d.name
 
 
@@ -100,7 +101,7 @@ class TestGrothMap:
         return validate_diagram_mor(f_diag, g_diag, {"a": t, "b": t}, name="gamma"), t
 
     def test_identity_gives_identity(self):
-        d = examples.semidirect_diagram()
+        d = corpus.semidirect_diagram()
         from grothkit.fincat import identity_diagram_mor
 
         t = groth_map(identity_diagram_mor(d))
@@ -135,7 +136,7 @@ class TestGrothMap:
 
 class TestFactorize:
     def test_identity_factorizes_trivially(self):
-        gt = groth(examples.semidirect_diagram())
+        gt = groth(corpus.semidirect_diagram())
         m = gt.total.identity[gt.total.objects[0]]
         cart, vert = factorize(gt, m)
         assert gt.total.is_identity(cart) and gt.total.is_identity(vert)
@@ -148,7 +149,7 @@ class TestFactorize:
         assert cart == m and gt.total.is_identity(vert)
 
     def test_every_morphism_recomposes(self):
-        gt = groth(examples.semidirect_diagram())
+        gt = groth(corpus.semidirect_diagram())
         for m in gt.total.mors:
             cart, vert = factorize(gt, m)
             assert gt.total.comp[(vert, cart)] == m
@@ -159,11 +160,11 @@ class TestFactorize:
 
 class TestIncCocone:
     def test_validates_on_corpus(self):
-        for d in examples.corpus_diagrams()[:6]:
+        for d in corpus.corpus_diagrams()[:6]:
             inc_cocone(d)  # validation happens inside
 
     def test_interchange_identity_on_a2(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "collapse_arrow"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "collapse_arrow"][0]
         gt = groth(d)
         inc = inc_cocone(d, gt)
         push = d.at_mor["f"]
@@ -179,14 +180,14 @@ class TestIncCocone:
                 assert lhs == rhs
 
     def test_identity_cells_are_identities(self):
-        d = examples.semidirect_diagram()
+        d = corpus.semidirect_diagram()
         inc = inc_cocone(d)
         assert inc.cells[id_name("*")].is_identity_nat()
 
 
 class TestCoconeFactorize:
     def test_factorizing_inc_gives_identity(self):
-        for d in examples.corpus_diagrams()[:5]:
+        for d in corpus.corpus_diagrams()[:5]:
             gt = groth(d)
             s = cocone_factorize(inc_cocone(d, gt), gt)
             assert s.is_identity_functor()
@@ -275,12 +276,12 @@ class TestCoconeFactorize:
 
 class TestBaseChange:
     def test_instances_verify(self):
-        for h, d in examples.base_change_instances():
+        for h, d in corpus.base_change_instances():
             bc = base_change(h, d)
             assert bc.witness.flavor == "over-base-iso"
 
     def test_terminal_pick_recovers_fibre(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "poset_fibres"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "poset_fibres"][0]
         pick = validate_functor(
             build.terminal(), d.base, {"*": "1"}, {id_name("*"): id_name("1")}
         )

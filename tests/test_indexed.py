@@ -1,6 +1,6 @@
 import pytest
 
-from grothkit import build, examples, indexed, isosearch
+from grothkit import build, indexed, isosearch
 from grothkit.fincat import (
     compose_functors,
     diagram_iso_of_tables,
@@ -42,6 +42,7 @@ from grothkit.isosearch import FOUND, diagram_iso_search, iso_search, over_base_
 from grothkit.opfib import cell_transport, check_cleavage_preserving, fibres, pullback_opfib
 from grothkit.report import UsageError, ValidationError
 
+import corpus
 from helpers import functors_table_equal, reference_fibration_lifts
 
 
@@ -63,7 +64,7 @@ def _colift_mutations(dual):
 
 
 def phi_collapse():
-    coll = build.arrow_diagram(examples.collapse_functor(), name="collapse_arrow")
+    coll = build.arrow_diagram(corpus.collapse_functor(), name="collapse_arrow")
     gtc = groth(coll)
     zc = build.constant_diagram(gtc.total, build.walking_arrow(), name="z_const")
     return indexed_groth(zc, coll, gtc, name="phi_collapse"), zc, coll, gtc
@@ -75,7 +76,7 @@ class TestCheckDiagramOpfib:
         assert check_diagram_opfib(phi).passed
 
     def test_identity_passes(self):
-        assert check_diagram_opfib(identity_diagram_opfib(examples.semidirect_diagram())).passed
+        assert check_diagram_opfib(identity_diagram_opfib(corpus.semidirect_diagram())).passed
 
     def test_mutated_cleavage_fails_naming_component(self):
         phi, _, coll, _ = phi_collapse()
@@ -133,10 +134,10 @@ class TestCheckDiagramOpfibMor:
         assert check_diagram_opfib_mor(xi).passed
 
     def test_non_preserving_component_fails(self):
-        semi = examples.semidirect_diagram()
+        semi = corpus.semidirect_diagram()
         phi = identity_diagram_opfib(semi)
         bz3 = semi.at_ob["*"]
-        conj = examples.inversion_functor(bz3)
+        conj = corpus.inversion_functor(bz3)
         xi = DiagramOpfibMor("twist", phi, phi, {"*": conj})
         rep = check_diagram_opfib_mor(xi)
         assert not rep.passed
@@ -278,7 +279,7 @@ class TestTwoCellAction:
 
 class TestIndexedFibres:
     def test_identity_gives_constant_terminal(self):
-        semi = examples.semidirect_diagram()
+        semi = corpus.semidirect_diagram()
         z = indexed_fibres(identity_diagram_opfib(semi))
         assert all(len(c.objects) == 1 and len(c.mors) == 1 for c in z.at_ob.values())
 
@@ -336,7 +337,7 @@ class TestIndexedFibres:
 
 class TestIndexedGroth:
     def test_constant_terminal_z_gives_identity_shape(self):
-        semi = examples.semidirect_diagram()
+        semi = corpus.semidirect_diagram()
         gt = groth(semi)
         z = build.constant_diagram(gt.total, build.terminal(), name="z1")
         phi = indexed_groth(z, semi, gt)
@@ -353,7 +354,7 @@ class TestIndexedGroth:
         wa = build.walking_arrow()
         d1 = build.terminal_diagram(wa, name="delta1")
         gt = groth(d1)
-        z, _ = [p for p in examples.corpus_z_instances()][1]
+        z, _ = [p for p in corpus.corpus_z_instances()][1]
         phi = indexed_groth(z, d1, gt)
         # over delta-1 the component at each base object is the fibre of Z there
         for a in wa.objects:
@@ -370,7 +371,7 @@ class TestIndexedGroth:
             assert len(phi.total.at_ob[a].objects) == expected
 
     def test_base_mismatch_rejected(self):
-        semi = examples.semidirect_diagram()
+        semi = corpus.semidirect_diagram()
         z = build.constant_diagram(build.walking_arrow(), build.terminal())
         with pytest.raises(ValueError):
             indexed_groth(z, semi)
@@ -378,12 +379,12 @@ class TestIndexedGroth:
 
 class TestRoundtrips:
     def test_opfib_side_corpus(self):
-        for phi in examples.corpus_opfibs():
+        for phi in corpus.corpus_opfibs():
             rep = indexed_roundtrip_opfib(phi)
             assert rep.passed, f"{phi.name}: {rep.describe()}"
 
     def test_diagram_side_corpus(self):
-        for z, f in examples.corpus_z_instances():
+        for z, f in corpus.corpus_z_instances():
             rep = indexed_roundtrip_diagram(z, f)
             assert rep.passed, f"{z.name}: {rep.describe()}"
 
@@ -398,7 +399,7 @@ class TestRoundtrips:
 
 class TestDiscrete:
     def test_constant_terminal_is_set_valued_and_discrete(self):
-        semi = examples.semidirect_diagram()
+        semi = corpus.semidirect_diagram()
         gt = groth(semi)
         z = build.constant_diagram(gt.total, build.terminal(), name="z1")
         rep = discrete_check_diagram(z, semi)
@@ -406,7 +407,7 @@ class TestDiscrete:
         assert "diagram-set-valued" in {c.name for c in rep.checks}
 
     def test_walking_arrow_fibre_is_not_discrete(self):
-        znd, d1 = [p for p in examples.corpus_z_instances()][-1]
+        znd, d1 = [p for p in corpus.corpus_z_instances()][-1]
         rep = discrete_check_diagram(znd, d1)
         assert rep.passed  # the biconditional holds: not set-valued and not discrete
         assert "diagram-not-set-valued" in {c.name for c in rep.checks}
@@ -416,7 +417,7 @@ class TestDiscrete:
 
     def test_set_valued_morphisms_are_automatically_discrete(self):
         # over a Set-valued F, any diagram morphism from a Set-valued G is discrete
-        d = [x for x in examples.corpus_diagrams() if x.name == "set_function"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "set_function"][0]
         g = build.constant_diagram(d.base, build.discrete(1, prefix="q"), name="G")
         pick_a = "s1"
         pick_b = d.at_mor["f"].ob_map[pick_a]  # naturality forces the second pick
@@ -442,7 +443,7 @@ class TestDiscrete:
         assert check_diagram_opfib(candidate, discrete=True).passed
 
     def test_opfib_side_biconditional_on_corpus(self):
-        for phi in examples.corpus_opfibs():
+        for phi in corpus.corpus_opfibs():
             rep = discrete_check_opfib(phi)
             assert rep.passed, f"{phi.name}: {rep.describe()}"
 
@@ -454,7 +455,7 @@ class TestPseudonat:
         assert rep.passed
 
     def test_instances(self):
-        for alpha, phi in examples.pseudonat_instances():
+        for alpha, phi in corpus.pseudonat_instances():
             rep = pseudonat_check(alpha, phi)
             assert rep.passed, f"({alpha.name},{phi.name}): {rep.describe()}"
 
@@ -477,7 +478,7 @@ class TestPseudonat:
 
 class TestDualize:
     def test_involution_on_diagrams(self):
-        for d in examples.corpus_diagrams()[:5]:
+        for d in corpus.corpus_diagrams()[:5]:
             back = dualize_diagram(dualize_diagram(d))
             assert back.tables_equal(d), d.name
 
@@ -493,7 +494,7 @@ class TestDualize:
 
     def test_colifts_are_validated_as_lifts_of_the_opposite_functor(self):
         verdicts = []
-        for phi in examples.corpus_opfibs():
+        for phi in corpus.corpus_opfibs():
             dual = dualize_opfib(phi)
             for a, lifts in _colift_mutations(dual):
                 try:
@@ -534,7 +535,7 @@ class TestDualize:
             check_diagram_opfib(dual)
 
     def test_fibre_counts_preserved(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "poset_fibres"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "poset_fibres"][0]
         dual = dualize_diagram(d)
         for x in d.base.objects:
             assert len(dual.at_ob[x].objects) == len(d.at_ob[x].objects)
@@ -552,7 +553,7 @@ class TestDualize:
 def _collapse_zetas():
     """zeta1: z0 => z1 and zeta2: z1 => z2, constant diagrams (discrete(2), walking
     arrow, terminal) on the total of the collapse arrow, with that arrow and its total."""
-    coll = build.arrow_diagram(examples.collapse_functor(), name="collapse_arrow")
+    coll = build.arrow_diagram(corpus.collapse_functor(), name="collapse_arrow")
     gtc = groth(coll)
     z0 = build.constant_diagram(gtc.total, build.discrete(2, prefix="w"), name="z0")
     z1 = build.constant_diagram(gtc.total, build.walking_arrow(), name="z1")
@@ -702,11 +703,11 @@ class TestCanonicalComparisons:
         builder = "_opfib_comparison_tables" if which == "opfib" else "_second_coordinates"
         monkeypatch.setattr(indexed, builder, _swap_two_objects(getattr(indexed, builder)))
         if which == "opfib":
-            rep = indexed_roundtrip_opfib(examples.corpus_opfibs()[2])
+            rep = indexed_roundtrip_opfib(corpus.corpus_opfibs()[2])
         elif which == "diagram":
-            rep = indexed_roundtrip_diagram(*examples.corpus_z_instances()[1])
+            rep = indexed_roundtrip_diagram(*corpus.corpus_z_instances()[1])
         else:
-            rep = pseudonat_check(*examples.pseudonat_instances()[0])
+            rep = pseudonat_check(*corpus.pseudonat_instances()[0])
         assert not rep.passed
         assert not rep.witnesses
         fail = rep.first_failure()
@@ -745,17 +746,17 @@ class TestCanonicalComparisons:
                 assert first_disagreement(left, right) is None, (zeta.name, v)
 
     def test_verdicts_agree_with_search_on_corpus(self):
-        for phi in examples.corpus_opfibs():
+        for phi in corpus.corpus_opfibs():
             gt = groth(phi.over)
             phi2 = indexed_groth(indexed_fibres(phi, gt), phi.over, gt)
             found = diagram_iso_search(phi2.total, phi.total).status == FOUND
             assert indexed_roundtrip_opfib(phi).passed == found, phi.name
-        for z, f in examples.corpus_z_instances():
+        for z, f in corpus.corpus_z_instances():
             gt = groth(f)
             z2 = indexed_fibres(indexed_groth(z, f, gt), gt)
             found = diagram_iso_search(z2, z).status == FOUND
             assert indexed_roundtrip_diagram(z, f).passed == found, z.name
-        for alpha, phi in examples.pseudonat_instances():
+        for alpha, phi in corpus.pseudonat_instances():
             path1 = indexed_fibres(pullback_diagram_opfib(alpha, phi), groth(alpha.dom))
             path2 = reindex(indexed_fibres(phi), groth_map(alpha))
             found = diagram_iso_search(path1, path2).status == FOUND

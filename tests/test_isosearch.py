@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grothkit import build, examples, isosearch
+from grothkit import build, isosearch
 from grothkit.fincat import (
     compose_functors,
     identity_functor,
@@ -28,6 +28,7 @@ from grothkit.isosearch import (
 from grothkit.opfib import fibres
 from grothkit.report import UsageError, ValidationError
 
+import corpus
 from helpers import (
     all_functor_tables,
     brute_isos,
@@ -302,7 +303,7 @@ class TestStructuredSearches:
         assert (res.status, res.nodes) == (FOUND, 21)
 
     def test_diagram_iso_node_counts(self):
-        sd = examples.semidirect_diagram()
+        sd = corpus.semidirect_diagram()
         res = diagram_iso_search(fibres(groth(sd).opfib()), sd)
         assert (res.status, res.nodes) == (FOUND, 8)
         z = build.constant_diagram(build.chain(2), build.discrete(5))
@@ -312,10 +313,10 @@ class TestStructuredSearches:
     def test_diagram_iso_absent_after_nodes(self):
         # BZ/2 acting on discrete(2) trivially and by the swap: the fibres are isomorphic,
         # so no invariant refutes the pair, but no fibre iso makes the square at s1 commute
-        base, d2 = examples.bz(2, prefix="s"), build.discrete(2)
+        base, d2 = corpus.bz(2, prefix="s"), build.discrete(2)
         ident = identity_functor(d2)
         trivial = validate_diagram(base, {"*": d2}, {"id_*": ident, "s1": ident}, name="trivial")
-        swap = validate_diagram(base, {"*": d2}, {"id_*": ident, "s1": examples.swap_functor(d2)}, name="swap")
+        swap = validate_diagram(base, {"*": d2}, {"id_*": ident, "s1": corpus.swap_functor(d2)}, name="swap")
         res = diagram_iso_search(trivial, swap)
         assert (res.status, res.nodes, res.refuted_by) == (NONE, 8, None)
 

@@ -4,7 +4,7 @@ categories of pairs and report summaries."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import (
     FunctorData,
     first_disagreement,
@@ -17,6 +17,7 @@ from grothkit.groth import groth
 from grothkit.opfib import _fill_ins, pullback_opfib
 from grothkit.report import Report, UsageError
 
+import corpus
 from helpers import all_functor_tables, reference_first_disagreement
 from test_messages import inversion3, swap2, two_fill_in_functor
 
@@ -66,7 +67,7 @@ class TestFirstDisagreement:
 
 
 # small categories with few functors between each pair, so that random paths often agree
-PATH_CATS = [build.terminal(), build.discrete(2), build.walking_arrow(), build.walking_iso(), examples.bz(2)]
+PATH_CATS = [build.terminal(), build.discrete(2), build.walking_arrow(), build.walking_iso(), corpus.bz(2)]
 PATH_TABLES = {(i, j): all_functor_tables(c, d) for i, c in enumerate(PATH_CATS) for j, d in enumerate(PATH_CATS)}
 
 

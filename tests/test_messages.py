@@ -7,7 +7,7 @@ kernel cannot change a message.
 
 import pytest
 
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import (
     diagram_iso_of_tables,
     id_name,
@@ -28,6 +28,8 @@ from grothkit.indexed import (
 )
 from grothkit.opfib import _cartesian_failure, check_cleavage_preserving, check_split_opfib, cleaved_opfib
 from grothkit.report import UsageError, ValidationError
+
+import corpus
 
 
 def identity_opfib(c):
@@ -90,12 +92,12 @@ UNPRESERVED_LIFT = "lifts-preserved: H(lift((a,a),f)) = (f,id_a) but lift((a,a),
 
 def swap2():
     d2 = build.discrete(2)
-    return d2, examples.swap_functor(d2)
+    return d2, corpus.swap_functor(d2)
 
 
 def inversion3():
-    bz3 = examples.bz(3)
-    return bz3, examples.inversion_functor(bz3)
+    bz3 = corpus.bz(3)
+    return bz3, corpus.inversion_functor(bz3)
 
 
 class TestPinnedMessages:

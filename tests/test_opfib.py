@@ -1,6 +1,6 @@
 import pytest
 
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import id_name, identity_functor, reindex, validate_functor
 from grothkit.groth import groth, groth_map
 from grothkit.isosearch import FOUND, diagram_iso_search, over_base_iso_search
@@ -17,6 +17,7 @@ from grothkit.opfib import (
 )
 from grothkit.report import Check, UsageError, ValidationError
 
+import corpus
 from helpers import reference_cartesian_failure
 from test_messages import two_fill_in_functor
 
@@ -29,7 +30,7 @@ def identity_opfib(c):
 
 class TestFindCartesianLifts:
     def test_groth_projection_contains_canonical_lift(self):
-        gt = groth(examples.semidirect_diagram())
+        gt = groth(corpus.semidirect_diagram())
         for (e, f), m in gt.lifts.items():
             if not gt.diagram.base.is_identity(f):
                 assert m in find_cartesian_lifts(gt.projection, e, f)
@@ -54,7 +55,7 @@ class TestFindCartesianLifts:
             find_cartesian_lifts(p, "x0", "f")
 
     def test_discrete_opfibration_has_exactly_one_lift(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "set_function"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "set_function"][0]
         gt = groth(d)
         p = gt.projection
         for e in gt.total.objects:
@@ -65,7 +66,7 @@ class TestFindCartesianLifts:
 
 class TestCheckSplitOpfib:
     def test_groth_canonical_cleavage_passes(self):
-        for d in examples.corpus_diagrams()[:6]:
+        for d in corpus.corpus_diagrams()[:6]:
             rep = check_split_opfib(groth(d).opfib())
             assert rep.passed, f"{d.name}: {rep.describe()}"
 
@@ -89,7 +90,7 @@ def cleavage_cases():
     copy with the lift at one (e, f) swapped for another morphism over f, and for the
     lift of two_fill_in_functor with two fill-ins."""
     cases = []
-    for d in examples.corpus_diagrams():
+    for d in corpus.corpus_diagrams():
         gt = groth(d)
         cases.append((gt.projection, dict(gt.lifts)))
         for (e, f), m in sorted(gt.lifts.items()):
@@ -128,7 +129,7 @@ class TestCartesianAgainstReference:
 
 class TestCheckDiscreteOpfib:
     def test_groth_of_set_valued_diagram_is_discrete(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "z2_swap_sets"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "z2_swap_sets"][0]
         assert check_discrete_opfib(groth(d).projection).passed
 
     def test_identity_on_terminal(self):
@@ -199,7 +200,7 @@ class TestCheckCleavagePreserving:
 
 class TestFibres:
     def test_fibres_of_groth_recovers_diagram(self):
-        for d in examples.corpus_diagrams()[:6]:
+        for d in corpus.corpus_diagrams()[:6]:
             z = fibres(groth(d).opfib())
             res = diagram_iso_search(z, d)
             assert res.status == FOUND, d.name
@@ -243,7 +244,7 @@ class TestFibres:
 
 class TestPullback:
     def test_pullback_along_identity_relabels(self):
-        d = examples.semidirect_diagram()
+        d = corpus.semidirect_diagram()
         gt = groth(d)
         pb = pullback_opfib(identity_functor(d.base), gt.opfib())
         res = over_base_iso_search(gt.total, gt.projection, pb.opfib.total, pb.opfib.p)
@@ -262,7 +263,7 @@ class TestPullback:
         assert res.status == FOUND
 
     def test_object_count_is_sum_of_fibres(self):
-        d = [x for x in examples.corpus_diagrams() if x.name == "poset_fibres"][0]
+        d = [x for x in corpus.corpus_diagrams() if x.name == "poset_fibres"][0]
         h = validate_functor(
             build.walking_arrow(), build.chain(3), {"a": "0", "b": "2"},
             {id_name("a"): id_name("0"), id_name("b"): id_name("2"), "f": "le(0,2)"},
@@ -276,7 +277,7 @@ class TestPullback:
         assert len(pb.opfib.total.objects) == expected
 
     def test_pullback_is_split(self):
-        d = examples.semidirect_diagram()
+        d = corpus.semidirect_diagram()
         gt = groth(d)
         pt = validate_functor(
             build.terminal(), d.base, {"*": "*"}, {id_name("*"): id_name("*")}

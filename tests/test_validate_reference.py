@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grothkit
-from grothkit import build, examples
+from grothkit import build
 from grothkit.fincat import FinCat, id_name, validate_category, validate_functor
 from grothkit.groth import groth
 from grothkit.report import ValidationError
 
+import corpus
 from helpers import (
     all_functor_tables,
     brute_composable_pairs,
@@ -62,9 +63,9 @@ def stock() -> list[FinCat]:
         build.product(build.chain(3), build.walking_iso()),
         build.slice_category(build.chain(3), "2"),
         build.opposite(build.product(build.chain(2), build.chain(3))),
-        groth(examples.semidirect_diagram()).total,
+        groth(corpus.semidirect_diagram()).total,
     ]
-    cats += [groth(d).total for d in examples.corpus_diagrams()]
+    cats += [groth(d).total for d in corpus.corpus_diagrams()]
     return cats
 
 
