@@ -313,6 +313,35 @@ def law_failures(cat: FinCat, scan: Callable[[Mapping[str, Sequence[str]]], Iter
     return scan(cat.out_table)
 
 
+def square_failures(cat: FinCat, square: Callable[[str], str | None]) -> list[str]:
+    """The violations square(h) of a naturality law at each morphism h of cat, in listing
+    order.  Between validated functors an identity's square holds and a composite's square
+    is the pasting of its parts' squares, so the squares at the members of
+    FinCat.generators() decide; every square is checked only when one of those fails."""
+    if all(square(h) is None for members in cat.generators().values() for h in members):
+        return []
+    return [fail for fail in map(square, cat.mors) if fail is not None]
+
+
+def generated_actions(base: FinCat, build: Callable[[str], FunctorData], label: str) -> dict[str, FunctorData]:
+    """The functors of a Cat-valued diagram on base, in listing order: build(m) at each
+    identity and member of base.generators(), and at any other m = s∘r (s a member, r
+    reached before) the composite of their functors, named label(m).  A diagram is fixed
+    by its values on a generating set, so once validate_diagram accepts the result (strict
+    composition on the generator pairs makes the choice of s and r immaterial) it is the
+    diagram `build` gives at every morphism.  Raises KeyError on a morphism not reached."""
+    members, ids = base.generators(), set(base.identity.values())
+    made = [s for s in base.mors if s in ids or s in members[base.src[s]]]
+    at = {m: build(m) for m in made}
+    for r in made:  # grows as it is walked, so every composite is composed on further
+        for s in members[base.tgt[r]]:
+            m = base.comp[(s, r)]
+            if m not in at:
+                at[m] = compose_functors(at[s], at[r], name=f"{label}({m})")
+                made.append(m)
+    return {m: at[m] for m in base.mors}
+
+
 def make_category(
     name: str,
     objects: Sequence[str],
@@ -496,19 +525,22 @@ def pair_category(
     Objects, arrows and composites follow the listing order of the pairs.
     """
     obj_of = {xy: pair_id(*xy) for xy in ob_pairs}
-    mor_of = {fg: pair_mor_id(c, d, *fg) for fg in mor_pairs}
-    non_ids = [(f, g) for f, g in mor_pairs if not (c.is_identity(f) and d.is_identity(g))]
-    arrows = [
-        (mor_of[(f, g)], obj_of[(c.src[f], d.src[g])], obj_of[(c.tgt[f], d.tgt[g])])
-        for f, g in non_ids
-    ]
-    starting_at: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for f, g in non_ids:
-        starting_at.setdefault((c.src[f], d.src[g]), []).append((f, g))
+    c_ids, d_ids = set(c.identity.values()), set(d.identity.values())
+    mor_of, arrows, starting_at = {}, [], {}
+    non_ids: list[tuple[str, str, str, tuple[str, str]]] = []  # (f, g, name, target), listed
+    for f, g in mor_pairs:
+        source, target = (c.src[f], d.src[g]), (c.tgt[f], d.tgt[g])
+        if f in c_ids and g in d_ids:
+            mor_of[(f, g)] = id_name(obj_of[source])
+            continue
+        n = mor_of[(f, g)] = pair_id(f, g)
+        arrows.append((n, obj_of[source], obj_of[target]))
+        non_ids.append((f, g, n, target))
+        starting_at.setdefault(source, []).append((f, g, n))
     comp = {}
-    for f1, g1 in non_ids:
-        for f2, g2 in starting_at.get((c.tgt[f1], d.tgt[g1]), ()):
-            comp[(mor_of[(f2, g2)], mor_of[(f1, g1)])] = mor_of[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
+    for f1, g1, n1, target in non_ids:
+        for f2, g2, n2 in starting_at.get(target, ()):
+            comp[(n2, n1)] = mor_of[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
     return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of
 
 
@@ -588,13 +620,15 @@ def validate_nat_trans(
     if not rep.passed:
         raise ValidationError(rep)
 
-    for f in cat.mors:
+    def square(f: str) -> str | None:
         x, y = cat.src[f], cat.tgt[f]
         lhs = target.comp[(components[y], dom.mor_map[f])]
         rhs = target.comp[(cod.mor_map[f], components[x])]
-        if lhs != rhs:
-            rep.fail("naturality", f"square at {f}: {components[y]}∘{dom.mor_map[f]} = {lhs} "
-                                   f"but {cod.mor_map[f]}∘{components[x]} = {rhs}")
+        return None if lhs == rhs else (f"square at {f}: {components[y]}∘{dom.mor_map[f]} = {lhs} "
+                                        f"but {cod.mor_map[f]}∘{components[x]} = {rhs}")
+
+    for message in square_failures(cat, square):
+        rep.fail("naturality", message)
     if not rep.passed:
         raise ValidationError(rep)
     return NatTransData(name, dom, cod, dict(components))
@@ -712,10 +746,13 @@ def validate_diagram_mor(
     if not rep.passed:
         raise ValidationError(rep)
 
-    for h in dom.base.mors:
+    def square(h: str) -> str | None:
         a, b = dom.base.src[h], dom.base.tgt[h]
-        if first_disagreement((cod.at_mor[h], components[a]), (components[b], dom.at_mor[h])) is not None:
-            rep.fail("naturality", f"square at {h} does not commute strictly")
+        bad = first_disagreement((cod.at_mor[h], components[a]), (components[b], dom.at_mor[h]))
+        return None if bad is None else f"square at {h} does not commute strictly"
+
+    for message in square_failures(dom.base, square):
+        rep.fail("naturality", message)
     if not rep.passed:
         raise ValidationError(rep)
     return DiagramMor(name, dom, cod, dict(components))

@@ -60,12 +60,6 @@ class GrothTotal:
         return f"({f},{a})"
 
 
-def _mor_label(base: FinCat, fibre: FinCat, f: str, alpha: str, x: str, obj: str) -> str:
-    if base.is_identity(f) and fibre.is_identity(alpha):
-        return id_name(obj)
-    return f"({f},{alpha})@{x}"
-
-
 def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
     """Grothendieck construction of a validated diagram."""
     base = d.base
@@ -80,24 +74,28 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
         raise ValueError("object name collision in Grothendieck total")
 
     mor_of: dict[tuple[str, str, str], str] = {}
-    # the non-identity total morphisms (f, alpha, X, name) in mor_of order,
-    # and the same grouped by source (C, X)
-    non_ids: list[tuple[str, str, str, str]] = []
-    starting_at: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+    # the non-identity total morphisms (f, alpha, X, name, target) in mor_of order, and
+    # grouped by source (C, X) the same with the tables that compose them on the left
+    non_ids: list[tuple[str, str, str, str, tuple[str, str]]] = []
+    starting_at: dict[tuple[str, str], list[tuple[str, str, str, Mapping, Mapping]]] = {}
     arrows = []
+    base_ids = set(base.identity.values())
     for f in base.mors:
         c, dd = base.src[f], base.tgt[f]
         push = d.at_mor[f]
         fib_d = d.at_ob[dd]
+        ids = set(fib_d.identity.values()) if f in base_ids else ()
         for x in d.at_ob[c].objects:
+            src_obj = obj_of[(c, x)]
             for alpha in fib_d.out(push.ob_map[x]):
-                src_obj = obj_of[(c, x)]
-                lbl = _mor_label(base, fib_d, f, alpha, x, src_obj)
-                mor_of[(f, alpha, x)] = lbl
-                if not (base.is_identity(f) and fib_d.is_identity(alpha)):
-                    arrows.append((lbl, src_obj, obj_of[(dd, fib_d.tgt[alpha])]))
-                    non_ids.append((f, alpha, x, lbl))
-                    starting_at.setdefault((c, x), []).append((f, alpha, lbl))
+                if alpha in ids:
+                    mor_of[(f, alpha, x)] = id_name(src_obj)
+                    continue
+                lbl = mor_of[(f, alpha, x)] = f"({f},{alpha})@{x}"
+                target = (dd, fib_d.tgt[alpha])
+                arrows.append((lbl, src_obj, obj_of[target]))
+                non_ids.append((f, alpha, x, lbl, target))
+                starting_at.setdefault((c, x), []).append((f, alpha, lbl, push.mor_map, fib_d.comp))
     mor_pair = {v: k for k, v in mor_of.items()}
     if len(mor_pair) != len(mor_of):
         raise ValueError("morphism name collision in Grothendieck total")
@@ -105,13 +103,10 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
     # identity composites are synthesized by make_category, so only pairs of
     # non-identity morphisms whose boundaries meet get an entry
     comp: dict[tuple[str, str], str] = {}
-    for f, alpha, x, m1 in non_ids:
-        dd = base.tgt[f]
-        for g, beta, m2 in starting_at.get((dd, d.at_ob[dd].tgt[alpha]), ()):
-            gf = base.comp[(g, f)]
-            pushed = d.at_mor[g].mor_map[alpha]
-            composite = d.at_ob[base.tgt[g]].comp[(beta, pushed)]
-            comp[(m2, m1)] = mor_of[(gf, composite, x)]
+    base_comp = base.comp
+    for f, alpha, x, m1, target in non_ids:
+        for g, beta, m2, push_g, fib_comp in starting_at.get(target, ()):
+            comp[(m2, m1)] = mor_of[(base_comp[(g, f)], fib_comp[(beta, push_g[alpha])], x)]
     total = make_category(label, [obj_of[k] for k in obj_of], arrows, comp)
 
     projection = validate_functor(

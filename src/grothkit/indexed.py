@@ -29,6 +29,7 @@ from .fincat import (
     NatTransData,
     diagram_iso_of_tables,
     first_disagreement,
+    generated_actions,
     identity_functor,
     identity_nat_trans,
     validate_diagram,
@@ -219,7 +220,8 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
 
 
 def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | None = None) -> DiagramOpfib:
-    """Pointwise pullback of an opfibration of diagrams along a diagram morphism."""
+    """Pointwise pullback of an opfibration of diagrams along a diagram morphism; the actions
+    pair F'(h) with G(h) at the identities and generators h of the base (fincat.generated_actions)."""
     _require_opfib_flavor(phi)
     if not alpha.cod.tables_equal(phi.over):
         raise UsageError(f"{alpha.name} does not land in the base diagram of {phi.name}")
@@ -230,8 +232,8 @@ def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | Non
         for a in base.objects
     }
     at_ob = {a: parts[a].opfib.total for a in base.objects}
-    at_mor: dict[str, FunctorData] = {}
-    for h in base.mors:
+
+    def act(h: str) -> FunctorData:
         a, b = base.src[h], base.tgt[h]
         fh = alpha.dom.at_mor[h]
         gh = phi.total.at_mor[h]
@@ -243,8 +245,9 @@ def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | Non
             n: parts[b].mor_of[(fh.mor_map[u], gh.mor_map[m])]
             for n, (u, m) in parts[a].mor_pair.items()
         }
-        at_mor[h] = validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
-    total = validate_diagram(base, at_ob, at_mor, name=f"total[{label}]")
+        return validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
+
+    total = validate_diagram(base, at_ob, generated_actions(base, act, label), name=f"total[{label}]")
     return DiagramOpfib(
         label,
         alpha.dom,
@@ -360,7 +363,8 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
 
     (A, X) goes to the fibre of the A-component over X; a total morphism
     (h, α) acts by the h-component of the total diagram followed by the
-    pushforward lifting α.
+    pushforward lifting α, at the identities and generators of the total
+    (fincat.generated_actions).
     """
     rep = check_diagram_opfib(phi)
     if not rep.passed:
@@ -374,8 +378,9 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
         v: fibre_category(phi.components[a], x, name=f"{label}@{v}")
         for v, (a, x) in g.ob_pair.items()
     }
-    at_mor: dict[str, FunctorData] = {}
-    for m, (h, alpha, x) in g.mor_pair.items():
+
+    def act(m: str) -> FunctorData:
+        h, alpha, x = g.mor_pair[m]
         a, b = g.diagram.base.src[h], g.diagram.base.tgt[h]
         v0 = g.obj_of[(a, x)]
         v1 = g.obj_of[(b, phi.over.at_ob[b].tgt[alpha])]
@@ -386,8 +391,10 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
             for e in at_ob[v0].objects
         }
         mor_map = {e_mor: _pushforward_mor(qb, alpha, gh.mor_map[e_mor]) for e_mor in at_ob[v0].mors}
-        at_mor[m] = validate_functor(at_ob[v0], at_ob[v1], ob_map, mor_map, name=f"{label}({m})")
-    return validate_diagram(g.total, at_ob, at_mor, name=label)
+        return validate_functor(at_ob[v0], at_ob[v1], ob_map, mor_map, name=f"{label}({m})")
+
+    actions = generated_actions(g.total, act, label)  # listed, like at_ob, in provenance order
+    return validate_diagram(g.total, at_ob, {m: actions[m] for m in g.mor_pair}, name=label)
 
 
 def indexed_groth(
@@ -401,7 +408,7 @@ def indexed_groth(
     The component at A is the classical construction applied to the
     restriction of Z along the canonical functor F(A) -> total; the action of
     a base morphism h follows the pair formula (X, ξ) goes to
-    (F(h)(X), Z(h, id)(ξ)).
+    (F(h)(X), Z(h, id)(ξ)) at the identities and generators of the base.
     """
     g = gt if gt is not None else groth(f)
     if not z.base.tables_equal(g.total):
@@ -420,8 +427,8 @@ def indexed_groth(
         for a in base.objects
     }
     at_ob = {a: parts[a].total for a in base.objects}
-    at_mor: dict[str, FunctorData] = {}
-    for h in base.mors:
+
+    def act(h: str) -> FunctorData:
         a, b = base.src[h], base.tgt[h]
         fh = f.at_mor[h]
         ob_map = {}
@@ -438,8 +445,9 @@ def indexed_groth(
             mor_map[m] = parts[b].mor_of[
                 (fh.mor_map[al], zh_at[x1].mor_map[big_xi], zh_at[x].ob_map[xi])
             ]
-        at_mor[h] = validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
-    total = validate_diagram(base, at_ob, at_mor, name=f"total[{label}]")
+        return validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
+
+    total = validate_diagram(base, at_ob, generated_actions(base, act, label), name=f"total[{label}]")
     return DiagramOpfib(
         label,
         f,

@@ -8,7 +8,8 @@ base.  A class of different sizes on the two sides, seeded or not, proves
 absence outright; otherwise only candidates of equal colour are tried.  This
 removes no isomorphism sought, so a search that runs dry is still a proof of
 absence.  A node is one candidate tried for an object or for a morphism with
-two or more candidates of its colour; the other morphisms are forced moves.
+two or more candidates of its colour; a candidate already taken as another
+image is passed over without one, and the other morphisms are forced moves.
 Budgets count nodes, not the colouring work or the forced moves, and are
 shared across the components of compound searches.
 """
@@ -189,10 +190,10 @@ def _backtrack(slots: list, options: Callable, fits: Callable, budget: Budget, a
     """Yield `assigned` each time it gives every slot a value, depth first.
 
     `options(slot)` lists a slot's candidates when the search reaches it.
-    Each one ticks the budget, is passed over if it is in `used` (when
-    given), and is kept if `fits(slot)` holds with it assigned.  The stack
-    holds one candidate iterator per slot reached, so Python's stack depth
-    stays the same however many slots there are.
+    Each one is passed over if it is in `used` (when given); otherwise it is
+    tried: a node, which ticks the budget, and kept if `fits(slot)` holds with
+    it assigned.  The stack holds one candidate iterator per slot reached, so
+    Python's stack depth stays the same however many slots there are.
     """
     stack: list[Iterator] = []
     while True:
@@ -205,9 +206,9 @@ def _backtrack(slots: list, options: Callable, fits: Callable, budget: Budget, a
             if used is not None and slot in assigned:
                 used.discard(assigned[slot])
             for value in stack[-1]:
-                budget.tick()
                 if used is not None and value in used:
                     continue
+                budget.tick()
                 assigned[slot] = value
                 if fits(slot):
                     if used is not None:

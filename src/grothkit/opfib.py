@@ -17,6 +17,7 @@ from .fincat import (
     FunctorData,
     NatTransData,
     first_disagreement,
+    generated_actions,
     law_failures,
     make_category,
     pair_category,
@@ -263,20 +264,22 @@ def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
 
 
 def fibres(q: CleavedOpfib, name: str | None = None) -> CatDiagram:
-    """The Cat-valued diagram of fibres of a split opfibration."""
+    """The Cat-valued diagram of fibres of a split opfibration.  push(f) is solved along the
+    chosen lifts at the identities and generators f of the base (fincat.generated_actions)."""
     _require_split(q)
     p, base = q.p, q.base
     at_ob = {x: fibre_category(p, x) for x in base.objects}
-    at_mor: dict[str, FunctorData] = {}
-    for f in base.mors:
+
+    def push(f: str) -> FunctorData:
         x, y = base.src[f], base.tgt[f]
         ob_map = {e: p.dom.tgt[q.lifts[(e, f)]] for e in at_ob[x].objects}
         mor_map = {
             m: _pushforward_mor(q, f, m) if not at_ob[x].is_identity(m) else at_ob[y].identity[ob_map[at_ob[x].src[m]]]
             for m in at_ob[x].mors
         }
-        at_mor[f] = validate_functor(at_ob[x], at_ob[y], ob_map, mor_map, name=f"push({f})")
-    return validate_diagram(base, at_ob, at_mor, name=name or f"fibres({q.p.name})")
+        return validate_functor(at_ob[x], at_ob[y], ob_map, mor_map, name=f"push({f})")
+
+    return validate_diagram(base, at_ob, generated_actions(base, push, "push"), name=name or f"fibres({q.p.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from grothkit.fincat import (
     identity_functor,
     make_category,
     validate_category,
+    validate_functor,
 )
+from grothkit.opfib import _pushforward_mor
 from grothkit.report import Report, ValidationError
 
 
@@ -258,6 +260,80 @@ def reference_split_verdicts(p: FunctorData, lifts) -> tuple[str | None, str | N
         return None
 
     return cart, ident, composition()
+
+
+def reference_naturality_violations(base: FinCat, square) -> list[tuple[str, str]]:
+    """The naturality lines of a family with square(h) its failure at h, or None, over
+    every base morphism in listing order, identities and composites included."""
+    return [("naturality", fail) for fail in map(square, base.mors) if fail is not None]
+
+
+# ---------------------------------------------------------------------------
+# the actions of the constructed diagrams, each solved and validated on its own
+# (fibres, indexed_fibres, indexed_groth and pullback_diagram_opfib build them
+# on a generating set of the base and compose the rest)
+
+
+def reference_fibres_actions(q, z: CatDiagram) -> dict[str, FunctorData]:
+    """push(f) for every base morphism f, between the fibres z = fibres(q) holds."""
+    p, base, at_ob = q.p, q.base, z.at_ob
+    at_mor = {}
+    for f in base.mors:
+        x, y = base.src[f], base.tgt[f]
+        ob_map = {e: p.dom.tgt[q.lifts[(e, f)]] for e in at_ob[x].objects}
+        mor_map = {
+            m: _pushforward_mor(q, f, m) if not at_ob[x].is_identity(m) else at_ob[y].identity[ob_map[at_ob[x].src[m]]]
+            for m in at_ob[x].mors
+        }
+        at_mor[f] = validate_functor(at_ob[x], at_ob[y], ob_map, mor_map, name=f"push({f})")
+    return at_mor
+
+
+def reference_indexed_fibres_actions(phi, g, z: CatDiagram) -> dict[str, FunctorData]:
+    """The action of every morphism of the total g of F, in provenance order, between
+    the fibres z = indexed_fibres(phi, g) holds."""
+    at_ob, at_mor = z.at_ob, {}
+    for m, (h, alpha, x) in g.mor_pair.items():
+        a, b = g.diagram.base.src[h], g.diagram.base.tgt[h]
+        v0, v1 = g.obj_of[(a, x)], g.obj_of[(b, phi.over.at_ob[b].tgt[alpha])]
+        gh, qb = phi.total.at_mor[h], phi.component_opfib(b)
+        ob_map = {e: qb.total.tgt[qb.lifts[(gh.ob_map[e], alpha)]] for e in at_ob[v0].objects}
+        mor_map = {e_mor: _pushforward_mor(qb, alpha, gh.mor_map[e_mor]) for e_mor in at_ob[v0].mors}
+        at_mor[m] = validate_functor(at_ob[v0], at_ob[v1], ob_map, mor_map, name=f"{z.name}({m})")
+    return at_mor
+
+
+def reference_indexed_groth_actions(z: CatDiagram, f: CatDiagram, g, phi) -> dict[str, FunctorData]:
+    """The action of every base morphism h on the totals phi = indexed_groth(z, f, g) keeps,
+    by the pair formula (X, ξ) -> (F(h)(X), Z(h, id)(ξ))."""
+    base, parts, label = f.base, phi.groth_parts, phi.name
+    at_mor = {}
+    for h in base.mors:
+        a, b = base.src[h], base.tgt[h]
+        fh = f.at_mor[h]
+        zh_at = {x: z.at_mor[g.mor_of[(h, f.at_ob[b].identity[fh.ob_map[x]], x)]] for x in f.at_ob[a].objects}
+        ob_map = {v: parts[b].obj_of[(fh.ob_map[x], zh_at[x].ob_map[xi])] for v, (x, xi) in parts[a].ob_pair.items()}
+        mor_map = {}
+        for m, (al, big_xi, xi) in parts[a].mor_pair.items():
+            x, x1 = f.at_ob[a].src[al], f.at_ob[a].tgt[al]
+            mor_map[m] = parts[b].mor_of[(fh.mor_map[al], zh_at[x1].mor_map[big_xi], zh_at[x].ob_map[xi])]
+        at_mor[h] = validate_functor(parts[a].total, parts[b].total, ob_map, mor_map, name=f"{label}({h})")
+    return at_mor
+
+
+def reference_pullback_actions(alpha, phi, pulled) -> dict[str, FunctorData]:
+    """The action of every base morphism h on the pullbacks pulled = pullback_diagram_opfib(alpha,
+    phi) keeps: a pair (x, e) goes to (F'(h)(x), G(h)(e))."""
+    base, parts, label = phi.base, pulled.pullback_parts, pulled.name
+    at_mor = {}
+    for h in base.mors:
+        a, b = base.src[h], base.tgt[h]
+        fh, gh = alpha.dom.at_mor[h], phi.total.at_mor[h]
+        ob_map = {v: parts[b].obj_of[(fh.ob_map[x], gh.ob_map[e])] for v, (x, e) in parts[a].ob_pair.items()}
+        mor_map = {n: parts[b].mor_of[(fh.mor_map[u], gh.mor_map[m])] for n, (u, m) in parts[a].mor_pair.items()}
+        at_mor[h] = validate_functor(parts[a].opfib.total, parts[b].opfib.total, ob_map, mor_map,
+                                     name=f"{label}({h})")
+    return at_mor
 
 
 def composite_closure(cat: FinCat, gens) -> set[str]:

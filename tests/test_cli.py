@@ -104,7 +104,7 @@ class TestExitCodes:
         assert run_command(["validate", "-i", str(bad)]) == 2
 
     def test_budget_exceeded_exits_3(self, groups, capsys):
-        # the search runs dry only after 1,777 nodes
+        # the search runs dry only after 1,381 nodes
         rc = run_command(["iso", "-i", groups, "Z4xZ4", "Q8xZ2", "--budget", "1"])
         assert rc == 3
 
@@ -681,7 +681,7 @@ def test_sweep_never_raises(exdir, tmp_path, capsys):
     # each twice, so that one run of the pair adds --json below
     counts = [["indexed", "-i", path(exdir, "identity_opfib.cat"), *names] for names, _ in INDEXED_NAME_COUNTS]
     runs += [argv for argv in counts for _ in range(2)]
-    # chain(8)² has more slots than Python's recursion limit; its search takes 92 nodes, all placing objects
+    # chain(8)² has more slots than Python's recursion limit; its search takes 64 nodes, one per object
     deep = tmp_path / "deep.cat"
     deep.write_text("category C = chain(8)\ncategory P = product(C, C)\ncategory Q = product(C, C)\n")
     runs += [["iso", "-i", str(deep), "P", "Q"]] * 2

@@ -16,18 +16,23 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothkit import build, fincat, opfib
+from grothkit import build, fincat, indexed, opfib
 from grothkit.fincat import (
     FinCat,
     FunctorData,
     NatTransData,
+    identity_diagram_mor,
+    identity_functor,
     make_category,
     validate_category,
     validate_diagram,
+    validate_diagram_mor,
     validate_functor,
+    validate_nat_trans,
 )
 from grothkit.groth import groth, inc_cocone, validate_lax_cocone
-from grothkit.opfib import check_split_opfib, cleaved_opfib
+from grothkit.indexed import identity_diagram_opfib, indexed_fibres, indexed_groth, pullback_diagram_opfib
+from grothkit.opfib import check_split_opfib, cleaved_opfib, fibres
 from grothkit.report import Report, ValidationError
 
 import corpus
@@ -38,7 +43,13 @@ from helpers import (
     reference_category_violations,
     reference_cocone_violations,
     reference_diagram_violations,
+    reference_fibres_actions,
+    reference_first_disagreement,
     reference_functor_violations,
+    reference_indexed_fibres_actions,
+    reference_indexed_groth_actions,
+    reference_naturality_violations,
+    reference_pullback_actions,
     reference_split_verdicts,
 )
 
@@ -131,9 +142,9 @@ def test_generators_and_factorizations_are_derived_once_into_a_declared_field():
 def counting(monkeypatch, module, name) -> list[int]:
     calls, real = [0], getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -346,3 +357,171 @@ def test_split_decision_matches_full_scan(t):
     for law, fail in zip(("lifts-cartesian", "identity-law", "composition-law"), reference_split_verdicts(p, lifts)):
         expected.record(law, fail)
     assert check_split_opfib(cleaved_opfib(p, lifts)).describe() == expected.describe()
+
+
+# ---------------------------------------------------------------------------
+# naturality squares, decided at the generators
+
+
+def test_identity_dmor_over_chain12_compares_generator_squares(monkeypatch):
+    z = validate_diagram(*shift_diagram(12, 3, 1))
+    calls = counting(monkeypatch, fincat, "first_disagreement")
+    validate_diagram_mor(z, z, {x: identity_functor(z.at_ob[x]) for x in z.base.objects})
+    assert calls[0] == 11  # the squares at the 11 covers of chain(12), of all 78
+
+
+def test_non_natural_component_reports_every_square():
+    z = validate_diagram(*shift_diagram(4, 3, 1))
+    comps = {x: identity_functor(z.at_ob[x]) for x in z.base.objects}
+    comps["1"] = build.constant_functor(z.at_ob["1"], z.at_ob["1"], "0")
+    assert outcome(validate_diagram_mor, z, z, comps) == (
+        "validate diagram morphism dmor: fail\n"
+        "  [FAIL] naturality -- square at le(0,1) does not commute strictly\n"
+        "  [FAIL] naturality -- square at le(1,2) does not commute strictly")
+
+
+def test_non_natural_transformation_reports_every_square():
+    # the identity of BZ3 to its inversion: no component is natural, at r1 (the one
+    # generator) nor at r2
+    c = corpus.bz(3)
+    assert outcome(validate_nat_trans, identity_functor(c), corpus.inversion_functor(c), {"*": "r1"}) == (
+        "validate nattrans nattrans: fail\n"
+        "  [FAIL] naturality -- square at r1: r1∘r1 = r2 but r2∘r1 = id_*\n"
+        "  [FAIL] naturality -- square at r2: r1∘r2 = id_* but r1∘r1 = r2")
+
+
+def dmor_square(z, comps):
+    base = z.base
+
+    def square(h):
+        a, b = base.src[h], base.tgt[h]
+        if reference_first_disagreement((z.at_mor[h], comps[a]), (comps[b], z.at_mor[h])) is None:
+            return None
+        return f"square at {h} does not commute strictly"
+    return square
+
+
+def test_dmor_decision_matches_full_scan_on_every_one_component_change():
+    for z in DIAGRAMS[:8] + [validate_diagram(*shift_diagram(4, 3, 1))]:
+        ident = {x: identity_functor(z.at_ob[x]) for x in z.base.objects}
+        for x in z.base.objects:
+            for t in functors_between(z.at_ob[x], z.at_ob[x]):
+                comps = {**ident, x: t}
+                expected = described("validate diagram morphism dmor",
+                                     reference_naturality_violations(z.base, dmor_square(z, comps)))
+                assert outcome(validate_diagram_mor, z, z, comps) == expected, (z.name, x, t.mor_map)
+
+
+def test_nat_trans_decision_matches_full_scan_on_every_one_component_change():
+    for c in CATS:
+        ident = identity_functor(c)
+        for x in c.objects:
+            for m in c.hom(x, x):
+                comps = {**c.identity, x: m}
+
+                def square(f):
+                    lhs, rhs = c.comp[(comps[c.tgt[f]], f)], c.comp[(f, comps[c.src[f]])]
+                    return None if lhs == rhs else (f"square at {f}: {comps[c.tgt[f]]}∘{f} = {lhs} "
+                                                    f"but {f}∘{comps[c.src[f]]} = {rhs}")
+                expected = described("validate nattrans nattrans", reference_naturality_violations(c, square))
+                assert outcome(validate_nat_trans, ident, ident, comps) == expected, (c.name, x, m)
+
+
+# ---------------------------------------------------------------------------
+# constructed diagrams: actions built at the generators, composed elsewhere
+
+
+def assert_same_actions(z, reference):
+    """The actions of z have the tables, names and order of the per-morphism reference."""
+    assert list(z.at_mor) == list(reference), z.name
+    for m, t in reference.items():
+        u = z.at_mor[m]
+        assert (u.name, u.ob_map, u.mor_map) == (t.name, t.ob_map, t.mor_map), (z.name, m)
+        assert u.dom.tables_equal(t.dom) and u.cod.tables_equal(t.cod), (z.name, m)
+
+
+SHIFTS = [(1, 3, 1), (2, 2, 1), (3, 3, 0), (3, 4, 2), (4, 3, 1), (5, 5, 1), (6, 6, 1)]
+
+
+def test_fibres_match_per_morphism_actions():
+    qs = [groth(d).opfib() for d in DIAGRAMS]
+    qs += [phi.component_opfib(a) for phi in corpus.corpus_opfibs() for a in phi.base.objects]
+    qs += [groth(validate_diagram(*shift_diagram(*shape))).opfib() for shape in SHIFTS]
+    for q in qs:
+        z = fibres(q)
+        assert_same_actions(z, reference_fibres_actions(q, z))
+
+
+def shift_opfibs():
+    return [identity_diagram_opfib(validate_diagram(*shift_diagram(*shape)), name="phi") for shape in SHIFTS]
+
+
+def test_indexed_fibres_match_per_morphism_actions():
+    for phi in corpus.corpus_opfibs() + shift_opfibs():
+        g = groth(phi.over)
+        z = indexed_fibres(phi, g)
+        assert_same_actions(z, reference_indexed_fibres_actions(phi, g, z))
+
+
+def test_indexed_groth_matches_per_morphism_actions():
+    cases = corpus.corpus_z_instances()
+    cases += [(build.terminal_diagram(groth(phi.over).total), phi.over) for phi in shift_opfibs()]
+    cases += [(indexed_fibres(phi), phi.over) for phi in corpus.corpus_opfibs()]
+    for z, f in cases:
+        g = groth(f)
+        phi = indexed_groth(z, f, g)
+        assert_same_actions(phi.total, reference_indexed_groth_actions(z, f, g, phi))
+
+
+def test_pullback_diagram_opfib_matches_per_morphism_actions():
+    cases = corpus.pseudonat_instances() + [(identity_diagram_mor(phi.over), phi) for phi in shift_opfibs()]
+    for alpha, phi in cases:
+        pulled = pullback_diagram_opfib(alpha, phi)
+        assert_same_actions(pulled.total, reference_pullback_actions(alpha, phi, pulled))
+
+
+def test_fibres_of_shift661_build_the_actions_of_identities_and_covers(monkeypatch):
+    q = groth(validate_diagram(*shift_diagram(6, 6, 1))).opfib()
+    built = counting(monkeypatch, opfib, "validate_functor")
+    composed = counting(monkeypatch, fincat, "compose_functors")
+    fibres(q)
+    assert (built[0], composed[0]) == (11, 10)  # 6 identities and 5 covers of the 21 morphisms of chain(6)
+
+
+def test_indexed_fibres_of_shift551_build_61_of_160_actions(monkeypatch):
+    d = validate_diagram(*shift_diagram(5, 5, 1))
+    phi, g = identity_diagram_opfib(d, name="phi"), groth(d)
+    built = counting(monkeypatch, indexed, "validate_functor")
+    composed = counting(monkeypatch, fincat, "compose_functors")
+    indexed_fibres(phi, g)
+    assert (len(g.total.mors), built[0], composed[0]) == (160, 61, 99)
+
+
+def trivial_action_at(monkeypatch, module, wrong):
+    """Make the action named `wrong`, between one-object fibres, send every morphism to the identity."""
+    real = module.validate_functor
+
+    def patched(dom, cod, ob_map, mor_map, name="functor"):
+        if name == wrong:
+            mor_map = {m: cod.identity[ob_map[dom.src[m]]] for m in dom.mors}
+        return real(dom, cod, ob_map, mor_map, name=name)
+    monkeypatch.setattr(module, "validate_functor", patched)
+
+
+def test_a_wrong_generator_action_is_refuted_by_strict_composition(monkeypatch):
+    # Z/2 acting on BZ3 by inversion: push(s1) sent to the trivial endofunctor no longer squares to
+    # the identity that push(id_*) is
+    q = groth(corpus.semidirect_diagram()).opfib()
+    assert [m for ms in q.base.generators().values() for m in ms] == ["s1"]
+    trivial_action_at(monkeypatch, opfib, "push(s1)")
+    with pytest.raises(ValidationError) as err:
+        fibres(q)
+    assert err.value.report.describe().splitlines()[1:] == [
+        "  [FAIL] strict-composition -- functor at id_* differs from composite over (s1,s1)"]
+
+
+def test_generated_actions_refuse_a_morphism_that_no_generator_reaches():
+    c = corpus.bz(2, prefix="s")
+    unreached = dataclasses.replace(c, cache={"generators": {"*": ()}})
+    with pytest.raises(KeyError):
+        fincat.generated_actions(unreached, lambda m: identity_functor(build.chain(2)), "act")
