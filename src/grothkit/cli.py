@@ -25,7 +25,6 @@ from .dsl import (
     print_workspace,
     render_dot,
 )
-from .examples import shipped_examples
 from .groth import base_change, cocone_factorize, factorize, groth
 from .indexed import (
     check_diagram_opfib,
@@ -336,6 +335,8 @@ def _cmd_indexed(args, ws: Workspace) -> Outcome:
 
 
 def _cmd_examples(args, _ws: Workspace) -> Outcome:
+    from .examples import shipped_examples  # here, so that no other subcommand runs examples.py
+
     files = shipped_examples()
     if args.list:
         return Outcome("pass", text="\n".join(sorted(files)))

@@ -26,6 +26,16 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def name_owners(names: Mapping[tuple, str], what: str) -> dict[str, tuple]:
+    """The inverse of a naming table.  Raises UsageError naming two keys that share a
+    name, which pair_id allows: ("x", "a,b") and ("x,a", "b") are both "(x,a,b)"."""
+    owners = {n: k for k, n in names.items()}  # a shared name keeps its last key
+    if len(owners) != len(names):
+        k, n = next((k, n) for k, n in names.items() if owners[n] != k)
+        raise UsageError(f"{what}: {k!r} and {owners[n]!r} are both named {n!r}")
+    return owners
+
+
 def pair_mor_id(c: FinCat, d: FinCat, f: str, g: str) -> str:
     """Name of the morphism (f, g) of a product or pullback of c and d.
 
@@ -541,7 +551,12 @@ def pair_category(
     for f1, g1, n1, target in non_ids:
         for f2, g2, n2 in starting_at.get(target, ()):
             comp[(n2, n1)] = mor_of[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
-    return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of
+    try:
+        return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of
+    except ValidationError:  # the one way valid c and d can fail: two pairs share a name
+        name_owners(obj_of, f"object name collision in {name}")
+        name_owners(mor_of, f"morphism name collision in {name}")
+        raise
 
 
 def pair_projections(

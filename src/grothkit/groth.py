@@ -30,6 +30,7 @@ from .fincat import (
     identity_functor,
     law_failures,
     make_category,
+    name_owners,
     pair_id,
     reindex,
     validate_functor,
@@ -69,9 +70,7 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
     for c in base.objects:
         for x in d.at_ob[c].objects:
             obj_of[(c, x)] = pair_id(c, x)
-    ob_pair = {v: k for k, v in obj_of.items()}
-    if len(ob_pair) != len(obj_of):
-        raise ValueError("object name collision in Grothendieck total")
+    ob_pair = name_owners(obj_of, f"object name collision in {label}")
 
     mor_of: dict[tuple[str, str, str], str] = {}
     # the non-identity total morphisms (f, alpha, X, name, target) in mor_of order, and
@@ -96,9 +95,7 @@ def groth(d: CatDiagram, name: str | None = None) -> GrothTotal:
                 arrows.append((lbl, src_obj, obj_of[target]))
                 non_ids.append((f, alpha, x, lbl, target))
                 starting_at.setdefault((c, x), []).append((f, alpha, lbl, push.mor_map, fib_d.comp))
-    mor_pair = {v: k for k, v in mor_of.items()}
-    if len(mor_pair) != len(mor_of):
-        raise ValueError("morphism name collision in Grothendieck total")
+    mor_pair = name_owners(mor_of, f"morphism name collision in {label}")
 
     # identity composites are synthesized by make_category, so only pairs of
     # non-identity morphisms whose boundaries meet get an entry

@@ -50,6 +50,35 @@ VALIDATE_REPORTS = [
      "1:1: semantic: 'category C': dangling-identifier: morphism f: a -> b uses undeclared object"),
 ]
 
+# ('x', 'a,b') and ('x,a', 'b') are both named (x,a,b): in the total of F, in the pullback of p
+# along h and in B x X
+COLLIDING = """\
+category B {
+  objects: x x,a ;
+}
+category X {
+  objects: a,b b ;
+}
+diagram F on B = constant(X)
+functor h : B -> B {
+  ob: x |-> x ; x,a |-> x ;
+}
+functor p : X -> B {
+  ob: a,b |-> x ; b |-> x ;
+}
+cleavage cl for p {
+}
+"""
+COLLIDING_PAIRS = "('x', 'a,b') and ('x,a', 'b') are both named '(x,a,b)'"
+# (arguments after the file, exit code, verdict, message); the workspace reader reports a
+# builder call that cannot be built as a semantic diagnostic, as it does for every builder
+COLLISIONS = [
+    (["groth", "F"], 2, "error", f"object name collision in groth(F): {COLLIDING_PAIRS}"),
+    (["pullback", "h", "p", "cl"], 2, "error", f"object name collision in pb(h,p): {COLLIDING_PAIRS}"),
+    (["build", "--name", "P", "--spec", "product(B, X)"], 1, "fail",
+     f"<build>:1:1: semantic: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}"),
+]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("name, text, code, verdict, diagnostic", VALIDATE_REPORTS,
@@ -183,6 +212,16 @@ class TestExitCodes:
         assert payload["counterexamples"] == [
             "phi_op is fibration-flavored; dualize it before using opfibration machinery"
         ]
+
+    @pytest.mark.parametrize("args, code, verdict, message", COLLISIONS, ids=[c[0][0] for c in COLLISIONS])
+    def test_colliding_constructed_names(self, tmp_path, capsys, args, code, verdict, message):
+        f = tmp_path / "colliding.cat"
+        f.write_text(COLLIDING)
+        argv = [args[0], "-i", str(f), *args[1:]]
+        assert (run_command(argv), capsys.readouterr().out) == (code, message + "\n")
+        assert run_command(argv + ["--json"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["counterexamples"]) == (verdict, [message])
 
     def test_check_cleavage_off_square_exits_2(self, exdir, capsys):
         # idA is not a functor between the totals of p and p

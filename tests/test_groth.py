@@ -1,7 +1,10 @@
-from grothkit import build
+import pytest
+
+from grothkit import UsageError, build
 from grothkit.fincat import (
     compose_functors,
     id_name,
+    make_category,
     validate_diagram_mor,
     validate_functor,
 )
@@ -15,7 +18,7 @@ from grothkit.groth import (
     validate_lax_cocone,
 )
 from grothkit.isosearch import FOUND, iso_search, over_base_iso_search
-from grothkit.opfib import check_split_opfib, pullback_opfib
+from grothkit.opfib import check_split_opfib, cleaved_opfib, pullback_opfib
 
 import corpus
 from helpers import (
@@ -307,3 +310,44 @@ class TestBaseChange:
         assert res.status == FOUND
         bc = base_change(compose_functors(h, h2), d)
         assert bc.witness.flavor == "over-base-iso"
+
+
+class TestNameCollisions:
+    """pair_id is not injective, so two pairs can get one name; the construction refuses
+    such inputs with a UsageError (a ValueError) naming both pairs."""
+
+    PAIRS = "('x', 'a,b') and ('x,a', 'b') are both named '(x,a,b)'"
+    B = make_category("B", ["x", "x,a"], [], {})
+    X = make_category("X", ["a,b", "b"], [], {})
+
+    def refused(self, build_it, message):
+        with pytest.raises(UsageError) as err:
+            build_it()
+        assert isinstance(err.value, ValueError) and str(err.value) == message
+
+    def test_groth_objects(self):
+        d = build.constant_diagram(self.B, self.X, name="F")
+        self.refused(lambda: groth(d), f"object name collision in groth(F): {self.PAIRS}")
+
+    def test_groth_morphisms(self):
+        base = make_category("B", ["s", "t"], [("f", "s", "t"), ("f,a", "s", "t")], {})
+        fibre = make_category("X", ["u", "v"], [("a,b", "u", "v"), ("b", "u", "v")], {})
+        d = build.constant_diagram(base, fibre, name="F")
+        self.refused(lambda: groth(d), "morphism name collision in groth(F): ('f', 'a,b', 'u') and "
+                                       "('f,a', 'b', 'u') are both named '(f,a,b)@u'")
+
+    def test_product_objects(self):
+        self.refused(lambda: build.product(self.B, self.X), f"object name collision in product(B,X): {self.PAIRS}")
+
+    def test_product_morphisms(self):
+        c = make_category("C", ["p", "q"], [("u", "p", "q"), ("u,v", "p", "q")], {})
+        d = make_category("D", ["r", "s"], [("v,w", "r", "s"), ("w", "r", "s")], {})
+        self.refused(lambda: build.product(c, d), "morphism name collision in product(C,D): ('u', 'v,w') and "
+                                                  "('u,v', 'w') are both named '(u,v,w)'")
+
+    def test_pullback_objects(self):
+        point = make_category("T", ["x"], [], {})
+        h = build.constant_functor(self.B, point, "x", name="h")
+        p = build.constant_functor(self.X, point, "x", name="p")
+        q = cleaved_opfib(p, {(e, id_name("x")): id_name(e) for e in self.X.objects})
+        self.refused(lambda: pullback_opfib(h, q), f"object name collision in pb(h,p): {self.PAIRS}")
