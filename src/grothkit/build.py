@@ -11,6 +11,7 @@ from .fincat import (
     id_name,
     identity_functor,
     make_category,
+    name_owners,
     pair_category,
     pair_projections,
     validate_diagram,
@@ -146,8 +147,8 @@ def cyclic_table(n: int, prefix: str = "r") -> tuple[list[str], dict[tuple[str, 
     return elems, table
 
 
-def _product(c: FinCat, d: FinCat, name: str | None) -> tuple[FinCat, dict, dict]:
-    """The product with its naming tables obj_of and mor_of (see pair_category)."""
+def _product(c: FinCat, d: FinCat, name: str | None) -> tuple[FinCat, dict, dict, dict, dict]:
+    """The product with its naming tables and their inverses (see pair_category)."""
     return pair_category(
         c,
         d,
@@ -162,7 +163,7 @@ def product(c: FinCat, d: FinCat, name: str | None = None) -> FinCat:
 
 
 def product_projections(c: FinCat, d: FinCat) -> tuple[FinCat, FunctorData, FunctorData]:
-    p, obj_of, mor_of = _product(c, d, None)
+    p, obj_of, mor_of, _, _ = _product(c, d, None)
     fst, snd = pair_projections(p, c, d, obj_of, mor_of, (f"fst[{p.name}]", f"snd[{p.name}]"))
     return p, fst, snd
 
@@ -197,22 +198,24 @@ def _require_object(c: FinCat, x: str, what: str) -> None:
 
 def _comma(c: FinCat, x: str, into: bool, name: str) -> FinCat:
     """The morphisms into x (slice) or out of x (coslice) as objects; a map m1 -> m2 is a w
-    between their other ends with m2∘w = m1 (slice) or w∘m1 = m2 (coslice), named by (w, m1)."""
+    between their other ends with m2∘w = m1 (slice) or w∘m1 = m2 (coslice), named by w and
+    the end that w does not determine: m2 (slice) or m1 (coslice)."""
     at, end, prefix = (c.tgt, c.src, "sl") if into else (c.src, c.tgt, "cosl")
     objects = [m for m in c.mors if at[m] == x]
 
-    def mor(w: str, m1: str) -> str:
-        return id_name(m1) if c.is_identity(w) else f"{prefix}({w},{m1})"
+    def mor(w: str, m1: str, m2: str) -> str:
+        return id_name(m1) if c.is_identity(w) else f"{prefix}({w},{m2 if into else m1})"
 
     triples = [  # (name, w, m1, m2) of each non-identity map
-        (mor(w, m1), w, m1, m2)
+        (mor(w, m1, m2), w, m1, m2)
         for m1 in objects for m2 in objects for w in c.hom(end[m1], end[m2])
         if (c.comp[(m2, w)] == m1 if into else c.comp[(w, m1)] == m2) and not c.is_identity(w)
     ]
+    name_owners({(w, m2 if into else m1): n for n, w, m1, m2 in triples}, f"morphism name collision in {name}")
     leaving: dict[str, list] = {m: [] for m in objects}
     for t in triples:
         leaving[t[2]].append(t)
-    comp = {(n2, n1): mor(c.comp[(w2, w1)], m1) for n1, w1, m1, m2 in triples for n2, w2, _, _ in leaving[m2]}
+    comp = {(n2, n1): mor(c.comp[(w2, w1)], m1, m3) for n1, w1, m1, m2 in triples for n2, w2, _, m3 in leaving[m2]}
     return make_category(name, objects, [(n, m1, m2) for n, _, m1, m2 in triples], comp)
 
 

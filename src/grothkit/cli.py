@@ -113,6 +113,13 @@ def _budget(args) -> int:
     return budget
 
 
+def _built(args, ws: Workspace, text: str, cat=None) -> Outcome:
+    """The outcome of a command that adds to ws: the printed workspace, or with --dot the
+    dot rendering of `cat`, the category the command built."""
+    dot = getattr(args, "dot_flag", False)
+    return Outcome("pass", text=text, output=render_dot(cat) if dot else print_workspace(ws))
+
+
 def _search_outcome(result, limit: int, found_text: str, none_text: str) -> Outcome:
     if result.status == FOUND:
         return Outcome("pass", witnesses=[result.witness.describe()], text=found_text,
@@ -144,10 +151,8 @@ def _cmd_build(args, ws: Workspace) -> Outcome:
     parser.ws = ws
     parser.parse()
     cat = ws.get("category", args.name)
-    out = Outcome("pass", text=f"built category {args.name}: "
-                               f"{len(cat.objects)} objects, {len(cat.mors)} morphisms")
-    out.output = render_dot(cat) if args.dot_flag else print_workspace(ws)
-    return out
+    return _built(args, ws, f"built category {args.name}: "
+                            f"{len(cat.objects)} objects, {len(cat.mors)} morphisms", cat)
 
 
 def _cmd_iso(args, ws: Workspace) -> Outcome:
@@ -172,13 +177,8 @@ def _cmd_groth(args, ws: Workspace) -> Outcome:
     total_name = ws.add("category", f"{args.diagram}_total", gt.total)
     proj_name = ws.add("functor", f"{args.diagram}_proj", gt.projection, {"dom": total_name, "cod": base_name})
     ws.add("cleavage", f"{args.diagram}_cleav", gt.lifts, {"functor": proj_name})
-    out = Outcome(
-        "pass",
-        text=f"built {total_name}: {len(gt.total.objects)} objects, "
-             f"{len(gt.total.mors)} morphisms, projection {proj_name}",
-    )
-    out.output = render_dot(gt.total) if args.dot_flag else print_workspace(ws)
-    return out
+    return _built(args, ws, f"built {total_name}: {len(gt.total.objects)} objects, "
+                            f"{len(gt.total.mors)} morphisms, projection {proj_name}", gt.total)
 
 
 def _cmd_ungroth(args, ws: Workspace) -> Outcome:
@@ -186,9 +186,7 @@ def _cmd_ungroth(args, ws: Workspace) -> Outcome:
     d = fibres(q)
     name = export_diagram(ws, f"{args.functor}_fibres", d,
                           base_name=ws.entities[("functor", args.functor)].refs["cod"])
-    out = Outcome("pass", text=f"built fibre diagram {name}")
-    out.output = print_workspace(ws)
-    return out
+    return _built(args, ws, f"built fibre diagram {name}")
 
 
 def _cmd_factorize(args, ws: Workspace) -> Outcome:
@@ -211,9 +209,7 @@ def _cmd_cocone_factorize(args, ws: Workspace) -> Outcome:
     e = ws.entities[("cocone", args.cocone)]
     total_name = ws.add("category", f"{args.cocone}_total", s.dom)
     ws.add("functor", f"{args.cocone}_factor", s, {"dom": total_name, "cod": e.refs["vertex"]})
-    out = Outcome("pass", text=f"built mediating functor {args.cocone}_factor")
-    out.output = print_workspace(ws)
-    return out
+    return _built(args, ws, f"built mediating functor {args.cocone}_factor")
 
 
 def _cmd_base_change(args, ws: Workspace) -> Outcome:
@@ -255,10 +251,8 @@ def _cmd_pullback(args, ws: Workspace) -> Outcome:
     pn = ws.add("functor", f"{prefix}_proj", pb.opfib.p,
                 {"dom": total_name, "cod": ws.entities[("functor", args.h)].refs["dom"]})
     ws.add("cleavage", f"{prefix}_cleav", pb.opfib.lifts, {"functor": pn})
-    out = Outcome("pass", text=f"built pullback {prefix}_total "
-                               f"({len(pb.opfib.total.objects)} objects)")
-    out.output = render_dot(pb.opfib.total) if args.dot_flag else print_workspace(ws)
-    return out
+    return _built(args, ws, f"built pullback {prefix}_total ({len(pb.opfib.total.objects)} objects)",
+                  pb.opfib.total)
 
 
 def _indexed_entity(ws: Workspace, name: str):
@@ -284,20 +278,15 @@ def _cmd_indexed(args, ws: Workspace) -> Outcome:
         z = _need(ws, "diagram", args.first)
         f = _need(ws, "diagram", args.second)
         phi = indexed_groth(z, f, name=f"{args.first}_groth")
-        export_opfib(ws, f"{args.first}_groth", phi,
-                     over_name=args.second)
-        out = Outcome("pass", text=f"built opfib {args.first}_groth over {args.second}")
-        out.output = print_workspace(ws)
-        return out
+        export_opfib(ws, f"{args.first}_groth", phi, over_name=args.second)
+        return _built(args, ws, f"built opfib {args.first}_groth over {args.second}")
     if sub == "fibres":
         _names(args, "fibres", "indexed fibres PHI")
         phi = _need(ws, "opfib", args.first)
         z = indexed_fibres(phi)
         total_name = ws.add("category", f"{args.first}_base_total", z.base)
         export_diagram(ws, f"{args.first}_fibres", z, base_name=total_name)
-        out = Outcome("pass", text=f"built fibre diagram {args.first}_fibres on {total_name}")
-        out.output = print_workspace(ws)
-        return out
+        return _built(args, ws, f"built fibre diagram {args.first}_fibres on {total_name}")
     if sub in ("roundtrip", "discrete"):
         kind, value = _indexed_entity(ws, args.first)
         what, on_opfib, on_diagram = {"roundtrip": ("roundtrip", indexed_roundtrip_opfib, indexed_roundtrip_diagram),
@@ -328,9 +317,7 @@ def _cmd_indexed(args, ws: Workspace) -> Outcome:
             export_diagram(ws, f"{args.first}_op", dual,
                            base_name=ws.entities[("diagram", args.first)].refs["base"])
             text = f"built pointwise dual diagram {args.first}_op"
-        out = Outcome("pass", text=text)
-        out.output = print_workspace(ws)
-        return out
+        return _built(args, ws, text)
     raise UsageError(f"unknown indexed subcommand {sub!r}")
 
 
@@ -356,6 +343,20 @@ def _cmd_examples(args, _ws: Workspace) -> Outcome:
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+# the subcommands that take only workspace names, in parser order between iso and indexed:
+# (name, handler, options beyond -i and --json, the names in order, help)
+_NAMED = [
+    ("groth", _cmd_groth, "-o --dot", "diagram", "Grothendieck construction of a diagram"),
+    ("ungroth", _cmd_ungroth, "-o", "functor cleavage", "fibres of a split opfibration"),
+    ("factorize", _cmd_factorize, "", "diagram morphism", "cartesian/vertical factorization of a total morphism"),
+    ("cocone-factorize", _cmd_cocone_factorize, "-o", "cocone", "mediating functor of a lax cocone"),
+    ("base-change", _cmd_base_change, "", "functor diagram", "verify groth(F∘H) ≅ H*groth(F)"),
+    ("check-opfib", _cmd_check_opfib, "", "functor cleavage", "split opfibration laws for a cleaved functor"),
+    ("check-discrete", _cmd_check_discrete, "", "functor", "discrete opfibration check for a functor"),
+    ("check-cleavage", _cmd_check_cleavage, "", "h k p1 cl1 p2 cl2", "cleavage preservation of a square"),
+    ("pullback", _cmd_pullback, "-o --dot", "h functor cleavage", "pullback of a cleaved opfibration along a functor"),
+]
 
 
 @functools.cache
@@ -385,7 +386,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p, output=True, dot=True)
     p.add_argument("--name", required=True, help="name of the new category")
     p.add_argument("--spec", required=True, help='builder expression, e.g. "product(C, D)"')
-    p.set_defaults(handler=_cmd_build)
+    p.set_defaults(handler=_cmd_build, arguments=("name", "spec"))
 
     p = sub.add_parser("iso", help="search for an isomorphism of categories")
     common(p)
@@ -395,63 +396,14 @@ def _make_parser() -> argparse.ArgumentParser:
                    help="shuffle search candidate order deterministically")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(handler=_cmd_iso)
+    p.set_defaults(handler=_cmd_iso, arguments=("first", "second"))
 
-    p = sub.add_parser("groth", help="Grothendieck construction of a diagram")
-    common(p, output=True, dot=True)
-    p.add_argument("diagram")
-    p.set_defaults(handler=_cmd_groth)
-
-    p = sub.add_parser("ungroth", help="fibres of a split opfibration")
-    common(p, output=True)
-    p.add_argument("functor")
-    p.add_argument("cleavage")
-    p.set_defaults(handler=_cmd_ungroth)
-
-    p = sub.add_parser("factorize", help="cartesian/vertical factorization of a total morphism")
-    common(p)
-    p.add_argument("diagram")
-    p.add_argument("morphism")
-    p.set_defaults(handler=_cmd_factorize)
-
-    p = sub.add_parser("cocone-factorize", help="mediating functor of a lax cocone")
-    common(p, output=True)
-    p.add_argument("cocone")
-    p.set_defaults(handler=_cmd_cocone_factorize)
-
-    p = sub.add_parser("base-change", help="verify groth(F∘H) ≅ H*groth(F)")
-    common(p)
-    p.add_argument("functor")
-    p.add_argument("diagram")
-    p.set_defaults(handler=_cmd_base_change)
-
-    p = sub.add_parser("check-opfib", help="split opfibration laws for a cleaved functor")
-    common(p)
-    p.add_argument("functor")
-    p.add_argument("cleavage")
-    p.set_defaults(handler=_cmd_check_opfib)
-
-    p = sub.add_parser("check-discrete", help="discrete opfibration check for a functor")
-    common(p)
-    p.add_argument("functor")
-    p.set_defaults(handler=_cmd_check_discrete)
-
-    p = sub.add_parser("check-cleavage", help="cleavage preservation of a square")
-    common(p)
-    p.add_argument("h")
-    p.add_argument("k")
-    p.add_argument("p1")
-    p.add_argument("cl1")
-    p.add_argument("p2")
-    p.add_argument("cl2")
-    p.set_defaults(handler=_cmd_check_cleavage)
-
-    p = sub.add_parser("pullback", help="pullback of a cleaved opfibration along a functor")
-    common(p, output=True, dot=True)
-    p.add_argument("h")
-    p.add_argument("functor")
-    p.add_argument("cleavage")
-    p.set_defaults(handler=_cmd_pullback)
+    for name, handler, options, names, summary in _NAMED:
+        p = sub.add_parser(name, help=summary)
+        common(p, output="-o" in options, dot="--dot" in options)
+        for dest in names.split():
+            p.add_argument(dest)
+        p.set_defaults(handler=handler, arguments=tuple(names.split()))
 
     p = sub.add_parser("indexed", help="indexed Grothendieck construction operations")
     common(p, output=True)
@@ -460,7 +412,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second", nargs="?", default=None)
     p.add_argument("--discrete", action="store_true", help="use the discrete variant of the check")
-    p.set_defaults(handler=_cmd_indexed)
+    p.set_defaults(handler=_cmd_indexed, arguments=("indexed_command", "first", "second"))
 
     p = sub.add_parser("examples", help="write the shipped example files")
     p.add_argument("--json", action="store_true")
@@ -506,12 +458,9 @@ def _emit(args, outcome: Outcome, as_json: bool) -> None:
             "command": getattr(args, "command", None),
             "inputs": {
                 "files": getattr(args, "input", None) or [],
-                "arguments": [
-                    v for k, v in sorted(vars(args).items())
-                    if k in ("first", "second", "diagram", "functor", "cleavage", "morphism",
-                             "cocone", "h", "k", "p1", "cl1", "p2", "cl2", "spec", "name",
-                             "indexed_command") and v is not None
-                ],
+                # the positional names and build's --name and --spec that the subcommand declares
+                "arguments": [v for k in sorted(getattr(args, "arguments", ()))
+                              if (v := getattr(args, k)) is not None],
             },
             "verdict": outcome.verdict,
             "witnesses": outcome.witnesses,

@@ -528,13 +528,15 @@ def pair_category(
     ob_pairs: Sequence[tuple[str, str]],
     mor_pairs: Sequence[tuple[str, str]],
     name: str,
-) -> tuple[FinCat, dict[tuple[str, str], str], dict[tuple[str, str], str]]:
+) -> tuple[FinCat, dict, dict, dict, dict]:
     """The category of the listed pairs, composed componentwise, with its naming tables
-    obj_of and mor_of; the pairs must be closed under boundaries and composites.
+    obj_of and mor_of and their inverses ob_pair and mor_pair; the pairs must be closed
+    under boundaries and composites.  Two pairs that share a name raise UsageError.
 
     Objects, arrows and composites follow the listing order of the pairs.
     """
     obj_of = {xy: pair_id(*xy) for xy in ob_pairs}
+    ob_pair = name_owners(obj_of, f"object name collision in {name}")
     c_ids, d_ids = set(c.identity.values()), set(d.identity.values())
     mor_of, arrows, starting_at = {}, [], {}
     non_ids: list[tuple[str, str, str, tuple[str, str]]] = []  # (f, g, name, target), listed
@@ -547,16 +549,12 @@ def pair_category(
         arrows.append((n, obj_of[source], obj_of[target]))
         non_ids.append((f, g, n, target))
         starting_at.setdefault(source, []).append((f, g, n))
+    mor_pair = name_owners(mor_of, f"morphism name collision in {name}")
     comp = {}
     for f1, g1, n1, target in non_ids:
         for f2, g2, n2 in starting_at.get(target, ()):
             comp[(n2, n1)] = mor_of[(c.comp[(f2, f1)], d.comp[(g2, g1)])]
-    try:
-        return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of
-    except ValidationError:  # the one way valid c and d can fail: two pairs share a name
-        name_owners(obj_of, f"object name collision in {name}")
-        name_owners(mor_of, f"morphism name collision in {name}")
-        raise
+    return make_category(name, list(obj_of.values()), arrows, comp), obj_of, mor_of, ob_pair, mor_pair
 
 
 def pair_projections(

@@ -683,17 +683,8 @@ def pseudonat_check(alpha: DiagramMor, phi: DiagramOpfib) -> Report:
 
 def dualize_diagram(d: CatDiagram, name: str | None = None) -> CatDiagram:
     """Pointwise opposite: same base, each fibre and each action dualized."""
-    at_ob = {a: opposite(d.at_ob[a], name=f"op({d.at_ob[a].name})") for a in d.base.objects}
-    at_mor = {
-        h: validate_functor(
-            at_ob[d.base.src[h]],
-            at_ob[d.base.tgt[h]],
-            dict(d.at_mor[h].ob_map),
-            dict(d.at_mor[h].mor_map),
-            name=f"op({d.at_mor[h].name})",
-        )
-        for h in d.base.mors
-    }
+    at_ob = {a: opposite(d.at_ob[a]) for a in d.base.objects}
+    at_mor = {h: opposite_functor(d.at_mor[h]) for h in d.base.mors}
     return validate_diagram(d.base, at_ob, at_mor, name=name or f"op({d.name})")
 
 
@@ -706,16 +697,7 @@ def dualize_opfib(phi: DiagramOpfib, name: str | None = None) -> DiagramOpfib:
     """
     over = dualize_diagram(phi.over)
     total = dualize_diagram(phi.total)
-    comps = {
-        a: validate_functor(
-            total.at_ob[a],
-            over.at_ob[a],
-            dict(phi.components[a].ob_map),
-            dict(phi.components[a].mor_map),
-            name=f"op({phi.components[a].name})",
-        )
-        for a in phi.base.objects
-    }
+    comps = {a: opposite_functor(phi.components[a]) for a in phi.base.objects}
     cleavs = {a: dict(phi.cleavages[a]) for a in phi.base.objects}
     flavor = "fibration" if phi.flavor == "opfibration" else "opfibration"
     return DiagramOpfib(name or f"op({phi.name})", over, total, comps, cleavs, flavor=flavor)

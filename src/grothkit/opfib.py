@@ -311,7 +311,7 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     for m in total.mors:
         lying_over.setdefault(q.p.mor_map[m], []).append(m)
     mor_pairs = [(u, m) for u in base_d.mors for m in lying_over.get(h.mor_map[u], ())]
-    pb_total, obj_of, mor_of = pair_category(base_d, total, pairs, mor_pairs, label)
+    pb_total, obj_of, mor_of, ob_pair, mor_pair = pair_category(base_d, total, pairs, mor_pairs, label)
     proj, snd = pair_projections(pb_total, base_d, total, obj_of, mor_of, (f"proj[{label}]", f"into[{label}]"))
     lifts = {
         (obj_of[(x, e)], g): mor_of[(g, q.lifts[(e, h.mor_map[g])])]
@@ -322,8 +322,8 @@ def pullback_opfib(h: FunctorData, q: CleavedOpfib, name: str | None = None) -> 
     return PullbackOpfib(
         opfib=cleaved_opfib(proj, lifts),
         to_total=snd,
-        ob_pair={v: k for k, v in obj_of.items()},
-        mor_pair={v: k for k, v in mor_of.items()},
+        ob_pair=ob_pair,
+        mor_pair=mor_pair,
         obj_of=obj_of,
         mor_of=mor_of,
     )

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,13 +53,19 @@ VALIDATE_REPORTS = [
 ]
 
 # ('x', 'a,b') and ('x,a', 'b') are both named (x,a,b): in the total of F, in the pullback of p
-# along h and in B x X
+# along h and in B x X; in the slice of Y over x, the maps named by ('a', 'b,c') and ('a,b', 'c')
+# are both sl(a,b,c)
 COLLIDING = """\
 category B {
   objects: x x,a ;
 }
 category X {
   objects: a,b b ;
+}
+category Y {
+  objects: p q x ;
+  arrows: a: p -> q ; a,b: p -> q ; b,c: q -> x ; c: q -> x ; u: p -> x ;
+  compose: b,c.a = u ; c.a = u ; b,c.a,b = u ; c.a,b = u ;
 }
 diagram F on B = constant(X)
 functor h : B -> B {
@@ -73,10 +81,15 @@ COLLIDING_PAIRS = "('x', 'a,b') and ('x,a', 'b') are both named '(x,a,b)'"
 # (arguments after the file, exit code, verdict, message); the workspace reader reports a
 # builder call that cannot be built as a semantic diagnostic, as it does for every builder
 COLLISIONS = [
-    (["groth", "F"], 2, "error", f"object name collision in groth(F): {COLLIDING_PAIRS}"),
-    (["pullback", "h", "p", "cl"], 2, "error", f"object name collision in pb(h,p): {COLLIDING_PAIRS}"),
-    (["build", "--name", "P", "--spec", "product(B, X)"], 1, "fail",
-     f"<build>:1:1: semantic: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}"),
+    pytest.param(["groth", "F"], 2, "error", f"object name collision in groth(F): {COLLIDING_PAIRS}", id="groth"),
+    pytest.param(["pullback", "h", "p", "cl"], 2, "error",
+                 f"object name collision in pb(h,p): {COLLIDING_PAIRS}", id="pullback"),
+    pytest.param(["build", "--name", "P", "--spec", "product(B, X)"], 1, "fail",
+                 f"<build>:1:1: semantic: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}",
+                 id="build"),
+    pytest.param(["build", "--name", "S", "--spec", "slice(Y, x)"], 1, "fail",
+                 "<build>:1:1: semantic: 'category S': morphism name collision in slice(Y,x): "
+                 "('a', 'b,c') and ('a,b', 'c') are both named 'sl(a,b,c)'", id="slice"),
 ]
 
 
@@ -213,7 +226,7 @@ class TestExitCodes:
             "phi_op is fibration-flavored; dualize it before using opfibration machinery"
         ]
 
-    @pytest.mark.parametrize("args, code, verdict, message", COLLISIONS, ids=[c[0][0] for c in COLLISIONS])
+    @pytest.mark.parametrize("args, code, verdict, message", COLLISIONS)
     def test_colliding_constructed_names(self, tmp_path, capsys, args, code, verdict, message):
         f = tmp_path / "colliding.cat"
         f.write_text(COLLIDING)
@@ -384,7 +397,53 @@ def _write(tmp_path):
     return p
 
 
+# one call of each subcommand, the -i file first, with the `inputs.arguments` of its JSON
+# report: the declared values ordered by argument name, so not in the order they were given
+REPORTED_ARGUMENTS = [
+    (["validate", "walking_arrow.cat", "--dot", "WA"], []),
+    (["build", "walking_arrow.cat", "--spec", "product(WA, WA)", "--name", "P"], ["P", "product(WA, WA)"]),
+    (["iso", "semidirect.cat", "BZ3", "BZ2"], ["BZ3", "BZ2"]),
+    (["groth", "semidirect.cat", "F"], ["F"]),
+    (["ungroth", "mutated_cleavage.cat", "p", "canonical"], ["canonical", "p"]),
+    (["factorize", "semidirect.cat", "F", "m"], ["F", "m"]),
+    (["cocone-factorize", "walking_arrow.cat", "s"], ["s"]),
+    (["base-change", "a2_collapse.cat", "collapse", "F"], ["F", "collapse"]),
+    (["check-opfib", "mutated_cleavage.cat", "p", "mutated"], ["mutated", "p"]),
+    (["check-discrete", "nondiscrete.cat", "proj"], ["proj"]),
+    (["check-cleavage", "mutated_cleavage.cat", "idA", "idT", "p", "canonical", "p", "mutated"],
+     ["canonical", "mutated", "idA", "idT", "p", "p"]),
+    (["pullback", "mutated_cleavage.cat", "idA", "p", "canonical"], ["canonical", "p", "idA"]),
+    (["indexed", "identity_opfib.cat", "roundtrip", "phi_total", "phi_over"], ["phi_total", "roundtrip", "phi_over"]),
+    (["examples", None, "--list"], []),
+]
+
+
+def _choices(usage: str) -> list[str]:
+    """The names in the first {a,b,...} of an argparse usage text."""
+    return usage[usage.index("{") + 1:usage.index("}")].split(",")
+
+
+def test_readme_lists_every_subcommand(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Subcommands:")
+    listed = readme[start:readme.index("`examples`", start) + len("`examples`")]
+    names = re.findall(r"`([^`]+)`", listed)
+    assert run_command(["--help"]) == 0
+    commands = _choices(capsys.readouterr().out)
+    assert run_command(["indexed", "--help"]) == 0
+    indexed = _choices(capsys.readouterr().out)
+    assert names == [c if c != "indexed" else "indexed " + "|".join(indexed) for c in commands]
+
+
 class TestJsonReports:
+    @pytest.mark.parametrize("argv, arguments", REPORTED_ARGUMENTS, ids=[a[0][0] for a in REPORTED_ARGUMENTS])
+    def test_reported_arguments(self, exdir, capsys, argv, arguments):
+        command, name, *rest = argv
+        files = ["-i", path(exdir, name)] if name else []
+        run_command([command, *files, *rest, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["inputs"] == {"arguments": arguments, "files": files[1:]}
+
     def test_schema_keys(self, exdir, capsys):
         rc = run_command([
             "check-discrete", "-i", path(exdir, "nondiscrete.cat"), "proj", "--json",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grothkit import build
 from grothkit.fincat import (
@@ -231,6 +231,10 @@ def _stock(name):
         "walking_iso": build.walking_iso,
         "discrete2": lambda: build.discrete(2),
         "chain3": lambda: build.chain(3),
+        # b∘a = c∘a = u: two maps u -> b and u -> c of the slice over x share w = a and m1 = u
+        "parallel": lambda: make_category("parallel", ["p", "q", "x"],
+                                          [("a", "p", "q"), ("b", "q", "x"), ("c", "q", "x"), ("u", "p", "x")],
+                                          {("b", "a"): "u", ("c", "a"): "u"}),
     }[name]()
 
 
@@ -254,6 +258,7 @@ class TestBuilderProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(BASES, st.integers(min_value=0, max_value=3))
+    @example("parallel", 2)
     def test_slice_is_a_category(self, a, idx):
         c = _stock(a)
         if not c.objects:
