@@ -10,7 +10,7 @@ Only finite categories are supported; see the README for the consequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .report import Report, UsageError, ValidationError
@@ -323,33 +323,15 @@ def law_failures(cat: FinCat, scan: Callable[[Mapping[str, Sequence[str]]], Iter
     return scan(cat.out_table)
 
 
-def square_failures(cat: FinCat, square: Callable[[str], str | None]) -> list[str]:
-    """The violations square(h) of a naturality law at each morphism h of cat, in listing
-    order.  Between validated functors an identity's square holds and a composite's square
-    is the pasting of its parts' squares, so the squares at the members of
-    FinCat.generators() decide; every square is checked only when one of those fails."""
+def square_verdicts(cat: FinCat, square: Callable[[str], str | None]) -> dict[str, str | None]:
+    """square(h), the violation of a naturality law at h or None, at each morphism h of cat in
+    listing order.  Between validated functors and strict diagrams an identity's square holds
+    and a composite's square is the pasting of its parts', so the squares at the members of
+    FinCat.generators() decide and every other h is recorded as passed; every square is
+    checked only when one of those fails."""
     if all(square(h) is None for members in cat.generators().values() for h in members):
-        return []
-    return [fail for fail in map(square, cat.mors) if fail is not None]
-
-
-def generated_actions(base: FinCat, build: Callable[[str], FunctorData], label: str) -> dict[str, FunctorData]:
-    """The functors of a Cat-valued diagram on base, in listing order: build(m) at each
-    identity and member of base.generators(), and at any other m = s∘r (s a member, r
-    reached before) the composite of their functors, named label(m).  A diagram is fixed
-    by its values on a generating set, so once validate_diagram accepts the result (strict
-    composition on the generator pairs makes the choice of s and r immaterial) it is the
-    diagram `build` gives at every morphism.  Raises KeyError on a morphism not reached."""
-    members, ids = base.generators(), set(base.identity.values())
-    made = [s for s in base.mors if s in ids or s in members[base.src[s]]]
-    at = {m: build(m) for m in made}
-    for r in made:  # grows as it is walked, so every composite is composed on further
-        for s in members[base.tgt[r]]:
-            m = base.comp[(s, r)]
-            if m not in at:
-                at[m] = compose_functors(at[s], at[r], name=f"{label}({m})")
-                made.append(m)
-    return {m: at[m] for m in base.mors}
+        return dict.fromkeys(cat.mors)
+    return {h: square(h) for h in cat.mors}
 
 
 def make_category(
@@ -640,7 +622,7 @@ def validate_nat_trans(
         return None if lhs == rhs else (f"square at {f}: {components[y]}∘{dom.mor_map[f]} = {lhs} "
                                         f"but {cod.mor_map[f]}∘{components[x]} = {rhs}")
 
-    for message in square_failures(cat, square):
+    for message in filter(None, square_verdicts(cat, square).values()):
         rep.fail("naturality", message)
     if not rep.passed:
         raise ValidationError(rep)
@@ -679,12 +661,15 @@ class CatDiagram:
         return f"CatDiagram({self.name!r} on {self.base.name})"
 
 
-def validate_diagram(
-    base: FinCat,
-    at_ob: Mapping[str, FinCat],
-    at_mor: Mapping[str, FunctorData],
-    name: str = "diagram",
-) -> CatDiagram:
+def validate_diagram(base: FinCat, at_ob: Mapping[str, FinCat], at_mor: Mapping[str, FunctorData],
+                     name: str = "diagram") -> CatDiagram:
+    return _diagram(base, at_ob, at_mor, name, None)
+
+
+def _diagram(base: FinCat, at_ob: Mapping[str, FinCat], at_mor: Mapping[str, FunctorData], name: str,
+             composed: set[tuple[str, str]] | None) -> CatDiagram:
+    """validate_diagram; generated_diagram passes the pairs (s, r) it `composed` as Z(s)∘Z(r), and
+    neither those pairs nor the identity functors it made each Z(id) are compared."""
     rep = Report(f"validate diagram {name}")
     for x in base.objects:
         if x not in at_ob:
@@ -703,16 +688,18 @@ def validate_diagram(
         raise ValidationError(rep)
 
     for x in base.objects:
-        if not at_mor[base.identity[x]].is_identity_functor():
+        if composed is None and not at_mor[base.identity[x]].is_identity_functor():
             rep.fail("strict-identity", f"functor at identity of {x} is not the identity functor")
     # once every Z(id) is the identity functor, a pair with an identity composes strictly
     ids = set(base.identity.values()) if rep.passed else ()
+    composed = composed or ()
 
     def strict(outer: Mapping[str, Sequence[str]]) -> Iterator[str]:
         for f in base.mors:
             for g in outer[base.tgt[f]]:
                 gf = base.comp[(g, f)]
-                if g not in ids and f not in ids and first_disagreement((at_mor[g], at_mor[f]), (at_mor[gf],)):
+                if (g not in ids and f not in ids and (g, f) not in composed
+                        and first_disagreement((at_mor[g], at_mor[f]), (at_mor[gf],))):
                     yield f"functor at {gf} differs from composite over ({g},{f})"
 
     for message in law_failures(base, strict, exact=rep.passed):
@@ -720,6 +707,30 @@ def validate_diagram(
     if not rep.passed:
         raise ValidationError(rep)
     return CatDiagram(name, base, dict(at_ob), dict(at_mor))
+
+
+def generated_diagram(base: FinCat, at_ob: Mapping[str, FinCat], build: Callable[[str], FunctorData],
+                      label: str, name: str) -> CatDiagram:
+    """The strict diagram on base with categories at_ob that acts by build(s) at each member s
+    of base.generators(), in listing order.  Z(id_x) is the identity functor on at_ob[x], named
+    label(id_x): each caller's build(id_x) is the identity by a law it has already checked, so
+    it is not built.  Any other m = s∘r (s a member, r reached before) acts by Z(s)∘Z(r), named
+    label(m).  A diagram is fixed by its values on a generating set, so strict composition is
+    decided, as in validate_diagram, on the generator pairs other than the pairs (s, r) composed
+    here, where it holds by definition.  Raises KeyError on a morphism not reached."""
+    members = base.generators()
+    at = {i: replace(identity_functor(at_ob[x]), name=f"{label}({i})") for x, i in base.identity.items()}
+    made = [s for s in base.mors if s in members[base.src[s]]]
+    at.update((s, build(s)) for s in made)
+    composed = set()
+    for r in made:  # grows as it is walked, so every composite is composed on further
+        for s in members[base.tgt[r]]:
+            m = base.comp[(s, r)]
+            if m not in at:
+                at[m] = compose_functors(at[s], at[r], name=f"{label}({m})")
+                composed.add((s, r))
+                made.append(m)
+    return _diagram(base, at_ob, {m: at[m] for m in base.mors}, name, composed)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +775,7 @@ def validate_diagram_mor(
         bad = first_disagreement((cod.at_mor[h], components[a]), (components[b], dom.at_mor[h]))
         return None if bad is None else f"square at {h} does not commute strictly"
 
-    for message in square_failures(dom.base, square):
+    for message in filter(None, square_verdicts(dom.base, square).values()):
         rep.fail("naturality", message)
     if not rep.passed:
         raise ValidationError(rep)

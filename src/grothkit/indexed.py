@@ -15,7 +15,7 @@ constructions keep and checking it is a strict isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from .build import opposite, opposite_functor
@@ -29,9 +29,10 @@ from .fincat import (
     NatTransData,
     diagram_iso_of_tables,
     first_disagreement,
-    generated_actions,
+    generated_diagram,
     identity_functor,
     identity_nat_trans,
+    square_verdicts,
     validate_diagram,
     validate_diagram_mor,
     validate_functor,
@@ -48,7 +49,7 @@ from .opfib import (
     check_discrete_opfib,
     check_split_opfib,
     cleaved_opfib,
-    fibre_category,
+    fibre_categories,
     pullback_opfib,
 )
 from .report import Report, UsageError, ValidationError
@@ -123,15 +124,7 @@ def diagram_opfib(
 def identity_diagram_opfib(d: CatDiagram, name: str | None = None) -> DiagramOpfib:
     """The identity morphism on a diagram with its tautological cleavages."""
     comps = {a: identity_functor(d.at_ob[a]) for a in d.base.objects}
-    cleavs = {
-        a: {
-            (e, f): f
-            for e in d.at_ob[a].objects
-            for f in d.at_ob[a].mors
-            if d.at_ob[a].src[f] == e
-        }
-        for a in d.base.objects
-    }
+    cleavs = {a: {(e, f): f for e in d.at_ob[a].objects for f in d.at_ob[a].out(e)} for a in d.base.objects}
     return diagram_opfib(d, d, comps, cleavs, name=name or f"id[{d.name}]")
 
 
@@ -147,15 +140,26 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
 
     Per component: a split (or discrete) opfibration check.  Per naturality
     square: strict commutation, plus cleavage preservation in the split case
-    (it is automatic in the discrete case and therefore skipped).
+    (it is automatic in the discrete case and therefore skipped).  Both square
+    laws are decided at the base's generators (fincat.square_verdicts): the
+    diagrams act strictly, so a composite's square pastes its parts'.
     """
     _require_opfib_flavor(phi)
     rep = Report(f"diagram opfibration check for {phi.name}")
     base = phi.base
-    for h in base.mors:
+
+    def natural(h: str) -> str | None:
         a, b = base.src[h], base.tgt[h]
         bad = first_disagreement((phi.components[b], phi.total.at_mor[h]), (phi.over.at_mor[h], phi.components[a]))
-        rep.record(f"naturality@{h}", None if bad is None else f"on {bad[0]} {bad[1]}")
+        return None if bad is None else f"on {bad[0]} {bad[1]}"
+
+    def preserved(h: str) -> str | None:
+        bad = _unpreserved_lift(phi.total.at_mor[h], phi.over.at_mor[h],
+                                phi.cleavages[base.src[h]], phi.cleavages[base.tgt[h]])
+        return None if bad is None else f"lifts-preserved: {bad}"
+
+    for h, fail in square_verdicts(base, natural).items():
+        rep.record(f"naturality@{h}", fail)
     if not rep.passed:
         return rep
 
@@ -163,11 +167,9 @@ def check_diagram_opfib(phi: DiagramOpfib, discrete: bool = False) -> Report:
         q = phi.component_opfib(a)
         sub = check_discrete_opfib(q.p) if discrete else check_split_opfib(q)
         rep.record(f"component@{a}", sub.summary())
-    if not discrete:
-        for h in base.mors:  # every naturality@h passed, so only the lifts are left
-            bad = _unpreserved_lift(phi.total.at_mor[h], phi.over.at_mor[h],
-                                    phi.cleavages[base.src[h]], phi.cleavages[base.tgt[h]])
-            rep.record(f"square@{h}", None if bad is None else f"lifts-preserved: {bad}")
+    if not discrete:  # every naturality@h passed, so only the lifts are left
+        for h, fail in square_verdicts(base, preserved).items():
+            rep.record(f"square@{h}", fail)
     return rep
 
 
@@ -203,10 +205,13 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
     if not rep.passed:
         return rep
 
-    for h in base.mors:
+    def natural(h: str) -> str | None:
         a, b = base.src[h], base.tgt[h]
         bad = first_disagreement((xi.components[b], phi.total.at_mor[h]), (psi.total.at_mor[h], xi.components[a]))
-        rep.record(f"naturality@{h}", None if bad is None else "square of totals does not commute")
+        return None if bad is None else "square of totals does not commute"
+
+    for h, fail in square_verdicts(base, natural).items():  # decided at the generators
+        rep.record(f"naturality@{h}", fail)
 
     for a in base.objects:  # the triangle at a is its square over id[F(a)], so only the lifts are left
         bad = _unpreserved_lift(xi.components[a], identity_functor(phi.over.at_ob[a]),
@@ -221,7 +226,8 @@ def check_diagram_opfib_mor(xi: DiagramOpfibMor) -> Report:
 
 def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | None = None) -> DiagramOpfib:
     """Pointwise pullback of an opfibration of diagrams along a diagram morphism; the actions
-    pair F'(h) with G(h) at the identities and generators h of the base (fincat.generated_actions)."""
+    pair F'(h) with G(h) at the generators h of the base and are composed elsewhere
+    (fincat.generated_diagram)."""
     _require_opfib_flavor(phi)
     if not alpha.cod.tables_equal(phi.over):
         raise UsageError(f"{alpha.name} does not land in the base diagram of {phi.name}")
@@ -235,19 +241,13 @@ def pullback_diagram_opfib(alpha: DiagramMor, phi: DiagramOpfib, name: str | Non
 
     def act(h: str) -> FunctorData:
         a, b = base.src[h], base.tgt[h]
-        fh = alpha.dom.at_mor[h]
-        gh = phi.total.at_mor[h]
-        ob_map = {
-            v: parts[b].obj_of[(fh.ob_map[x], gh.ob_map[e])]
-            for v, (x, e) in parts[a].ob_pair.items()
-        }
-        mor_map = {
-            n: parts[b].mor_of[(fh.mor_map[u], gh.mor_map[m])]
-            for n, (u, m) in parts[a].mor_pair.items()
-        }
+        fh, gh = alpha.dom.at_mor[h], phi.total.at_mor[h]
+        ob_map = {v: parts[b].obj_of[(fh.ob_map[x], gh.ob_map[e])] for v, (x, e) in parts[a].ob_pair.items()}
+        mor_map = {n: parts[b].mor_of[(fh.mor_map[u], gh.mor_map[m])] for n, (u, m) in parts[a].mor_pair.items()}
         return validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
 
-    total = validate_diagram(base, at_ob, generated_actions(base, act, label), name=f"total[{label}]")
+    # act(id) would be the identity by the strict identities of the validated F' and G
+    total = generated_diagram(base, at_ob, act, label, f"total[{label}]")
     return DiagramOpfib(
         label,
         alpha.dom,
@@ -361,10 +361,11 @@ def two_cell_action(
 def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | None = None) -> CatDiagram:
     """Collect the fibres of all components into a diagram on the total category of F.
 
-    (A, X) goes to the fibre of the A-component over X; a total morphism
-    (h, α) acts by the h-component of the total diagram followed by the
-    pushforward lifting α, at the identities and generators of the total
-    (fincat.generated_actions).
+    (A, X) goes to the fibre of the A-component over X, each component's
+    fibres made in one pass (opfib.fibre_categories); a total morphism (h, α)
+    acts by the h-component of the total diagram followed by the pushforward
+    lifting α, at the generators of the total, and is composed elsewhere
+    (fincat.generated_diagram).
     """
     rep = check_diagram_opfib(phi)
     if not rep.passed:
@@ -374,10 +375,9 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
     g = gt if gt is not None else groth(phi.over)
     label = name or f"fibres({phi.name})"
 
-    at_ob = {
-        v: fibre_category(phi.components[a], x, name=f"{label}@{v}")
-        for v, (a, x) in g.ob_pair.items()
-    }
+    names = {a: {x: f"{label}@{g.obj_of[(a, x)]}" for x in phi.over.at_ob[a].objects} for a in phi.base.objects}
+    fibres = {a: fibre_categories(phi.components[a], names[a]) for a in phi.base.objects}
+    at_ob = {v: fibres[a][x] for v, (a, x) in g.ob_pair.items()}
 
     def act(m: str) -> FunctorData:
         h, alpha, x = g.mor_pair[m]
@@ -393,8 +393,9 @@ def indexed_fibres(phi: DiagramOpfib, gt: GrothTotal | None = None, name: str | 
         mor_map = {e_mor: _pushforward_mor(qb, alpha, gh.mor_map[e_mor]) for e_mor in at_ob[v0].mors}
         return validate_functor(at_ob[v0], at_ob[v1], ob_map, mor_map, name=f"{label}({m})")
 
-    actions = generated_actions(g.total, act, label)  # listed, like at_ob, in provenance order
-    return validate_diagram(g.total, at_ob, {m: actions[m] for m in g.mor_pair}, name=label)
+    # act(id) would be the identity by G's strict identities and the split identity law check_diagram_opfib decided
+    z = generated_diagram(g.total, at_ob, act, label, label)
+    return replace(z, at_mor={m: z.at_mor[m] for m in g.mor_pair})  # listed, like at_ob, in provenance order
 
 
 def indexed_groth(
@@ -408,7 +409,8 @@ def indexed_groth(
     The component at A is the classical construction applied to the
     restriction of Z along the canonical functor F(A) -> total; the action of
     a base morphism h follows the pair formula (X, ξ) goes to
-    (F(h)(X), Z(h, id)(ξ)) at the identities and generators of the base.
+    (F(h)(X), Z(h, id)(ξ)) at the generators of the base, and is composed
+    elsewhere (fincat.generated_diagram).
     """
     g = gt if gt is not None else groth(f)
     if not z.base.tables_equal(g.total):
@@ -430,24 +432,15 @@ def indexed_groth(
 
     def act(h: str) -> FunctorData:
         a, b = base.src[h], base.tgt[h]
-        fh = f.at_mor[h]
-        ob_map = {}
-        zh_at: dict[str, FunctorData] = {}
-        for x in f.at_ob[a].objects:
-            idp = f.at_ob[b].identity[fh.ob_map[x]]
-            zh_at[x] = z.at_mor[g.mor_of[(h, idp, x)]]
-        for v, (x, xi) in parts[a].ob_pair.items():
-            ob_map[v] = parts[b].obj_of[(fh.ob_map[x], zh_at[x].ob_map[xi])]
-        mor_map = {}
-        for m, (al, big_xi, xi) in parts[a].mor_pair.items():
-            x = f.at_ob[a].src[al]
-            x1 = f.at_ob[a].tgt[al]
-            mor_map[m] = parts[b].mor_of[
-                (fh.mor_map[al], zh_at[x1].mor_map[big_xi], zh_at[x].ob_map[xi])
-            ]
+        fh, fa = f.at_mor[h], f.at_ob[a]
+        zh_at = {x: z.at_mor[g.mor_of[(h, f.at_ob[b].identity[fh.ob_map[x]], x)]] for x in fa.objects}
+        ob_map = {v: parts[b].obj_of[(fh.ob_map[x], zh_at[x].ob_map[xi])] for v, (x, xi) in parts[a].ob_pair.items()}
+        mor_map = {m: parts[b].mor_of[(fh.mor_map[al], zh_at[fa.tgt[al]].mor_map[big_xi], zh_at[fa.src[al]].ob_map[xi])]
+                   for m, (al, big_xi, xi) in parts[a].mor_pair.items()}
         return validate_functor(at_ob[a], at_ob[b], ob_map, mor_map, name=f"{label}({h})")
 
-    total = validate_diagram(base, at_ob, generated_actions(base, act, label), name=f"total[{label}]")
+    # act(id) would be the identity by the strict identities of the validated F and Z
+    total = generated_diagram(base, at_ob, act, label, f"total[{label}]")
     return DiagramOpfib(
         label,
         f,

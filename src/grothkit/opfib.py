@@ -17,12 +17,11 @@ from .fincat import (
     FunctorData,
     NatTransData,
     first_disagreement,
-    generated_actions,
+    generated_diagram,
     law_failures,
     make_category,
     pair_category,
     pair_projections,
-    validate_diagram,
     validate_functor,
 )
 from .report import Report, UsageError, ValidationError
@@ -238,19 +237,27 @@ def _require_split(q: CleavedOpfib) -> None:
         raise ValidationError(out)
 
 
+def fibre_categories(p: FunctorData, names: Mapping[str, str]) -> dict[str, FinCat]:
+    """The fibre of p over each base object x that `names` keys, named names[x]: the subcategory
+    of the total over x and its identity.  One pass over the total sorts its objects, and its
+    non-identity morphisms over identities, by base object."""
+    total, over_identity = p.dom, {i: x for x, i in p.cod.identity.items()}
+    objects, mors = {x: [] for x in p.cod.objects}, {x: [] for x in p.cod.objects}
+    out: dict[str, list[str]] = {e: [] for e in total.objects}  # each fibre's outgoing-morphism index
+    for e in total.objects:
+        objects[p.ob_map[e]].append(e)
+    for m in total.mors:
+        if p.mor_map[m] in over_identity and not total.is_identity(m):
+            mors[over_identity[p.mor_map[m]]].append(m)
+            out[total.src[m]].append(m)
+    return {x: make_category(name, objects[x], [(m, total.src[m], total.tgt[m]) for m in mors[x]],
+                             {(g, f): total.comp[(g, f)] for f in mors[x] for g in out[total.tgt[f]]})
+            for x, name in names.items()}
+
+
 def fibre_category(p: FunctorData, x: str, name: str | None = None) -> FinCat:
-    """The subcategory of the total category over x and its identity."""
-    total, base = p.dom, p.cod
-    objects = [e for e in total.objects if p.ob_map[e] == x]
-    idx = base.identity[x]
-    mors = [m for m in total.mors if p.mor_map[m] == idx and not total.is_identity(m)]
-    arrows = [(m, total.src[m], total.tgt[m]) for m in mors]
-    # the fibre's own outgoing-morphism index, in listing order
-    out: dict[str, list[str]] = {}
-    for m in mors:
-        out.setdefault(total.src[m], []).append(m)
-    comp = {(g, f): total.comp[(g, f)] for f in mors for g in out.get(total.tgt[f], ())}
-    return make_category(name or f"fibre({p.name},{x})", objects, arrows, comp)
+    """The subcategory of the total category over x and its identity (see fibre_categories)."""
+    return fibre_categories(p, {x: name or f"fibre({p.name},{x})"})[x]
 
 
 def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
@@ -264,11 +271,12 @@ def _pushforward_mor(q: CleavedOpfib, f: str, e_mor: str) -> str:
 
 
 def fibres(q: CleavedOpfib, name: str | None = None) -> CatDiagram:
-    """The Cat-valued diagram of fibres of a split opfibration.  push(f) is solved along the
-    chosen lifts at the identities and generators f of the base (fincat.generated_actions)."""
+    """The Cat-valued diagram of fibres of a split opfibration, made by
+    fincat.generated_diagram: push(f) is solved along the chosen lifts at the generators f of
+    the base and composed elsewhere, and push(id) is the identity functor."""
     _require_split(q)
     p, base = q.p, q.base
-    at_ob = {x: fibre_category(p, x) for x in base.objects}
+    at_ob = fibre_categories(p, {x: f"fibre({p.name},{x})" for x in base.objects})
 
     def push(f: str) -> FunctorData:
         x, y = base.src[f], base.tgt[f]
@@ -279,7 +287,8 @@ def fibres(q: CleavedOpfib, name: str | None = None) -> CatDiagram:
         }
         return validate_functor(at_ob[x], at_ob[y], ob_map, mor_map, name=f"push({f})")
 
-    return validate_diagram(base, at_ob, generated_actions(base, push, "push"), name=name or f"fibres({q.p.name})")
+    # push(id) would be the identity by the split identity law, which _require_split checked
+    return generated_diagram(base, at_ob, push, "push", name or f"fibres({q.p.name})")
 
 
 # ---------------------------------------------------------------------------

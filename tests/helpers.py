@@ -20,7 +20,7 @@ from grothkit.fincat import (
     validate_category,
     validate_functor,
 )
-from grothkit.opfib import _pushforward_mor
+from grothkit.opfib import _pushforward_mor, check_discrete_opfib, check_split_opfib
 from grothkit.report import Report, ValidationError
 
 
@@ -266,6 +266,57 @@ def reference_naturality_violations(base: FinCat, square) -> list[tuple[str, str
     """The naturality lines of a family with square(h) its failure at h, or None, over
     every base morphism in listing order, identities and composites included."""
     return [("naturality", fail) for fail in map(square, base.mors) if fail is not None]
+
+
+def reference_lift_failure(h: FunctorData, k: FunctorData, lifts1, lifts2) -> str | None:
+    """The first chosen lift of lifts1, in sorted order, that (h over k) does not carry to
+    the chosen lift of lifts2, in the words of check_cleavage_preserving."""
+    for (e, f), m in sorted(lifts1.items()):
+        expected = lifts2[(h.ob_map[e], k.mor_map[f])]
+        if h.mor_map[m] != expected:
+            return f"H(lift({e},{f})) = {h.mor_map[m]} but lift({h.ob_map[e]},{k.mor_map[f]}) = {expected}"
+    return None
+
+
+def reference_diagram_opfib_report(phi, discrete: bool = False) -> str:
+    """The report of check_diagram_opfib, with naturality@h and square@h decided at every
+    base morphism h, identities and composites included, by reference_first_disagreement."""
+    base, rep = phi.base, Report(f"diagram opfibration check for {phi.name}")
+    for h in base.mors:
+        a, b = base.src[h], base.tgt[h]
+        bad = reference_first_disagreement((phi.components[b], phi.total.at_mor[h]),
+                                           (phi.over.at_mor[h], phi.components[a]))
+        rep.record(f"naturality@{h}", None if bad is None else f"on {bad[0]} {bad[1]}")
+    if rep.passed:
+        for a in base.objects:
+            q = phi.component_opfib(a)
+            rep.record(f"component@{a}", (check_discrete_opfib(q.p) if discrete else check_split_opfib(q)).summary())
+        for h in () if discrete else base.mors:
+            bad = reference_lift_failure(phi.total.at_mor[h], phi.over.at_mor[h],
+                                         phi.cleavages[base.src[h]], phi.cleavages[base.tgt[h]])
+            rep.record(f"square@{h}", None if bad is None else f"lifts-preserved: {bad}")
+    return rep.describe()
+
+
+def reference_diagram_opfib_mor_report(xi) -> str:
+    """The report of check_diagram_opfib_mor, with naturality@h decided at every base
+    morphism h by reference_first_disagreement."""
+    phi, psi = xi.dom, xi.cod
+    base, rep = phi.base, Report(f"opfibration morphism check for {xi.name}")
+    for a in base.objects:
+        bad = reference_first_disagreement((phi.components[a],), (psi.components[a], xi.components[a]))
+        rep.record(f"triangle@{a}", None if bad is None else f"on {bad[0]} {bad[1]}")
+    if rep.passed:
+        for h in base.mors:
+            a, b = base.src[h], base.tgt[h]
+            bad = reference_first_disagreement((xi.components[b], phi.total.at_mor[h]),
+                                               (psi.total.at_mor[h], xi.components[a]))
+            rep.record(f"naturality@{h}", None if bad is None else "square of totals does not commute")
+        for a in base.objects:
+            bad = reference_lift_failure(xi.components[a], identity_functor(phi.over.at_ob[a]),
+                                         phi.cleavages[a], psi.cleavages[a])
+            rep.record(f"cleavage-preserving@{a}", None if bad is None else f"lifts-preserved: {bad}")
+    return rep.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ from helpers import (
     involution_arrow,
     reference_category_violations,
     reference_cocone_violations,
+    reference_diagram_opfib_mor_report,
+    reference_diagram_opfib_report,
     reference_diagram_violations,
     reference_fibres_actions,
     reference_first_disagreement,
@@ -480,21 +482,61 @@ def test_pullback_diagram_opfib_matches_per_morphism_actions():
         assert_same_actions(pulled.total, reference_pullback_actions(alpha, phi, pulled))
 
 
-def test_fibres_of_shift661_build_the_actions_of_identities_and_covers(monkeypatch):
+def comparisons(monkeypatch) -> list[int]:
+    """One count of the first_disagreement calls made from fincat and from indexed."""
+    calls = counting(monkeypatch, fincat, "first_disagreement")
+    monkeypatch.setattr(indexed, "first_disagreement", fincat.first_disagreement)
+    return calls
+
+
+def test_fibres_of_shift661_build_the_actions_of_covers_only(monkeypatch):
     q = groth(validate_diagram(*shift_diagram(6, 6, 1))).opfib()
     built = counting(monkeypatch, opfib, "validate_functor")
     composed = counting(monkeypatch, fincat, "compose_functors")
     fibres(q)
-    assert (built[0], composed[0]) == (11, 10)  # 6 identities and 5 covers of the 21 morphisms of chain(6)
+    # the 5 covers of the 21 morphisms of chain(6); the actions of the 6 identities are made
+    # as identity functors, by the split identity law, and not solved
+    assert (built[0], composed[0]) == (5, 10)
 
 
-def test_indexed_fibres_of_shift551_build_61_of_160_actions(monkeypatch):
+def test_indexed_fibres_of_shift551_build_36_of_160_actions(monkeypatch):
     d = validate_diagram(*shift_diagram(5, 5, 1))
     phi, g = identity_diagram_opfib(d, name="phi"), groth(d)
     built = counting(monkeypatch, indexed, "validate_functor")
     composed = counting(monkeypatch, fincat, "compose_functors")
     indexed_fibres(phi, g)
-    assert (len(g.total.mors), built[0], composed[0]) == (160, 61, 99)
+    # the generators of the total, whose 25 identities are made as identity functors
+    assert (len(g.total.mors), len(g.total.objects), built[0], composed[0]) == (160, 25, 36, 99)
+
+
+def test_fibres_of_shift661_compare_no_composite_with_itself(monkeypatch):
+    q = groth(validate_diagram(*shift_diagram(6, 6, 1))).opfib()
+    calls = comparisons(monkeypatch)
+    fibres(q)
+    # each of the 10 generator pairs (cover, f) of chain(6) is a pair an action was composed
+    # from, and no identity action is compared with the identity it was made as
+    assert calls[0] == 0
+
+
+def test_indexed_fibres_of_shift551_compare_35_generator_pairs_and_4_squares(monkeypatch):
+    d = validate_diagram(*shift_diagram(5, 5, 1))
+    phi, g = identity_diagram_opfib(d, name="phi"), groth(d)
+    calls = comparisons(monkeypatch)
+    assert indexed.check_diagram_opfib(phi).passed
+    assert calls[0] == 4  # the naturality squares at the 4 covers of chain(5), of all 15
+    calls[0] = 0
+    indexed_fibres(phi, g)
+    assert calls[0] == 4 + 35  # and the 134 generator pairs of the total less the 99 composed
+
+
+def test_diagram_opfib_check_over_chain6_decides_5_of_21_squares(monkeypatch):
+    phi = identity_diagram_opfib(validate_diagram(*shift_diagram(6, 6, 1)), name="phi")
+    calls = comparisons(monkeypatch)
+    lifts = counting(monkeypatch, indexed, "_unpreserved_lift")
+    rep = indexed.check_diagram_opfib(phi)
+    # naturality and lift preservation at the 5 covers; 21 + 6 + 21 verdicts, as before
+    assert (calls[0], lifts[0], len(rep.checks), rep.passed) == (5, 5, 48, True)
+    assert rep.describe() == reference_diagram_opfib_report(phi)
 
 
 def trivial_action_at(monkeypatch, module, wrong):
@@ -524,4 +566,108 @@ def test_generated_actions_refuse_a_morphism_that_no_generator_reaches():
     c = corpus.bz(2, prefix="s")
     unreached = dataclasses.replace(c, cache={"generators": {"*": ()}})
     with pytest.raises(KeyError):
-        fincat.generated_actions(unreached, lambda m: identity_functor(build.chain(2)), "act")
+        fincat.generated_diagram(unreached, {"*": build.chain(2)}, lambda m: identity_functor(build.chain(2)),
+                                 "act", "d")
+
+
+# ---------------------------------------------------------------------------
+# exactness controls: what the constructions no longer compare is compared elsewhere
+
+
+def test_a_wrong_composite_given_to_validate_diagram_is_refused():
+    # the public validator compares every generator pair; only generated_diagram skips the
+    # pairs it composed itself
+    base, at_ob, at_mor = shift_diagram(4, 3, 1)
+    at_mor["le(0,2)"] = identity_functor(at_ob["0"])
+    assert outcome(validate_diagram, base, at_ob, at_mor) == (
+        "validate diagram diagram: fail\n"
+        "  [FAIL] strict-composition -- functor at le(0,2) differs from composite over (le(1,2),le(0,1))\n"
+        "  [FAIL] strict-composition -- functor at le(0,3) differs from composite over (le(2,3),le(0,2))")
+
+
+def test_a_moved_identity_lift_is_refused_before_any_action_is_built(monkeypatch):
+    # fibres and indexed_fibres make each identity action the identity functor on the strength
+    # of the split identity law, so a cleavage that breaks it must not get that far
+    gt = groth(validate_diagram(*shift_diagram(5, 5, 0)))
+    lifts = mutated_identity_lift(gt)
+    base = build.chain(2)
+    phi = indexed.diagram_opfib(build.constant_diagram(base, gt.diagram.base), build.constant_diagram(base, gt.total),
+                                {x: gt.projection for x in base.objects}, {x: lifts for x in base.objects})
+    built = [counting(monkeypatch, module, "validate_functor") for module in (opfib, indexed)]
+    composed = counting(monkeypatch, fincat, "compose_functors")
+    with pytest.raises(ValidationError) as split:
+        fibres(cleaved_opfib(gt.projection, lifts))
+    with pytest.raises(ValidationError) as opfibration:
+        indexed_fibres(phi)
+    assert [c.name for c in split.value.report.checks] == ["input-split"]
+    assert [c.name for c in opfibration.value.report.checks] == ["input-opfibration"]
+    assert "identity-law" in [c.name for c in check_split_opfib(cleaved_opfib(gt.projection, lifts)).checks
+                              if not c.passed]
+    assert (built[0][0], built[1][0], composed[0]) == (0, 0, 0)
+
+
+def swapped_opfib(n: int, at: str):
+    """The identity opfibration of the constant diagram of discrete(2) on chain(n), with the
+    swap as its component at `at`: naturality fails at each morphism into or out of `at`."""
+    base, d2 = build.chain(n), build.discrete(2)
+    z = build.constant_diagram(base, d2)
+    comps = {x: corpus.swap_functor(d2) if x == at else identity_functor(d2) for x in base.objects}
+    cleavs = {x: {(e, d2.identity[t.ob_map[e]]): d2.identity[e] for e in d2.objects} for x, t in comps.items()}
+    return indexed.diagram_opfib(z, z, comps, cleavs, name="swapped")
+
+
+def projection_opfib(n: int, twisted: str | None = None):
+    """The first projection walking_arrow × walking_iso -> walking_arrow at each object of
+    chain(n), between constant diagrams, lifting f at (x, y) to (f, id_y); at `twisted` it
+    lifts f to (f, u) for the iso u out of y, a split cleavage that the squares at the
+    morphisms into and out of `twisted` do not preserve."""
+    base, wa, wi = build.chain(n), build.walking_arrow(), build.walking_iso()
+    p, fst, snd = build.product_projections(wa, wi)
+
+    def lifts(x):
+        def second(f, y):
+            return wi.out(y)[1] if x == twisted and not wa.is_identity(f) else wi.identity[y]
+        return {(e, f): fincat.pair_mor_id(wa, wi, f, second(f, snd.ob_map[e]))
+                for e in p.objects for f in wa.out(fst.ob_map[e])}
+    return indexed.diagram_opfib(build.constant_diagram(base, wa), build.constant_diagram(base, p),
+                                 {x: fst for x in base.objects}, {x: lifts(x) for x in base.objects},
+                                 name="projection")
+
+
+def test_diagram_opfib_check_matches_full_scan_on_every_failing_square():
+    for n in (2, 4, 5):
+        assert indexed.check_diagram_opfib(projection_opfib(n)).passed
+        for at in map(str, range(n)):
+            for phi in (swapped_opfib(n, at), projection_opfib(n, at)):
+                for discrete in (False, True):
+                    rep = indexed.check_diagram_opfib(phi, discrete)
+                    assert rep.describe() == reference_diagram_opfib_report(phi, discrete), (n, at, phi.name)
+    # a failure at one generator, le(0,1), and at the composites through it
+    assert [c.name for c in indexed.check_diagram_opfib(swapped_opfib(4, "0")).checks if not c.passed] == [
+        "naturality@le(0,1)", "naturality@le(0,2)", "naturality@le(0,3)"]
+    assert [c.name for c in indexed.check_diagram_opfib(projection_opfib(4, "0")).checks if not c.passed] == [
+        "square@le(0,1)", "square@le(0,2)", "square@le(0,3)"]
+
+
+def twisted_mor(n: int, at: str):
+    """The endomorphism of projection_opfib(n) that is the identity at each object but `at`,
+    where it swaps the walking_iso factor: the squares into and out of `at` do not commute."""
+    phi = projection_opfib(n)
+    p = phi.total.at_ob["0"]
+    fst, snd = phi.components["0"], build.product_projections(build.walking_arrow(), build.walking_iso())[2]
+    swap = {"a": "b", "b": "a", "f": "g", "g": "f", "id_a": "id_b", "id_b": "id_a"}
+    ob_of = {(fst.ob_map[v], snd.ob_map[v]): v for v in p.objects}
+    mor_of = {(fst.mor_map[m], snd.mor_map[m]): m for m in p.mors}
+    twist = validate_functor(p, p, {v: ob_of[(fst.ob_map[v], swap[snd.ob_map[v]])] for v in p.objects},
+                             {m: mor_of[(fst.mor_map[m], swap[snd.mor_map[m]])] for m in p.mors}, name="twist")
+    comps = {x: twist if x == at else identity_functor(p) for x in phi.base.objects}
+    return indexed.DiagramOpfibMor("twisted", phi, phi, comps)
+
+
+def test_diagram_opfib_mor_check_matches_full_scan_on_every_failing_square():
+    for n in (2, 4, 5):
+        for at in map(str, range(n)):
+            xi = twisted_mor(n, at)
+            assert indexed.check_diagram_opfib_mor(xi).describe() == reference_diagram_opfib_mor_report(xi), (n, at)
+    assert [c.name for c in indexed.check_diagram_opfib_mor(twisted_mor(4, "0")).checks if not c.passed] == [
+        "naturality@le(0,1)", "naturality@le(0,2)", "naturality@le(0,3)"]
