@@ -29,7 +29,8 @@ functors, c x objects of the category before them.
 
 Entities must be declared before they are referenced.  Parsing validates
 every entity with its module's validator; diagnostics carry file, line,
-column and an error class (lexical, syntax, reference, semantic).
+column and an error class (lexical, syntax, reference, semantic, usage).
+A builder whose arguments do not fit together gives a usage diagnostic.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class Diagnostic:
     file: str
     line: int
     col: int
-    kind: str  # lexical | syntax | reference | semantic
+    kind: str  # lexical | syntax | reference | semantic | usage
     message: str
 
     def describe(self) -> str:
@@ -407,8 +408,8 @@ class _Parser:
         except ValidationError as err:
             self.err("semantic", line, 1, f"{header!r}: {err.report.summary() or err.report.title}")
             return
-        except UsageError as err:  # arguments that do not fit together
-            self.err("semantic", line, 1, f"{header!r}: {err}")
+        except UsageError as err:  # arguments that do not fit together: exit 2, as under a command
+            self.err("usage", line, 1, f"{header!r}: {err}")
             return
         if made is not None:
             value, refs = made

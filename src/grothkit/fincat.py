@@ -70,9 +70,11 @@ class FinCat:
     # the objects x with some hom(x, y) of two or more morphisms; an equation
     # between two morphisms out of any other object holds by their boundary
     wide_sources: frozenset[str] = frozenset()
-    # lookups derived on first read: "generators", "factorizations" and, keyed by
-    # ("opposite", name), the opposite category build.opposite makes under that name;
-    # a copy made by dataclasses.replace shares this dict, hence the name in the key
+    # lookups derived on first read: "generators", "factorizations", keyed by
+    # ("opposite", name) the opposite category build.opposite makes under that name,
+    # and keyed by ("colouring", seed) isosearch's colour records and classes, seeded
+    # by the projection `seed` or by None; a copy made by dataclasses.replace shares
+    # this dict, hence the name in the opposite's key (colourings name no category)
     cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic queries ------------------------------------------------------

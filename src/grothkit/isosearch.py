@@ -1,11 +1,14 @@
 """Backtracking search for strict isomorphisms of categories, over a base, and of diagrams.
 
 Outcomes are tri-state: a verified witness, a proof of absence, or a budget
-overrun.  Before the first node, both categories are coloured by invariants
+overrun.  Before the first node, both categories are compared by invariants
 that every isomorphism preserves (counts, hom-set sizes, then refined object
 and morphism classes), seeded by the two projections in a search over a
-base.  A class of different sizes on the two sides, seeded or not, proves
-absence outright; otherwise only candidates of equal colour are tried.  This
+base.  Each category is coloured on its own, with names that depend only on
+the category and the seed, and its colouring is kept in its cache, so a
+category searched again, against any partner, is not coloured again.  A
+class of different sizes on the two sides, seeded or not, proves absence
+outright; otherwise only candidates of equal colour are tried.  This
 removes no isomorphism sought, so a search that runs dry is still a proof of
 absence.  A node is one candidate tried for an object or for a morphism with
 two or more candidates of its colour; a candidate already taken as another
@@ -74,16 +77,17 @@ def _power_cycles(c: FinCat) -> dict[str, tuple[int, int]]:
     if m has index i and period r, m^k has index ⌊i/k⌋ and period r/gcd(r, k).
     """
     cycles = {m: (0, 1) for m in c.identity.values()}
-    for m in c.mors:
-        if m not in cycles and c.src[m] == c.tgt[m]:
-            seen: dict[str, int] = {}  # m^k -> k - 1
-            p = m
-            while p not in seen:
-                seen[p] = len(seen)
-                p = c.comp[(m, p)]
-            i, r = seen[p], len(seen) - seen[p]
-            for k, p in enumerate(seen, 1):
-                cycles.setdefault(p, (i // k, r // gcd(r, k)))
+    for x in c.objects:
+        for m in c.hom_table[(x, x)]:
+            if m not in cycles:
+                seen: dict[str, int] = {}  # m^k -> k - 1
+                p = m
+                while p not in seen:
+                    seen[p] = len(seen)
+                    p = c.comp[(m, p)]
+                i, r = seen[p], len(seen) - seen[p]
+                for k, p in enumerate(seen, 1):
+                    cycles.setdefault(p, (i // k, r // gcd(r, k)))
     return cycles
 
 
@@ -95,87 +99,123 @@ def _into(c: FinCat) -> dict[str, list[str]]:
     return into
 
 
-def _balanced(left, right, classes: int) -> bool:
-    """Whether each colour 0..classes-1 occurs as often in `left` as in `right`."""
-    count = [0] * classes
-    for a in left:
-        count[a] += 1
-    for b in right:
-        count[b] -= 1
-    return not any(count)
+def _colour(cat: FinCat, seed: FunctorData | None) -> tuple:
+    """Colour the objects and then the morphisms of cat by invariants of strict
+    isomorphisms, seeded by the projection `seed` or by nothing.
+
+    Returns (object records, morphism record, (object colours, morphism
+    colours)).  A record lists the keys of one round, or the morphism
+    colours, in sorted order.  Each object keeps its links: one (index of y,
+    code) for every y with a morphism either way, x itself included, where
+    the code is |hom(x,y)| * span + |hom(y,x)| for a span above every
+    hom-set size.  Object colours start from |hom(x,x)| and, seeded, the
+    place of seed(x) among the base's sorted objects.  A round keys each x
+    by (colour(x), the sorted colour(y) * span² + code of its links) and
+    renames each class by the rank of its key among the distinct keys, so
+    the names depend on the keys alone, not on the listing order.  Rounds go
+    on until one splits no class; that round is recorded too, so once every
+    object has a class of its own, the records tell whether the one
+    colour-preserving bijection keeps every link.  A morphism's colour is
+    one int whose digits, each below its radix, are its number of
+    factorizations, for an endomorphism the index and period of its powers
+    (0 for any other), the colours of its ends, whether it is an identity
+    and, seeded, the place of seed(m) among the base's sorted morphisms.
+    Equal hom-set sizes and object records give two categories the same
+    radices.
+    """
+    hom = cat.hom_table
+    span = 1 + max(map(len, hom.values()), default=0)  # above every hom-set size
+    at = {x: i for i, x in enumerate(cat.objects)}
+    links: list[list[tuple[int, int]]] = [[] for _ in at]
+    for (x, y), ms in hom.items():
+        back = hom.get((y, x))
+        if back is None:
+            links[at[x]].append((at[y], len(ms) * span))
+            links[at[y]].append((at[x], len(ms)))
+        else:
+            links[at[x]].append((at[y], len(ms) * span + len(back)))
+    col = [len(hom[(x, x)]) for x in cat.objects]
+    if seed is not None:
+        place = {u: i for i, u in enumerate(sorted(seed.cod.objects))}
+        col = [k * len(place) + place[seed.ob_map[x]] for k, x in zip(col, cat.objects)]
+    rounds, square, classes = [], span * span, len(set(col))
+    while True:
+        lifted = [k * square for k in col]
+        keys = [(col[i], *sorted([lifted[j] + code for j, code in near])) for i, near in enumerate(links)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rounds.append(tuple(map(keys.__getitem__, order)))
+        rank, last = -1, None
+        for i in order:  # each object's rank among the distinct keys
+            if keys[i] != last:
+                rank, last = rank + 1, keys[i]
+            col[i] = rank
+        if rank + 1 == classes:  # no class split: the classes are stable
+            break
+        classes = rank + 1
+
+    # a morphism's colour has the digits (factorizations, index, period) above those of
+    # (source, target, identity), whose radix is `low`; every power of an endomorphism of x
+    # lies in hom(x, x), so span bounds its index and period
+    ob, fact, cycles = dict(zip(cat.objects, col)), cat.factorizations, _power_cycles(cat)
+    ends, low = 2 * classes, 2 * classes * classes
+    mor: dict[str, int] = {}
+    for (x, y), ms in hom.items():
+        end = ob[x] * ends + ob[y] * 2
+        if x != y:
+            for m in ms:
+                mor[m] = len(fact[m]) * square * low + end
+        else:
+            identity = cat.identity[x]
+            for m in ms:
+                i, r = cycles[m]
+                mor[m] = ((len(fact[m]) * span + i) * span + r) * low + end + (m == identity)
+    if seed is not None:
+        lies = {h: i for i, h in enumerate(sorted(seed.cod.mors))}
+        mor = {m: k * len(lies) + lies[seed.mor_map[m]] for m, k in mor.items()}
+    return tuple(rounds), sorted(mor.values()), (ob, mor)
+
+
+def _colouring(cat: FinCat, seed: FunctorData | None) -> tuple:
+    """`_colour(cat, seed)`, computed once and kept in cat.cache under ("colouring", seed)."""
+    key = ("colouring", seed)
+    if key not in cat.cache:
+        cat.cache[key] = _colour(cat, seed)
+    return cat.cache[key]
 
 
 def _refine(c: FinCat, d: FinCat, over: tuple | None = None) -> tuple[str | None, tuple | None]:
-    """Colour the objects and morphisms of c and d on one shared palette.
+    """Tell c and d apart by invariants that every isomorphism c -> d preserves or,
+    with `over=(p, q)`, projections of c and d into one base, every one with q∘iso = p.
 
     Returns (refuted_by, colours).  `refuted_by` names the first invariant
-    that tells c and d apart, or is None; then `colours` is
+    that differs: the object count, the morphism count, the sorted hom-set
+    sizes, then the records of the object rounds and of the morphisms of
+    `_colouring`, seeded by p and q; or it is None, and then `colours` is
     ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
-    map to palette indices that every isomorphism c -> d preserves or, with
-    `over=(p, q)`, projections of c and d into one base, every one with
-    q∘iso = p.
+    map to colours that the isomorphisms sought preserve.
 
-    The objects of c and of d are the indices 0..n-1 and n..2n-1 of one
-    union.  Each index keeps its links: one (index of y, code) for every y
-    with a morphism either way, x itself included, where the code is
-    |hom(x,y)| * span + |hom(y,x)| for a span above every hom-set size.
-    Object colours start from (|hom(x,x)|, p(x)), with p(x) None unseeded,
-    and are refined, in rounds, by the sorted keys colour(y) * span² + code
-    of x's links, until a round splits no class or there are more classes
-    than n.  So a discrete partition gets one more round: when it is
-    balanced, that round splits a class exactly when the one
-    colour-preserving bijection breaks a link, and more than n classes leave
-    some class with more members on one side.  A morphism's colour is
-    whether it is an identity, the colours of its ends, its number of
-    factorizations, for an endomorphism the index and period of its powers,
-    and p(m).  A class with more members on one side refutes the pair.
+    Comparing the records decides what refining the colours on the disjoint
+    union of c and d decides, with the same classes.  Equal hom-set sizes
+    give equal spans.  While the records of the rounds so far agree, c and d
+    name each class of the union alike, so their next keys are the union's,
+    and the records of that round agree exactly when each of its classes has
+    as many members in c as in d.  A class with more members on one side
+    refutes the pair, and splits only into classes of which one again has more.
     """
-    n = len(c.objects)
-    if n != len(d.objects):
+    if len(c.objects) != len(d.objects):
         return "object count", None
     if len(c.mors) != len(d.mors):
         return "morphism count", None
     if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
         return "hom-set sizes", None
-
-    span = 1 + max(map(len, c.hom_table.values()), default=0)  # above every hom-set size
-    links: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    palette: dict = {}
-    col: list[int] = []
     p, q = over or (None, None)
-    for offset, cat, seed in ((0, c, p), (n, d, q)):
-        at = {x: offset + i for i, x in enumerate(cat.objects)}
-        hom = cat.hom_table
-        for (x, y), ms in hom.items():
-            back = hom.get((y, x))
-            if back is None:
-                links[at[x]].append((at[y], len(ms) * span))
-                links[at[y]].append((at[x], len(ms)))
-            else:
-                links[at[x]].append((at[y], len(ms) * span + len(back)))
-        col += [palette.setdefault((len(hom[(x, x)]), seed and seed.ob_map[x]), len(palette)) for x in cat.objects]
-
-    square, classes = span * span, len(palette)
-    while classes <= n:
-        palette = {}
-        col = [palette.setdefault((col[i], tuple(sorted([col[j] * square + code for j, code in near]))), len(palette))
-               for i, near in enumerate(links)]
-        if len(palette) == classes:
-            break
-        classes = len(palette)
-    if not _balanced(col[:n], col[n:], classes):
+    obs_c, mors_c, colours_c = _colouring(c, p)
+    obs_d, mors_d, colours_d = _colouring(d, q)
+    if obs_c != obs_d:
         return "object classes", None
-
-    palette = {}
-    colours = []
-    for cat, obs, seed in ((c, col[:n], p), (d, col[n:], q)):
-        ob, cycles, src, tgt = dict(zip(cat.objects, obs)), _power_cycles(cat), cat.src, cat.tgt
-        ids, fact = set(cat.identity.values()), cat.factorizations
-        colours.append((ob, {m: palette.setdefault((m in ids, ob[src[m]], ob[tgt[m]], len(fact[m]), cycles.get(m),
-                                                     seed and seed.mor_map[m]), len(palette)) for m in cat.mors}))
-    if not _balanced(colours[0][1].values(), colours[1][1].values(), len(palette)):
+    if mors_c != mors_d:
         return "morphism classes", None
-    return None, tuple(colours)
+    return None, (colours_c, colours_d)
 
 
 def _order(items: list, rng: random.Random | None) -> list:

@@ -21,17 +21,25 @@ class Check:
 
 @dataclass
 class Report:
-    """A bundle of checks about one subject, and the witnesses that back its verdict."""
+    """A bundle of checks about one subject, and the witnesses that back its verdict.
+
+    Checks are added through `ok`, `fail` and `record`, which keep the count
+    of failed checks that `passed` reads.
+    """
 
     title: str
     checks: list[Check] = field(default_factory=list)
     witnesses: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._failures = sum(not c.passed for c in self.checks) if self.checks else 0
 
     def ok(self, name: str) -> None:
         self.checks.append(Check(name, True))
 
     def fail(self, name: str, counterexample: str) -> None:
         self.checks.append(Check(name, False, counterexample))
+        self._failures += 1
 
     def record(self, name: str, counterexample: str | None) -> None:
         """Pass when `counterexample` is None, fail with it otherwise."""
@@ -42,7 +50,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self._failures
 
     @property
     def verdict(self) -> str:

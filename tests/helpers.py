@@ -651,14 +651,17 @@ def walked_cycle(c: FinCat, m: str) -> tuple[int, int]:
     return seen[p], len(seen) - seen[p]
 
 
-def reference_refine(c: FinCat, d: FinCat):
-    """The colour refinement of the iso search, over per-object dicts of links.
+def reference_refine(c: FinCat, d: FinCat, over=None):
+    """The colour refinement of the iso search, over per-object dicts of links
+    on the union of c and d.
 
     Returns (refuted_by, colours) as `isosearch._refine` does.  Each object x
     of c, and of d, keeps its links {y: (|hom(x,y)|, |hom(y,x)|)}; object
-    classes are refined by them until they stop growing or every object has
-    its own, and a discrete partition is then checked link by link through
-    the one colour-preserving bijection.
+    classes start from |hom(x,x)| and, with `over=(p, q)`, the image of x
+    under p, or q; they are refined by the links until they stop growing or
+    every object has its own, and a discrete partition is then checked link
+    by link through the one colour-preserving bijection.  A morphism's class
+    is read off its ends and powers, and with `over` its image.
     """
     if len(c.objects) != len(d.objects):
         return "object count", None
@@ -676,7 +679,8 @@ def reference_refine(c: FinCat, d: FinCat):
             near[x][y], near[y][x] = (len(ms), back), (back, len(ms))
         links.append(near)
 
-    obs = [{x: len(cat.hom(x, x)) for x in cat.objects} for cat in sides]
+    seeds = over or (None, None)
+    obs = [{x: (len(cat.hom(x, x)), p and p.ob_map[x]) for x in cat.objects} for cat, p in zip(sides, seeds)]
     classes = len(set(obs[0].values()) | set(obs[1].values()))
     while classes < len(c.objects):
         palette: dict = {}
@@ -702,11 +706,11 @@ def reference_refine(c: FinCat, d: FinCat):
 
     palette = {}
     mors = []
-    for cat, col in zip(sides, obs):
+    for cat, col, p in zip(sides, obs, seeds):
         ids, src, tgt = set(cat.identity.values()), cat.src, cat.tgt
         cycles = {m: walked_cycle(cat, m) for m in cat.mors if src[m] == tgt[m]}
         mors.append({m: palette.setdefault((m in ids, col[src[m]], col[tgt[m]], len(cat.factorizations[m]),
-                                            cycles.get(m)), len(palette)) for m in cat.mors})
+                                            cycles.get(m), p and p.mor_map[m]), len(palette)) for m in cat.mors})
     if Counter(mors[0].values()) != Counter(mors[1].values()):
         return "morphism classes", None
     return None, ((obs[0], mors[0]), (obs[1], mors[1]))

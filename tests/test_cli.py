@@ -79,16 +79,17 @@ cleavage cl for p {
 """
 COLLIDING_PAIRS = "('x', 'a,b') and ('x,a', 'b') are both named '(x,a,b)'"
 # (arguments after the file, exit code, verdict, message); the workspace reader reports a
-# builder call that cannot be built as a semantic diagnostic, as it does for every builder
+# builder call whose arguments do not fit together as a usage diagnostic, which exits 2 as the
+# same refusal does under a command
 COLLISIONS = [
     pytest.param(["groth", "F"], 2, "error", f"object name collision in groth(F): {COLLIDING_PAIRS}", id="groth"),
     pytest.param(["pullback", "h", "p", "cl"], 2, "error",
                  f"object name collision in pb(h,p): {COLLIDING_PAIRS}", id="pullback"),
-    pytest.param(["build", "--name", "P", "--spec", "product(B, X)"], 1, "fail",
-                 f"<build>:1:1: semantic: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}",
+    pytest.param(["build", "--name", "P", "--spec", "product(B, X)"], 2, "error",
+                 f"<build>:1:1: usage: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}",
                  id="build"),
-    pytest.param(["build", "--name", "S", "--spec", "slice(Y, x)"], 1, "fail",
-                 "<build>:1:1: semantic: 'category S': morphism name collision in slice(Y,x): "
+    pytest.param(["build", "--name", "S", "--spec", "slice(Y, x)"], 2, "error",
+                 "<build>:1:1: usage: 'category S': morphism name collision in slice(Y,x): "
                  "('a', 'b,c') and ('a,b', 'c') are both named 'sl(a,b,c)'", id="slice"),
 ]
 
@@ -235,6 +236,19 @@ class TestExitCodes:
         assert run_command(argv + ["--json"]) == code
         payload = json.loads(capsys.readouterr().out)
         assert (payload["verdict"], payload["counterexamples"]) == (verdict, [message])
+
+    # a usage diagnostic exits 2 also beside a law violation, which alone would exit 1
+    @pytest.mark.parametrize("extra", ["", "category BAD {\n  objects: a ;\n  arrows: f: a -> b ;\n}\n"],
+                             ids=["alone", "beside-a-refutation"])
+    def test_builder_collision_in_a_file_exits_2(self, tmp_path, capsys, extra):
+        f = tmp_path / "colliding.cat"
+        f.write_text(COLLIDING + "category P = product(B, X)\n" + extra)
+        message = f"{f}:21:1: usage: 'category P': object name collision in product(B,X): {COLLIDING_PAIRS}"
+        assert run_command(["validate", "-i", str(f)]) == 2
+        assert capsys.readouterr().out.splitlines()[0] == message
+        assert run_command(["validate", "-i", str(f), "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "error" and payload["counterexamples"][0] == message
 
     def test_check_cleavage_off_square_exits_2(self, exdir, capsys):
         # idA is not a functor between the totals of p and p

@@ -368,7 +368,7 @@ PINNED_DIAGNOSTICS = {
         ("constant-functor-unknown-object", "functor K = constant(C, D, nosuch)",
          "3:1: semantic: 'functor K': object-exists: nosuch is not an object of D"),
         ("compose-mismatch", "functor I = identity(C)\nfunctor J = identity(D)\nfunctor K = compose(I, J)",
-         "5:1: semantic: 'functor K': cannot compose I after J: boundary mismatch"),
+         "5:1: usage: 'functor K': cannot compose I after J: boundary mismatch"),
         ("constant-diagram-none", "diagram F on C = constant()", "3:1: syntax: expected constant(B), got constant()"),
         ("constant-diagram-two", "diagram F on C = constant(D, I)",
          "3:1: syntax: expected constant(B), got constant(D, I)"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -524,9 +525,9 @@ def _joint_classes(colours):
     return out
 
 
-def _agrees_with_reference(c, d) -> bool:
-    refuted_by, colours = _refine(c, d)
-    expected, reference = reference_refine(c, d)
+def _agrees_with_reference(c, d, over=None) -> bool:
+    refuted_by, colours = _refine(c, d, over)
+    expected, reference = reference_refine(c, d, over)
     return refuted_by == expected and (refuted_by is not None or _joint_classes(colours) == _joint_classes(reference))
 
 
@@ -554,6 +555,41 @@ def _poset_pairs(draw):
     return c, d
 
 
+def _over_chain(poset, factor, levels, base):
+    """poset, or poset x factor, with its map to the chain `base` that sends the element
+    p<i> to level levels[i] (through the first projection)."""
+    ob = {x: base.objects[levels[i]] for i, x in enumerate(poset.objects)}
+    p = validate_functor(poset, base, ob, {m: base.hom(ob[poset.src[m]], ob[poset.tgt[m]])[0] for m in poset.mors})
+    if factor is None:
+        return poset, p
+    product, fst, _ = build.product_projections(poset, factor)
+    return product, compose_functors(p, fst)
+
+
+@st.composite
+def _seeded_poset_pairs(draw):
+    """Two products as `_poset_pairs` draws them, each with a map to one chain through
+    levels that rise with the element index, as every relation does; a shuffled copy
+    gets its original's map under the renaming."""
+    n = draw(st.integers(0, 5))
+    base = build.chain(draw(st.integers(1, 3)))
+    levels = st.lists(st.integers(0, len(base.objects) - 1), min_size=n, max_size=n).map(sorted)
+    factors = draw(st.sampled_from(SAME_SIZE_FACTORS))
+    pairs = st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=8)
+    elements = [f"p{i}" for i in range(n)]
+    (c, p), (d, q) = (
+        _over_chain(build.poset(elements, [(elements[min(r)], elements[max(r)]) for r in draw(pairs) if r[0] != r[1]]),
+                    draw(st.sampled_from(factors)), draw(levels), base)
+        for _ in range(2))
+    if draw(st.integers(0, 3)) == 0:
+        obs = list(c.objects)
+        random.Random(draw(st.integers(0, 9))).shuffle(obs)
+        copy, ob, mor = relabelled(c, obs, list(c.mors))
+        return c, p, copy, _moved(p, copy, ob, mor)
+    assume(len(c.mors) == len(d.mors))  # else the morphism count alone refutes the pair
+    return c, p, d, q
+
+
 class TestRefineAgainstReference:
     def test_stock_mixed_and_relabelled_pairs(self):
         pairs = [*itertools.product(STOCK, repeat=2), *itertools.product(MIXED, repeat=2)]
@@ -569,6 +605,92 @@ class TestRefineAgainstReference:
     @given(_poset_pairs())
     def test_small_random_categories(self, pair):
         assert _agrees_with_reference(*pair)
+
+    def test_products_over_a_factor(self):
+        for c, p, d, q in _factor_pairs():
+            assert _agrees_with_reference(c, d, (p, q)), (c.name, d.name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_seeded_poset_pairs())
+    def test_small_random_categories_over_a_chain(self, pair):
+        c, p, d, q = pair
+        assert _agrees_with_reference(c, d, (p, q))
+
+
+@pytest.fixture
+def colourings(monkeypatch):
+    """The (category, seed) of every colouring computed, as `isosearch._colour` is called."""
+    made = []
+    colour = isosearch._colour
+
+    def counted(cat, seed):
+        made.append((cat, seed))
+        return colour(cat, seed)
+
+    monkeypatch.setattr(isosearch, "_colour", counted)
+    return made
+
+
+def _outcome(res):
+    """What a search result says: status, nodes, refutation and the witness's tables."""
+    tables = None if res.witness is None else (dict(res.witness.forward.ob_map), dict(res.witness.forward.mor_map))
+    return res.status, res.nodes, res.refuted_by, tables
+
+
+# deloopings, their products, chains and their products: Z/6 and Z/2 x Z/3 and Z/3 x Z/2
+# are one class, chain(2) x chain(3) and chain(3) x chain(2) another, the rest one each
+def _family():
+    return ([bz(n) for n in (2, 3, 4, 6)]
+            + [build.product(bz(a), bz(b)) for a, b in ((2, 2), (2, 3), (3, 2))]
+            + [build.chain(n) for n in (2, 3, 4)]
+            + [build.product(build.chain(a), build.chain(b)) for a, b in ((2, 2), (2, 3), (3, 2))])
+
+
+class TestColouringCache:
+    def test_a_second_search_colours_nothing(self, colourings):
+        c, d = build.product(build.chain(3), build.chain(4)), build.product(build.chain(4), build.chain(3))
+        first = _outcome(iso_search(c, d))
+        assert [cat for cat, _ in colourings] == [c, d]
+        assert _outcome(iso_search(c, d)) == first
+        assert len(colourings) == 2
+        assert first[0] == FOUND
+
+    def test_a_family_classified_pairwise_colours_each_category_once(self, colourings):
+        family = _family()
+        found = {(i, j) for (i, c), (j, d) in itertools.product(enumerate(family), repeat=2)
+                 if iso_search(c, d).status == FOUND}
+        assert sorted(id(cat) for cat, _ in colourings) == sorted(map(id, family))
+        assert all(seed is None for _, seed in colourings)
+        classes = {frozenset(j for j in range(len(family)) if (i, j) in found) for i in range(len(family))}
+        assert sorted(map(sorted, classes)) == [[0], [1], [2], [3, 5, 6], [4], [7], [8], [9], [10], [11, 12]]
+
+    def test_a_constant_diagram_colours_its_fibre_once(self, colourings):
+        fibre = build.walking_iso()
+        z1, z2 = build.constant_diagram(build.chain(3), fibre), build.constant_diagram(build.chain(3), fibre)
+        assert (diagram_iso_search(z1, z2).status, colourings) == (FOUND, [(fibre, None)])
+        assert diagram_iso_search(z1, z2).status == FOUND
+        assert len(colourings) == 1
+
+    def test_seeded_colourings_are_kept_per_projection(self, colourings):
+        c, fst, snd = build.product_projections(build.walking_arrow(), build.discrete(2))
+        d, fst_d, snd_d = build.product_projections(build.walking_arrow(), build.discrete(2))
+        unseeded, over_a, over_b = _refine(c, d), _refine(c, d, (fst, fst_d)), _refine(c, d, (snd, snd_d))
+        assert colourings == [(c, None), (d, None), (c, fst), (d, fst_d), (c, snd), (d, snd_d)]
+        assert [len(set(ob_c.values())) for _, ((ob_c, _), _) in (unseeded, over_a, over_b)] == [2, 2, 4]
+        # asked again, in another order, each is read from the cache, none for another seed
+        assert (_refine(c, d, (snd, snd_d)), _refine(c, d), _refine(c, d, (fst, fst_d))) == (over_b, unseeded, over_a)
+        assert len(colourings) == 6
+        assert over_a != unseeded  # the seeds' images are part of the morphism colours
+
+    def test_a_renamed_copy_shares_the_colouring_and_the_verdicts(self, colourings):
+        for c, d in [(bz(6), build.product(bz(2), bz(3))), (bz(4), build.product(bz(2), bz(2))),
+                     (build.product(build.chain(2), build.chain(3)), build.product(build.chain(3), build.chain(2)))]:
+            before = _outcome(iso_search(c, d))
+            renamed = dataclasses.replace(c, name=f"{c.name}_renamed")
+            assert renamed.cache is c.cache
+            made = len(colourings)
+            assert _outcome(iso_search(renamed, d)) == before
+            assert len(colourings) == made
 
 
 # The diagram search checks, at each node, the morphisms into and

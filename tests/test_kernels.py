@@ -1,5 +1,5 @@
 """The shared kernels: cartesian fill-ins, functor comparison, inverse functors, pair names,
-categories of pairs and report summaries."""
+categories of pairs and report summaries and verdicts."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,7 @@ from grothkit.fincat import (
 )
 from grothkit.groth import groth
 from grothkit.opfib import _fill_ins, pullback_opfib
-from grothkit.report import Report, UsageError
+from grothkit.report import Check, Report, UsageError
 
 import corpus
 from helpers import all_functor_tables, reference_first_disagreement
@@ -215,3 +215,21 @@ class TestReportSummary:
         rep.fail("early", "x0 has no image")
         rep.fail("late", "f has no image")
         assert rep.summary() == "early: x0 has no image"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["ok", "fail", "record"]), st.booleans()), max_size=8))
+    def test_passed_agrees_with_a_scan_of_the_checks(self, steps):
+        rep = Report("counted")
+        for k, (how, good) in enumerate(steps):
+            if how == "ok":
+                rep.ok(f"c{k}")
+            elif how == "fail":
+                rep.fail(f"c{k}", "refuted")
+            else:
+                rep.record(f"c{k}", None if good else "refuted")
+            assert rep.passed == all(c.passed for c in rep.checks)
+            assert rep.verdict == ("pass" if rep.passed else "fail")
+
+    def test_passed_counts_the_checks_a_report_is_made_with(self):
+        assert not Report("given", [Check("a", True), Check("b", False, "x")]).passed
+        assert Report("given", [Check("a", True)]).passed
