@@ -72,9 +72,9 @@ class FinCat:
     wide_sources: frozenset[str] = frozenset()
     # lookups derived on first read: "generators", "factorizations", keyed by
     # ("opposite", name) the opposite category build.opposite makes under that name,
-    # and keyed by ("colouring", seed) isosearch's colour records and classes, seeded
-    # by the projection `seed` or by None; a copy made by dataclasses.replace shares
-    # this dict, hence the name in the opposite's key (colourings name no category)
+    # and keyed by ("colouring", seed) isosearch's colour records, classes and search
+    # tables, seeded by the projection `seed` or by None; a copy made by dataclasses.replace
+    # shares this dict, hence the name in the opposite's key (colourings name no category)
     cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic queries ------------------------------------------------------

@@ -5,11 +5,12 @@ overrun.  Before the first node, both categories are compared by invariants
 that every isomorphism preserves (counts, hom-set sizes, then refined object
 and morphism classes), seeded by the two projections in a search over a
 base.  Each category is coloured on its own, with names that depend only on
-the category and the seed, and its colouring is kept in its cache, so a
-category searched again, against any partner, is not coloured again.  A
-class of different sizes on the two sides, seeded or not, proves absence
-outright; otherwise only candidates of equal colour are tried.  This
-removes no isomorphism sought, so a search that runs dry is still a proof of
+the category and the seed, and its colouring is kept in its cache with the
+tables the search reads, so a category searched again, against any partner,
+is not coloured again.  A class of different sizes on the two sides proves
+absence outright; otherwise only candidates of equal colour are tried, and
+an object alone in its class takes its one candidate at once.  This removes
+no isomorphism sought, so a search that runs dry is still a proof of
 absence.  A node is one candidate tried for an object or for a morphism with
 two or more candidates of its colour; a candidate already taken as another
 image is passed over without one, and the other morphisms are forced moves.
@@ -103,8 +104,8 @@ def _colour(cat: FinCat, seed: FunctorData | None) -> tuple:
     """Colour the objects and then the morphisms of cat by invariants of strict
     isomorphisms, seeded by the projection `seed` or by nothing.
 
-    Returns (object records, morphism record, (object colours, morphism
-    colours)).  A record lists the keys of one round, or the morphism
+    Returns (records, (object colours, morphism colours), search tables).  A
+    record lists the hom-set sizes, the keys of one round, or the morphism
     colours, in sorted order.  Each object keeps its links: one (index of y,
     code) for every y with a morphism either way, x itself included, where
     the code is |hom(x,y)| * span + |hom(y,x)| for a span above every
@@ -113,18 +114,23 @@ def _colour(cat: FinCat, seed: FunctorData | None) -> tuple:
     by (colour(x), the sorted colour(y) * span² + code of its links) and
     renames each class by the rank of its key among the distinct keys, so
     the names depend on the keys alone, not on the listing order.  Rounds go
-    on until one splits no class; that round is recorded too, so once every
-    object has a class of its own, the records tell whether the one
-    colour-preserving bijection keeps every link.  A morphism's colour is
-    one int whose digits, each below its radix, are its number of
-    factorizations, for an endomorphism the index and period of its powers
-    (0 for any other), the colours of its ends, whether it is an identity
-    and, seeded, the place of seed(m) among the base's sorted morphisms.
+    on until one splits no class; that round is recorded too, so the classes
+    are stable: the members of a class have as many links of each code into
+    each class.  A morphism's colour is one int whose digits, each below its
+    radix, are its number of factorizations, for an endomorphism the index
+    and period of its powers (0 for any other), the colours of its ends,
+    whether it is an identity and, seeded, the place of seed(m) among the
+    base's sorted morphisms.
     Equal hom-set sizes and object records give two categories the same
-    radices.
+    radices.  The search tables, read by `iter_iso_tables` on either side,
+    are the objects of each colour (a class of one as its object), the
+    objects alone in their class, the others by class size, each in listing
+    order, and for a cat with a wide source the morphism of each colour
+    (None if shared) and `_into(cat)`.
     """
     hom = cat.hom_table
-    span = 1 + max(map(len, hom.values()), default=0)  # above every hom-set size
+    sizes = sorted(map(len, hom.values()))
+    span = 1 + (sizes[-1] if sizes else 0)  # above every hom-set size
     at = {x: i for i, x in enumerate(cat.objects)}
     links: list[list[tuple[int, int]]] = [[] for _ in at]
     for (x, y), ms in hom.items():
@@ -172,7 +178,17 @@ def _colour(cat: FinCat, seed: FunctorData | None) -> tuple:
     if seed is not None:
         lies = {h: i for i, h in enumerate(sorted(seed.cod.mors))}
         mor = {m: k * len(lies) + lies[seed.mor_map[m]] for m, k in mor.items()}
-    return tuple(rounds), sorted(mor.values()), (ob, mor)
+    members: list = [[] for _ in range(classes)]
+    for x, k in zip(cat.objects, col):
+        members[k].append(x)
+    by_size = sorted(cat.objects, key=lambda x: len(members[ob[x]]))
+    alone = sum(len(xs) == 1 for xs in members)  # the objects alone in their class lead `by_size`
+    members = [xs[0] if len(xs) == 1 else xs for xs in members]  # a class of one keeps its object, not a list
+    single: dict[int, str | None] = {}  # in a thin category a hom-set is the one candidate already
+    for m, k in mor.items() if cat.wide_sources else ():
+        single[k] = None if k in single else m
+    tables = members, by_size[:alone], by_size[alone:], single, _into(cat) if cat.wide_sources else {}
+    return (sizes, tuple(rounds), sorted(mor.values())), (ob, mor), tables
 
 
 def _colouring(cat: FinCat, seed: FunctorData | None) -> tuple:
@@ -188,11 +204,11 @@ def _refine(c: FinCat, d: FinCat, over: tuple | None = None) -> tuple[str | None
     with `over=(p, q)`, projections of c and d into one base, every one with q∘iso = p.
 
     Returns (refuted_by, colours).  `refuted_by` names the first invariant
-    that differs: the object count, the morphism count, the sorted hom-set
-    sizes, then the records of the object rounds and of the morphisms of
-    `_colouring`, seeded by p and q; or it is None, and then `colours` is
-    ((objects of c, morphisms of c), (objects of d, morphisms of d)), each a
-    map to colours that the isomorphisms sought preserve.
+    that differs: the object count, the morphism count, then the records of
+    `_colouring`, seeded by p and q: the sorted hom-set sizes, the object
+    rounds and the morphisms; or it is None, and then `colours` is ((objects
+    of c, morphisms of c), (objects of d, morphisms of d)), each a map to
+    colours that the isomorphisms sought preserve.
 
     Comparing the records decides what refining the colours on the disjoint
     union of c and d decides, with the same classes.  Equal hom-set sizes
@@ -206,11 +222,11 @@ def _refine(c: FinCat, d: FinCat, over: tuple | None = None) -> tuple[str | None
         return "object count", None
     if len(c.mors) != len(d.mors):
         return "morphism count", None
-    if sorted(map(len, c.hom_table.values())) != sorted(map(len, d.hom_table.values())):
-        return "hom-set sizes", None
     p, q = over or (None, None)
-    obs_c, mors_c, colours_c = _colouring(c, p)
-    obs_d, mors_d, colours_d = _colouring(d, q)
+    (sizes_c, obs_c, mors_c), colours_c, _ = _colouring(c, p)
+    (sizes_d, obs_d, mors_d), colours_d, _ = _colouring(d, q)
+    if sizes_c != sizes_d:
+        return "hom-set sizes", None
     if obs_c != obs_d:
         return "object classes", None
     if mors_c != mors_d:
@@ -278,38 +294,38 @@ def iter_iso_tables(
     the generator dry proves there is no such isomorphism; when an invariant
     of `_refine`, seeded or not, proves it before the first node,
     `budget.refuted_by` names the invariant.
-    Objects are placed first, each trying d's objects of its colour in
-    listing order, and kept when |hom| both ways to every placed object
-    equals that between the images.  That fixes the identities' images and,
-    as forced moves, those of the morphisms with one candidate of their colour;
-    they are checked but take no node, so the work stays within the budget
-    times |mors|.  The other morphisms are backtracked over.  Raises
+    Objects are placed first: those alone in their class at once, a node
+    each, then each other one on d's objects of its colour in listing order,
+    kept when |hom| both ways to each placed object of a shared class equals
+    that between the images.  That fixes the identities' images and, as forced
+    moves, those of the morphisms with one candidate of their colour; they are
+    checked but take no node, so the work stays within the budget times
+    |mors|.  The other morphisms are backtracked over.  Raises
     BudgetExceeded when the node budget runs out.
     """
-    refuted_by, colours = _refine(c, d, over)
+    refuted_by, _ = _refine(c, d, over)
     if refuted_by is not None:
         budget.refuted_by = refuted_by
         return
-    (ob_c, mor_c), (ob_d, mor_d) = colours
-    of_colour: dict[int, list[str]] = {}  # d's objects of each colour, in listing order
-    for u in d.objects:
-        of_colour.setdefault(ob_d[u], []).append(u)
-    order = sorted(c.objects, key=lambda x: len(of_colour[ob_c[x]]))
-
-    ids = set(c.identity.values())
-    non_ids = [m for m in c.mors if m not in ids]
-    # only `consistent` reads it, and it runs only when d has a wide source
-    into = _into(c) if d.wide_sources else {}
+    p, q = over or (None, None)
+    _, (ob_c, mor_c), (_, alone, shared, _, into) = _colouring(c, p)
+    _, (_, mor_d), (of_colour, _, _, single, _) = _colouring(d, q)
     hom_c, hom_d, fact = c.hom_table, d.hom_table, c.factorizations
     ob_map: dict[str, str] = {}
     mor_map: dict[str, str] = {}
     wide: set[str] = set()
 
     def hom_sizes_agree(x: str) -> bool:
-        # |hom| both ways between x and each placed y, x itself included, must
-        # equal that between their images u and v
+        # |hom| both ways between x and each placed y must equal that between their
+        # images u and v.  Equal records of a stable colouring give x and u the same
+        # links to each class, so x's one link to a y alone in its class and u's to y's
+        # image have one code, and |hom(x, x)| is in x's colour: only the placed objects
+        # of shared classes other than x, the slots before x, are compared
         u = ob_map[x]
-        for y, v in ob_map.items():
+        for y in shared:
+            if y == x:
+                return True
+            v = ob_map[y]
             if (len(hom_c.get((x, y), ())) != len(hom_d.get((u, v), ()))
                     or len(hom_c.get((y, x), ())) != len(hom_d.get((v, u), ()))):
                 return False
@@ -341,18 +357,27 @@ def iter_iso_tables(
                     return False
         return True
 
-    for _ in _backtrack(order, lambda x: _order(of_colour[ob_c[x]], rng), hom_sizes_agree, budget, ob_map, set()):
+    for x in alone:  # one node each, as `_backtrack` would take
+        budget.tick()
+        ob_map[x] = of_colour[ob_c[x]]
+    for _ in _backtrack(shared, lambda x: _order(of_colour[ob_c[x]], rng), hom_sizes_agree, budget, ob_map, set()):
         mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
         # with no wide image every constraint holds by its boundary
         wide = {x for x, u in ob_map.items() if u in d.wide_sources}
         used = set(mor_map.values())
         branching: dict[str, list[str]] = {}
-        for m in non_ids:
-            options = [n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == mor_c[m]]
-            if len(options) > 1:
-                branching[m] = options
+        for m in c.mors:
+            if m in mor_map:  # an identity, the one kind mapped before its turn
                 continue
-            if not options or options[0] in used:
+            k, s, t = mor_c[m], ob_map[c.src[m]], ob_map[c.tgt[m]]
+            n = single.get(k)  # d's one morphism of m's colour, if d is wide and it has one
+            options = hom_d.get((s, t), ()) if n is None else (n,) if (d.src[n], d.tgt[n]) == (s, t) else ()
+            if len(options) > 1:
+                options = [o for o in options if mor_d[o] == k]
+                if len(options) > 1:
+                    branching[m] = options
+                    continue
+            if not options or mor_d[options[0]] != k or options[0] in used:
                 break
             n = mor_map[m] = options[0]  # a forced move
             if wide and not consistent(m):

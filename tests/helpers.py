@@ -714,3 +714,72 @@ def reference_refine(c: FinCat, d: FinCat, over=None):
     if Counter(mors[0].values()) != Counter(mors[1].values()):
         return "morphism classes", None
     return None, ((obs[0], mors[0]), (obs[1], mors[1]))
+
+
+def reference_iso_tables(c: FinCat, d: FinCat, budget, over=None, rng=None):
+    """`isosearch.iter_iso_tables` with its earlier object stage, for a differential test.
+
+    It shares `_refine`, `_backtrack` and `_order` with the search and reads
+    none of the kept search tables: every object is a `_backtrack` slot, one
+    node apiece, ordered by the size of its class, and kept when |hom| both
+    ways to every placed object, x itself included, equals that between the
+    images; each morphism's candidates are its image hom-set's morphisms of
+    its colour, and every composition constraint is checked, wide or not.
+    """
+    from grothkit.isosearch import _backtrack, _order, _refine
+
+    refuted_by, colours = _refine(c, d, over)
+    if refuted_by is not None:
+        budget.refuted_by = refuted_by
+        return
+    (ob_c, mor_c), (ob_d, mor_d) = colours
+    of_colour: dict[int, list[str]] = {}
+    for u in d.objects:
+        of_colour.setdefault(ob_d[u], []).append(u)
+    order = sorted(c.objects, key=lambda x: len(of_colour[ob_c[x]]))
+    ids = set(c.identity.values())
+    non_ids = [m for m in c.mors if m not in ids]
+    into: dict[str, list[str]] = {x: [] for x in c.objects}
+    for m in c.mors:
+        into[c.tgt[m]].append(m)
+    ob_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+
+    def hom_sizes_agree(x: str) -> bool:
+        u = ob_map[x]
+        return all(len(c.hom(x, y)) == len(d.hom(u, v)) and len(c.hom(y, x)) == len(d.hom(v, u))
+                   for y, v in ob_map.items())
+
+    def consistent(m: str) -> bool:
+        # every composition constraint among assigned morphisms of which m is one
+        n = mor_map[m]
+        for f in into[c.src[m]]:
+            h = mor_map.get(c.comp[(m, f)])
+            if f in mor_map and h is not None and d.comp[(n, mor_map[f])] != h:
+                return False
+        for g in c.out(c.tgt[m]):
+            h = mor_map.get(c.comp[(g, m)])
+            if g in mor_map and h is not None and d.comp[(mor_map[g], n)] != h:
+                return False
+        return all(d.comp[(mor_map[g], mor_map[f])] == n
+                   for g, f in c.factorizations[m] if g in mor_map and f in mor_map)
+
+    for _ in _backtrack(order, lambda x: _order(of_colour[ob_c[x]], rng), hom_sizes_agree, budget, ob_map, set()):
+        mor_map = {c.identity[x]: d.identity[u] for x, u in ob_map.items()}
+        used = set(mor_map.values())
+        branching: dict[str, list[str]] = {}
+        for m in non_ids:
+            options = [n for n in d.hom(ob_map[c.src[m]], ob_map[c.tgt[m]]) if mor_d[n] == mor_c[m]]
+            if len(options) > 1:
+                branching[m] = options
+                continue
+            if not options or options[0] in used:
+                break
+            n = mor_map[m] = options[0]
+            if not consistent(m):
+                break
+            used.add(n)
+        else:
+            for _ in _backtrack(list(branching), lambda m: _order(branching[m], rng), consistent, budget, mor_map,
+                                used):
+                yield dict(ob_map), dict(mor_map)

@@ -37,6 +37,7 @@ from helpers import (
     freeze_tables,
     involution_arrow,
     quaternion_table,
+    reference_iso_tables,
     reference_refine,
     relabelled,
     semidirect_table,
@@ -225,6 +226,16 @@ class TestDepth:
             res = iso_search(c, d)
             assert res.status == FOUND
             assert res.nodes == nodes, (n, m)
+
+    def test_a_budget_that_runs_out_while_the_lone_objects_are_placed(self):
+        # every object of chain(3) x chain(5) is alone in its class, so all fifteen
+        # are placed at once; the budget still ticks once per object
+        c, d = build.product(build.chain(3), build.chain(5)), build.product(build.chain(5), build.chain(3))
+        for limit, nodes in ((0, 1), (1, 2), (7, 8), (14, 15)):
+            res = iso_search(c, d, budget=limit)
+            assert (res.status, res.nodes, res.witness) == (BUDGET, nodes, None), limit
+        res = iso_search(c, d, budget=15)
+        assert (res.status, res.nodes) == (FOUND, 15)
 
     def test_forced_moves_take_no_budget(self):
         # a forced move is no node, so the budget still bounds the work: each
@@ -590,15 +601,19 @@ def _seeded_poset_pairs(draw):
     return c, p, d, q
 
 
+def _stock_mixed_and_relabelled_pairs():
+    pairs = [*itertools.product(STOCK, repeat=2), *itertools.product(MIXED, repeat=2)]
+    pairs += [(c, _shuffled(c, k)) for k, c in enumerate([*STOCK, *MIXED, *(c for c, _ in MIXED_NODES)])]
+    pairs += [_chain_squared_and_shuffled(n) for n in NODES_CHAIN_SQUARED]
+    pairs += [(build.product(build.chain(n), build.chain(m)), build.product(build.chain(m), build.chain(n)))
+              for n, m in NODES_SWAPPED_CHAIN_PRODUCTS]
+    pairs.append(_link_breaking_posets())
+    return pairs
+
+
 class TestRefineAgainstReference:
     def test_stock_mixed_and_relabelled_pairs(self):
-        pairs = [*itertools.product(STOCK, repeat=2), *itertools.product(MIXED, repeat=2)]
-        pairs += [(c, _shuffled(c, k)) for k, c in enumerate([*STOCK, *MIXED, *(c for c, _ in MIXED_NODES)])]
-        pairs += [_chain_squared_and_shuffled(n) for n in NODES_CHAIN_SQUARED]
-        pairs += [(build.product(build.chain(n), build.chain(m)), build.product(build.chain(m), build.chain(n)))
-                  for n, m in NODES_SWAPPED_CHAIN_PRODUCTS]
-        pairs.append(_link_breaking_posets())
-        for c, d in pairs:
+        for c, d in _stock_mixed_and_relabelled_pairs():
             assert _agrees_with_reference(c, d), (c.name, d.name)
 
     @settings(max_examples=150, deadline=None)
@@ -615,6 +630,64 @@ class TestRefineAgainstReference:
     def test_small_random_categories_over_a_chain(self, pair):
         c, p, d, q = pair
         assert _agrees_with_reference(c, d, (p, q))
+
+
+def _same_as_reference(c, d, over=None, seed=None, cap=120):
+    """The search and `reference_iso_tables` yield the same first `cap` tables in the
+    same order, each with its entries in the same order, after the same nodes and
+    with the same refutation."""
+    runs = []
+    for search in (iter_iso_tables, reference_iso_tables):
+        budget, rng = Budget(10**6), None if seed is None else random.Random(seed)
+        tables = [(list(ob.items()), list(mor.items()))
+                  for ob, mor in itertools.islice(search(c, d, budget, over, rng), cap)]
+        runs.append((tables, budget.used, budget.refuted_by))
+    return runs[0] == runs[1]
+
+
+class TestObjectStageAgainstReference:
+    """Placing the objects alone in their class at once and comparing hom-set sizes
+    only with the placed objects of shared classes changes no table, order or node."""
+
+    def test_stock_mixed_and_relabelled_pairs(self):
+        for k, (c, d) in enumerate(_stock_mixed_and_relabelled_pairs()):
+            assert _same_as_reference(c, d), (c.name, d.name)
+            assert _same_as_reference(c, d, seed=k), (c.name, d.name)
+
+    def test_chain_squares_and_discrete_categories(self):
+        for n in NODES_CHAIN_SQUARED:
+            assert _same_as_reference(*_chain_squared_and_shuffled(n)), n
+        for n in range(7):
+            assert _same_as_reference(build.discrete(n), build.discrete(n)), n
+            assert _same_as_reference(build.discrete(n), _shuffled(build.discrete(n), n), seed=n), n
+
+    def test_a_morphism_alone_in_its_colour_at_an_object_of_a_shared_class(self):
+        # the monoid {1, a, aa} with aaa = aa at q and Z/3 at p: p and q share a class,
+        # but a and aa are each alone in their colour; d lists q first, so p is placed
+        # on q first, and d's a then lies outside the hom-set between the images
+        arrows = [("a", "q", "q"), ("aa", "q", "q"), ("r", "p", "p"), ("rr", "p", "p")]
+        comp = {("a", "a"): "aa", ("a", "aa"): "aa", ("aa", "a"): "aa", ("aa", "aa"): "aa",
+                ("r", "r"): "rr", ("r", "rr"): "id_p", ("rr", "r"): "id_p", ("rr", "rr"): "r"}
+        c, d = make_category("c", ["p", "q"], arrows, comp), make_category("d", ["q", "p"], arrows, comp)
+        assert _same_as_reference(c, d)
+        # two nodes place p on q and q on p, which a's boundary refutes, two place p and q
+        # on themselves, and two map r and rr, which share a colour
+        assert iso_search(c, d).nodes == 6
+
+    def test_products_over_a_factor(self):
+        for c, p, d, q in _factor_pairs():
+            assert _same_as_reference(c, d, (p, q)), (c.name, d.name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_poset_pairs(), st.integers(0, 9) | st.none())
+    def test_small_random_categories(self, pair, seed):
+        assert _same_as_reference(*pair, seed=seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_seeded_poset_pairs())
+    def test_small_random_categories_over_a_chain(self, pair):
+        c, p, d, q = pair
+        assert _same_as_reference(c, d, (p, q))
 
 
 @pytest.fixture
@@ -655,6 +728,21 @@ class TestColouringCache:
         assert len(colourings) == 2
         assert first[0] == FOUND
 
+    def test_a_second_search_derives_no_table_again(self, colourings, monkeypatch):
+        # the kept record holds every table the search reads, `_into` included
+        into = []
+        derive = isosearch._into
+        monkeypatch.setattr(isosearch, "_into", lambda cat: into.append(cat) or derive(cat))
+        wide = bz(6), build.product(bz(2), bz(3))
+        for c, d in [wide, _chain_squared_and_shuffled(4), (build.discrete(4), build.discrete(4))]:
+            first = _outcome(iso_search(c, d))
+            kept = c.cache[("colouring", None)], d.cache[("colouring", None)]
+            made = len(colourings), len(into)
+            assert _outcome(iso_search(c, d)) == first
+            assert (len(colourings), len(into)) == made
+            assert all(a is b for a, b in zip(kept, (c.cache[("colouring", None)], d.cache[("colouring", None)])))
+        assert into == list(wide)  # a thin category has no use for it
+
     def test_a_family_classified_pairwise_colours_each_category_once(self, colourings):
         family = _family()
         found = {(i, j) for (i, c), (j, d) in itertools.product(enumerate(family), repeat=2)
@@ -681,6 +769,19 @@ class TestColouringCache:
         assert (_refine(c, d, (snd, snd_d)), _refine(c, d), _refine(c, d, (fst, fst_d))) == (over_b, unseeded, over_a)
         assert len(colourings) == 6
         assert over_a != unseeded  # the seeds' images are part of the morphism colours
+
+    def test_seeded_and_unseeded_searches_keep_separate_records(self, colourings):
+        c, _, snd = build.product_projections(build.walking_arrow(), build.discrete(2))
+        d, _, snd_d = build.product_projections(build.walking_arrow(), build.discrete(2))
+        plain, over = _outcome(iso_search(c, d)), _outcome(over_base_iso_search(c, snd, d, snd_d))
+        assert colourings == [(c, None), (d, None), (c, snd), (d, snd_d)]
+        # unseeded, the two objects over each end of the arrow share a class; over the
+        # second factor each object is alone in its class and is placed at once
+        alone = {seed: cat.cache[("colouring", seed)][2][1] for cat, seed in colourings}
+        assert alone == {None: [], snd: list(c.objects), snd_d: list(d.objects)}
+        assert (plain[:2], over[:2]) == ((FOUND, 4), (FOUND, 4))
+        assert (_outcome(over_base_iso_search(c, snd, d, snd_d)), _outcome(iso_search(c, d))) == (over, plain)
+        assert len(colourings) == 4
 
     def test_a_renamed_copy_shares_the_colouring_and_the_verdicts(self, colourings):
         for c, d in [(bz(6), build.product(bz(2), bz(3))), (bz(4), build.product(bz(2), bz(2))),
